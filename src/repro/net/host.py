@@ -54,7 +54,9 @@ class Host(Node):
             pkt.path.append(self.name)
         if self.span_recorder is not None:
             self.span_recorder.on_send(self, pkt)
-        return self.nic.send(pkt)
+        if not self.ports:  # the nic property, inlined
+            raise RuntimeError(f"host {self.name} has no NIC attached")
+        return self.ports[0].send(pkt)
 
     # ------------------------------------------------------------------
     def register(self, flow_id: int, endpoint: Callable[[Packet], None]) -> None:

@@ -264,11 +264,12 @@ class SharedBufferPool:
 
     def admits(self, queue_bytes: int, pkt_size: int, queue_pkts: int) -> bool:
         """DBA admission test for a port currently holding ``queue_bytes``."""
-        if queue_pkts < self.reserved_pkts_per_port:
-            return self.free_bytes >= pkt_size
-        if self.free_bytes < pkt_size:
+        free = self.total_bytes - self.used_bytes  # hot: no property call
+        if free < pkt_size:
             return False
-        return queue_bytes + pkt_size <= self.alpha * self.free_bytes
+        if queue_pkts < self.reserved_pkts_per_port:
+            return True
+        return queue_bytes + pkt_size <= self.alpha * free
 
     def take(self, nbytes: int) -> None:
         self.used_bytes += nbytes
@@ -302,13 +303,14 @@ class DynamicBufferQueue:
         return not self.pool.admits(self.byte_count, MTU_BYTES, len(self._q))
 
     def enqueue(self, pkt: Packet) -> bool:
-        if not self.pool.admits(self.byte_count, pkt.size, len(self._q)):
+        n = len(self._q)
+        if not self.pool.admits(self.byte_count, pkt.size, n):
             self.drops += 1
             return False
         if (
             self.mark_threshold_pkts is not None
             and pkt.ecn_capable
-            and len(self._q) + 1 > self.mark_threshold_pkts
+            and n + 1 > self.mark_threshold_pkts
         ):
             pkt.ecn_ce = True
             self.marks += 1
@@ -316,7 +318,7 @@ class DynamicBufferQueue:
                 pkt.span.hops[-1]["ecn"] = True
         self._q.append(pkt)
         self.byte_count += pkt.size
-        self.pool.take(pkt.size)
+        self.pool.used_bytes += pkt.size  # inlined SharedBufferPool.take
         self.enqueues += 1
         return True
 
@@ -325,7 +327,10 @@ class DynamicBufferQueue:
             return None
         pkt = self._q.popleft()
         self.byte_count -= pkt.size
-        self.pool.release(pkt.size)
+        pool = self.pool
+        pool.used_bytes -= pkt.size  # inlined SharedBufferPool.release
+        if pool.used_bytes < 0:
+            raise AssertionError("shared buffer pool accounting went negative")
         return pkt
 
     def __len__(self) -> int:
@@ -401,11 +406,11 @@ class BShareQueue(DynamicBufferQueue):
 
     def _admits(self, pkt_size: int) -> bool:
         pool = self.pool
-        if len(self._q) < pool.reserved_pkts_per_port:
-            return pool.free_bytes >= pkt_size
-        free = pool.free_bytes
+        free = pool.total_bytes - pool.used_bytes
         if free < pkt_size:
             return False
+        if len(self._q) < pool.reserved_pkts_per_port:
+            return True
         limit = pool.alpha * free
         ewma = self.delay_ewma_s
         if ewma > self.target_delay_s:
@@ -431,7 +436,7 @@ class BShareQueue(DynamicBufferQueue):
         self._q.append(pkt)
         self._tq.append(self.scheduler.now)
         self.byte_count += pkt.size
-        self.pool.take(pkt.size)
+        self.pool.used_bytes += pkt.size  # inlined SharedBufferPool.take
         self.enqueues += 1
         return True
 

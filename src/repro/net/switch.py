@@ -127,12 +127,15 @@ class Switch(Node):
         # path never pays a liveness check.
         self._fib_full: dict[int, list[int]] = {}
         self._fib: dict[int, list[int]] = {}
-        # Memoized flow-level ECMP picks: (dst, flow_id) -> port index.
-        # stable_hash re-encodes strings per call, which dominated the
-        # forwarding hot path; the hash is deterministic per (flow, switch)
-        # so one dict lookup replaces it.  Keyed by dst too because ACKs
-        # reuse the data packets' flow_id in the reverse direction.
-        self._ecmp_cache: dict[tuple[int, int], int] = {}
+        # Forwarding memos, so a hop's decision is one dict lookup; both
+        # map to the output Port and refresh_fault_state clears both.
+        # _route (dst -> Port, checked first) holds destinations with one
+        # live next hop; _ecmp_cache ((dst, flow_id) -> Port) holds the
+        # flow-hash picks, replacing a stable_hash per packet (keyed by dst
+        # too: ACKs reuse the data flow_id in reverse).  Spray picks are
+        # never memoized.
+        self._route: dict[int, Port] = {}
+        self._ecmp_cache: dict[tuple[int, int], Port] = {}
         self.failed = False  # crashed switch (repro.faults SwitchFail)
         self.hop_limit = DEFAULT_HOP_LIMIT
         self.counters = SwitchCounters()
@@ -166,8 +169,8 @@ class Switch(Node):
         With detouring off the switch behaves like a stock drop-tail/ECN
         switch: a full desired queue means a drop.  The toggle goes
         through :meth:`refresh_fault_state` — the same invalidation path a
-        fault transition takes — so the memoized ECMP picks are cleared
-        and no cached forwarding decision can straddle the mode change.
+        fault transition takes — so the memoized routes are cleared and
+        no cached forwarding decision can straddle the mode change.
         """
         if enabled == self.detour_enabled:
             return
@@ -187,7 +190,7 @@ class Switch(Node):
         self.install_fib(table)
 
     def install_fib(self, table: dict[int, list[int]]) -> None:
-        """Install a forwarding table, invalidating memoized ECMP picks."""
+        """Install a forwarding table, invalidating the memoized routes."""
         self._fib_full = table
         self.refresh_fault_state()
 
@@ -196,8 +199,8 @@ class Switch(Node):
 
         Down ports are removed from every ECMP next-hop set (a destination
         whose every next hop is down becomes unroutable and its packets
-        drop with ``no_route``), and the memoized ECMP picks are
-        invalidated so no cached decision can point at a dead port.  The
+        drop with ``no_route``), and the memoized routes and ECMP picks
+        are invalidated so no cached decision can point at a dead port.  The
         DIBS detour mask needs no rebuild: :meth:`detour_candidates`
         checks ``port.up`` directly.
         """
@@ -209,6 +212,7 @@ class Switch(Node):
                 dst: [hop for hop in hops if hop not in down]
                 for dst, hops in self._fib_full.items()
             }
+        self._route.clear()
         self._ecmp_cache.clear()
 
     # ------------------------------------------------------------------
@@ -239,32 +243,35 @@ class Switch(Node):
             self._drop(pkt, DROP_TTL)
             return
 
-        next_hops = self._fib.get(pkt.dst)
-        if not next_hops:
-            self._drop(pkt, DROP_NO_ROUTE)
-            return
-
-        if len(next_hops) == 1:
-            out_index = next_hops[0]
-        elif self.ecmp_mode == "flow":
-            cache_key = (pkt.dst, pkt.flow_id)
-            out_index = self._ecmp_cache.get(cache_key)
-            if out_index is None:
-                out_index = next_hops[stable_hash(pkt.flow_id, self.node_id) % len(next_hops)]
-                self._ecmp_cache[cache_key] = out_index
-        else:
-            # Packet-level ECMP ("packet spraying", §6): round-robin over
-            # equal-cost ports.  Spreads load finer than flow hashing but
-            # cannot help last-hop incast, which is the paper's point.
-            self._spray_counter += 1
-            out_index = next_hops[self._spray_counter % len(next_hops)]
-        desired = self.ports[out_index]
+        dst = pkt.dst
+        desired = self._route.get(dst)
+        if desired is None:
+            cache_key = (dst, pkt.flow_id)
+            desired = self._ecmp_cache.get(cache_key)
+            if desired is None:
+                next_hops = self._fib.get(dst)
+                if not next_hops:
+                    self._drop(pkt, DROP_NO_ROUTE)
+                    return
+                n = len(next_hops)
+                if n == 1:
+                    desired = self._route[dst] = self.ports[next_hops[0]]
+                elif self.ecmp_mode == "flow":
+                    desired = self.ports[next_hops[stable_hash(pkt.flow_id, self.node_id) % n]]
+                    self._ecmp_cache[cache_key] = desired
+                else:
+                    # Packet-level ECMP ("packet spraying", §6): round-robin
+                    # over equal-cost ports; finer than flow hashing, but no
+                    # help against last-hop incast, which is the paper's point.
+                    self._spray_counter += 1
+                    desired = self.ports[next_hops[self._spray_counter % n]]
 
         if self._plain_detour:
             # Inlined default trigger (== desired.queue.is_full()).
             q = desired.queue
             if desired._fast_q:
-                full = len(q._q) >= q.capacity_pkts
+                qq = q._q
+                full = qq and len(qq) >= q.capacity_pkts
             else:
                 full = q.is_full()
             if full:
@@ -280,7 +287,7 @@ class Switch(Node):
 
         if desired.send(pkt):
             self.counters.forwards += 1
-        else:
+        elif desired.up:  # a down port has already counted a link_down drop
             self._drop(pkt, DROP_OVERFLOW)
 
     # ------------------------------------------------------------------
@@ -298,7 +305,12 @@ class Switch(Node):
                 continue
             if not allow_ingress and port.index == in_port:
                 continue
-            if port.queue.is_full():
+            q = port.queue
+            if port._fast_q:
+                qq = q._q
+                if qq and len(qq) >= q.capacity_pkts:
+                    continue
+            elif q.is_full():
                 continue
             candidates.append(port)
         return candidates

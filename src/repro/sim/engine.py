@@ -33,10 +33,12 @@ Design notes
   the profiled run loop is a separate code path selected once per
   :meth:`run`, never a per-event branch.
 * Settled fire-and-forget events (scheduled via :meth:`schedule_once`)
-  are recycled through a freelist, eliminating the dominant per-event
-  allocation on the link hot path.  Only events whose handle never
-  escapes the scheduler/port machinery are recycled, so a stale external
-  handle can never cancel a recycled (reused) event.
+  are recycled through a one-event slot: the run loop parks the event it
+  just settled, and the next :meth:`schedule_once` reuses it.  Nearly
+  every link callback schedules its successor, so the slot catches most
+  of the per-event allocations at no per-event call cost.  Only events
+  whose handle never escapes the scheduler/port machinery are recycled,
+  so a stale external handle can never cancel a recycled (reused) event.
 
 Calendar layout
 ---------------
@@ -157,9 +159,11 @@ class Event:
     is a no-op and the scheduler's live pending count stays exact.
 
     ``recyclable`` marks events created by :meth:`Scheduler.schedule_once`
-    (fire-and-forget paths whose handle never escapes): once settled, the
-    run loop returns them to a freelist for reuse instead of allocating a
-    fresh object per event.
+    or :meth:`Scheduler.schedule_reserved` (fire-and-forget paths whose
+    handle never escapes): once settled — after its callback returns, or
+    when consumed cancelled — the run loop parks the event in the
+    scheduler's one-event recycle slot, and the next of those two calls
+    reuses it instead of allocating a fresh object.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sched", "recyclable")
@@ -207,7 +211,7 @@ class Scheduler:
                  "_running", "watchdog", "watchdog_interval_events",
                  "_cap", "profiler", "_hooks", "_cancelled_pending",
                  "_buckets", "_cur", "_pos", "_wstart", "_width", "_inv_width",
-                 "_overflow", "_count", "_free", "_win_base")
+                 "_overflow", "_count", "_spare", "_win_base")
 
     def __init__(self, max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS) -> None:
         self.now: float = 0.0
@@ -257,37 +261,19 @@ class Scheduler:
         # Live entries anywhere in the calendar (ring past the cursor plus
         # overflow), including cancelled-but-not-consumed ones.
         self._count: int = 0
-        self._free: list[Event] = []      # settled recyclable events
+        # Recycle slot: the most recently settled recyclable event, taken
+        # by the next schedule_once/schedule_reserved (see Event).
+        self._spare: Optional[Event] = None
         self._win_base: int = 0           # _events_processed at window start
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _insert(self, ev: Event) -> None:
-        """Place ``ev`` into the calendar.  The caller has validated the
-        time and bumped ``_count``/``_seq``."""
-        idx = int((ev.time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx <= cur:
-                # The target bucket is (or is behind) the one being
-                # consumed; clamp into the current bucket, whose live
-                # suffix is kept sorted.  Any event landing here satisfies
-                # (time, seq) > (now, now_seq), so the insertion point is
-                # at or after the consumption cursor; bisecting from
-                # ``lo=self._pos`` also keeps recycled settled entries in
-                # the consumed prefix out of the comparison.
-                insort(self._buckets[cur], ev, key=_ORDER, lo=self._pos)
-            else:
-                self._buckets[idx].append(ev)
-        else:
-            heappush(self._overflow, (ev.time, ev.seq, ev))
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        # The insert logic is inlined here (and in schedule_at /
-        # schedule_once) rather than delegating through _insert: this is
-        # the hottest entry point in the simulator and each intermediate
+        # The calendar insert is inlined here (and in every schedule_*
+        # method) rather than shared through a helper: this is the
+        # hottest entry point in the simulator and each intermediate
         # Python call costs a measurable fraction of the event budget.
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -298,17 +284,7 @@ class Scheduler:
         self._count = count
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.recyclable = False
-        else:
-            ev = Event(time, seq, fn, args, self)
+        ev = Event(time, seq, fn, args, self)
         idx = int((time - self._wstart) * self._inv_width)
         if idx < _NBUCKETS:
             cur = self._cur
@@ -334,17 +310,7 @@ class Scheduler:
         self._count = count
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.recyclable = False
-        else:
-            ev = Event(time, seq, fn, args, self)
+        ev = Event(time, seq, fn, args, self)
         idx = int((time - self._wstart) * self._inv_width)
         if idx < _NBUCKETS:
             cur = self._cur
@@ -363,12 +329,14 @@ class Scheduler:
     def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Like :meth:`schedule`, but the returned handle must not outlive
         the port/scheduler machinery that created it: once the event
-        settles (fires or is consumed cancelled) the object is recycled
-        for a future schedule.  Callers that keep the handle only until
-        they cancel it (and drop it at settle time) qualify; anything
-        that might cancel *after* the event fired must use
-        :meth:`schedule` instead, or a recycled (reused) event could be
-        killed through the stale handle."""
+        settles (its callback returns, or it is consumed cancelled) the
+        run loop parks it in the recycle slot, and the next
+        ``schedule_once`` or :meth:`schedule_reserved` reuses the object
+        (allocating only when the slot is empty).  Callers that keep the
+        handle only until they cancel it (and drop it at settle time)
+        qualify; anything that might cancel *after* the event fired must
+        use :meth:`schedule` instead, or a recycled (reused) event could
+        be killed through the stale handle."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         time = self.now + delay
@@ -378,12 +346,11 @@ class Scheduler:
         self._count = count
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            # The freelist only ever holds recyclable events (the run
-            # loops recycle nothing else), so ``recyclable`` is already
-            # True on the popped object.
-            ev = free.pop()
+        ev = self._spare
+        if ev is not None:
+            # The slot only ever holds a recyclable event (the run loops
+            # park nothing else), so ``recyclable`` is already True.
+            self._spare = None
             ev.time = time
             ev.seq = seq
             ev.fn = fn
@@ -438,9 +405,9 @@ class Scheduler:
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
         self._count += 1
-        free = self._free
-        if free:
-            ev = free.pop()  # freelist events are recyclable already
+        ev = self._spare
+        if ev is not None:
+            self._spare = None  # parked events are recyclable already
             ev.time = time
             ev.seq = seq
             ev.fn = fn
@@ -636,7 +603,6 @@ class Scheduler:
         base = self._events_processed
         bucket = self._buckets[self._cur]
         pos = self._pos
-        free_append = self._free.append
         # Horizon checks are hoisted to bucket granularity: a bucket whose
         # window-derived upper bound (with one spare bucket of slack for
         # float fuzz in the index map) lies at or before the horizon cannot
@@ -673,7 +639,7 @@ class Scheduler:
                     if ev.cancelled:
                         self._cancelled_pending -= 1
                         if ev.recyclable:
-                            free_append(ev)
+                            self._spare = ev
                         continue
                     # Settle the event (see Event.cancel) before dispatch
                     # so a callback cancelling its own handle is a no-op.
@@ -687,7 +653,10 @@ class Scheduler:
                     ev.fn(*ev.args)
                     processed += 1
                     if ev.recyclable:
-                        free_append(ev)
+                        # Parked only now that the callback has returned:
+                        # a callback may still hold (and cancel) its own
+                        # handle, which must stay settled until then.
+                        self._spare = ev
                     if hfn is not None:
                         hcd -= 1
                         if hcd <= 0:
@@ -727,7 +696,7 @@ class Scheduler:
         budget on microsecond-scale events.  Hook/watchdog time is
         excluded by advancing the window start past it.
 
-        Profiled loops skip freelist recycling: the leftover flush needs
+        Profiled loops skip the recycle slot: the leftover flush needs
         the last executed event intact, and profiling is opt-in so the
         allocation cost is acceptable.  Recycling affects only object
         identity, never behaviour, so profiled and plain runs stay
@@ -899,7 +868,6 @@ class Scheduler:
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when idle."""
-        free_append = self._free.append
         while True:
             bucket = self._buckets[self._cur]
             pos = self._pos
@@ -916,7 +884,7 @@ class Scheduler:
             if ev.cancelled:
                 self._cancelled_pending -= 1
                 if ev.recyclable:
-                    free_append(ev)
+                    self._spare = ev
                 continue
             ev.cancelled = True
             self.now = ev.time
@@ -924,12 +892,11 @@ class Scheduler:
             ev.fn(*ev.args)
             self._events_processed += 1
             if ev.recyclable:
-                free_append(ev)
+                self._spare = ev
             return True
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        free_append = self._free.append
         while True:
             bucket = self._buckets[self._cur]
             pos = self._pos
@@ -947,7 +914,7 @@ class Scheduler:
             self._count -= 1
             self._cancelled_pending -= 1
             if ev.recyclable:
-                free_append(ev)
+                self._spare = ev
 
     @property
     def max_pending_events(self) -> Optional[int]:
@@ -993,7 +960,7 @@ class Scheduler:
         for _t, _s, ev in self._overflow:
             ev.cancelled = True
         self._overflow.clear()
-        self._free.clear()
+        self._spare = None
         self.now = 0.0
         self._seq = 0
         self._now_seq = -1

@@ -13,8 +13,8 @@ bug.
 The class mirrors the full scheduler API — including the elision
 primitives (:meth:`reserve_seq` / :meth:`schedule_reserved` /
 ``schedule_once``) and the logical ``events_processed`` accounting — so
-the port layer's event elision behaves identically here.  The freelist
-optimisation is deliberately *not* replicated: this engine optimises for
+the port layer's event elision behaves identically here.  The event
+recycle slot is deliberately *not* replicated: this engine optimises for
 obvious correctness, not speed.
 """
 

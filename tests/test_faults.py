@@ -196,6 +196,22 @@ class TestLinkFaults:
         assert down in before and down not in after
         assert len(after) == len(before) - 1
 
+    def test_direct_set_down_counts_each_drop_once(self):
+        # Port.set_down() without refresh_fault_state (a public API the
+        # injector pairs with a refresh, but callers need not): the FIB
+        # still routes into the dead port, which counts every rejected
+        # packet as link_down.  The switch must not add an overflow drop.
+        net = incast_net(dibs=False, seed=16)
+        net.start_flow("host_0", "host_1", 20_000, transport="dctcp")
+        net.run(until=0.00003)  # a few packets out, most still to come
+        net.port_between("edge_0_0", "host_1").set_down()
+        net.run(until=0.05)
+        report = net.drop_report()
+        assert report["link_down"] > 0
+        assert report["overflow"] == 0
+        assert net.total_drops() == report["link_down"]
+        assert_conserved(net)
+
     def test_incast_under_dead_core_links_conserves(self):
         net = incast_net(seed=15)
         sched = FaultSchedule.from_tuples(
@@ -413,6 +429,19 @@ class TestScenarioIntegration:
         assert result.faults_applied.get(PACKET_CORRUPT, 0) >= 1
         assert result.invariant_checks > 0
         assert result.drops.get("corrupt", 0) > 0
+
+    @pytest.mark.parametrize("scheme", ["dibs-dba", "bshare"])
+    def test_shared_pool_audited_under_faults(self, scheme):
+        # DBA queues charge and release the shared pool in place; the
+        # armed InvariantChecker compares each pool's used_bytes with its
+        # member queues' byte counts at every audit, through link-down,
+        # flap and corruption losses, and raises on any skew.
+        result = run_scenario(FAULTY.with_overrides(scheme=scheme))
+        assert result.faults_applied.get(LINK_DOWN, 0) >= 1
+        assert result.faults_applied.get(PACKET_CORRUPT, 0) >= 1
+        assert result.invariant_checks > 0
+        assert result.drops.get("corrupt", 0) > 0
+        assert result.drops.get("link_down", 0) > 0
 
     def test_generated_schedule_is_seed_deterministic(self):
         net_a = FAULTY.build_network()

@@ -70,6 +70,8 @@ class TestNic:
         h = Host(0, "h0", sched)
         with pytest.raises(RuntimeError):
             _ = h.nic
+        with pytest.raises(RuntimeError, match="no NIC attached"):
+            h.send(Packet(flow_id=1, src=0, dst=1))
 
     def test_send_returns_false_on_nic_overflow(self):
         sched = Scheduler()

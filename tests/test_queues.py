@@ -253,6 +253,11 @@ class TestDynamicBufferQueue:
         q.enqueue(make_pkt())
         q.dequeue()
         assert pool.used_bytes == 0
+        # The in-place release keeps release()'s negative-balance check.
+        q.enqueue(make_pkt())
+        pool.used_bytes = 0  # simulate a double release elsewhere
+        with pytest.raises(AssertionError, match="went negative"):
+            q.dequeue()
 
     def test_ecn_marking_when_configured(self):
         pool = SharedBufferPool(100 * MTU_BYTES)

@@ -346,38 +346,117 @@ class TestHeapParity:
             make_scheduler(engine="splay")
 
 
-class TestFreelist:
-    """schedule_once events are recycled once settled."""
+def _mixed_chain(sched, drive):
+    """A once/reserved/cancel chain: every callback schedules a
+    ``schedule_once`` child, a reserved-then-materialized child and a
+    ``schedule_once`` child it may cancel before it fires, with ties.
+    Only unfired handles are ever cancelled (the recycling contract)."""
+    rng = random.Random(99)
+    trace = []
+    live = {}  # token -> schedule_once handle not yet settled
 
-    def test_fired_once_events_are_recycled(self):
-        sched = Scheduler()
-        for _ in range(10):
-            sched.schedule_once(1e-6, lambda: None)
+    def work(label, depth, token=None):
+        live.pop(token, None)
+        trace.append((sched.now, label))
+        if depth == 0:
+            return
+        sched.schedule_once(rng.choice([0.0, 1e-7, 2e-6]), work, label + "o", depth - 1)
+        seq = sched.reserve_seq()
+        token = label + "c"
+        live[token] = sched.schedule_once(1e-6, work, token, depth - 1, token)
+        sched.schedule_reserved(sched.now + rng.choice([0.0, 1e-6]), seq, work,
+                                label + "r", depth - 1)
+        if live and rng.random() < 0.3:
+            victim = sorted(live)[rng.randrange(len(live))]
+            live.pop(victim).cancel()
+
+    sched.schedule_once(0.0, work, "a", 6)
+    sched.schedule(1e-7, work, "b", 5)
+    drive(sched)
+    return trace, sched.events_processed, sched.pending, sched.now
+
+
+def _profiled(stride):
+    from repro.obs.profiler import SchedulerProfiler
+
+    def drive(sched):
+        SchedulerProfiler(sample_stride=stride).install(sched)
+        sched.run(until=3e-6)
         sched.run()
-        assert len(sched._free) == 10
-        recycled = sched._free[-1]
-        ev = sched.schedule_once(1e-6, lambda: None)
-        assert ev is recycled  # reused, not freshly allocated
 
-    def test_cancelled_once_event_is_recycled_after_consumption(self):
+    return drive
+
+
+def _plain(sched):
+    sched.run(until=3e-6)
+    sched.run()
+
+
+def _stepped(sched):
+    while sched.step():
+        pass
+
+
+class TestRecycleSlot:
+    """Settled schedule_once/schedule_reserved events are parked in a
+    one-event slot and reused by the next such schedule."""
+
+    def test_fired_once_event_is_reused_by_next_schedule_once(self):
+        sched = Scheduler()
+        fired = sched.schedule_once(1e-6, lambda: None)
+        sched.run()
+        assert sched._spare is fired
+        ev = sched.schedule_once(1e-6, lambda: None)
+        assert ev is fired  # reused, not freshly allocated
+        assert sched._spare is None
+        # The slot is empty now, so the next schedule allocates.
+        assert sched.schedule_once(1e-6, lambda: None) is not fired
+
+    def test_reserved_schedule_takes_the_slot(self):
+        sched = Scheduler()
+        fired = sched.schedule_once(1e-6, lambda: None)
+        sched.run()
+        seq = sched.reserve_seq()
+        assert sched.schedule_reserved(sched.now, seq, lambda: None) is fired
+
+    def test_event_is_parked_only_after_its_callback_returns(self):
+        sched = Scheduler()
+        seen = []
+
+        def callback():
+            # Still in flight: the slot must not offer this very event.
+            seen.append(sched._spare)
+
+        first = sched.schedule_once(1e-6, lambda: None)
+        second = sched.schedule_once(2e-6, callback)
+        sched.run()
+        assert seen == [first]
+        assert sched._spare is second
+
+    def test_cancelled_event_recycled_only_after_consumption(self):
         sched = Scheduler()
         fired = []
-        ev = sched.schedule_once(1e-6, fired.append, "x")
+        ev = sched.schedule_once(2e-6, fired.append, "x")
         ev.cancel()
-        sched.schedule_once(2e-6, fired.append, "y")
+        assert sched._spare is None  # cancelling alone parks nothing
+        sched.schedule(1e-6, fired.append, "y")
+        sched.run(until=1.5e-6)
+        assert sched._spare is None  # still sitting in the calendar
         sched.run()
         assert fired == ["y"]
-        assert ev in sched._free
+        assert sched._spare is ev  # parked once the loop consumed it
 
-    def test_escaped_handles_are_never_recycled(self):
+    def test_schedule_handles_are_never_recycled(self):
         # schedule() handles may outlive the run (callers can cancel
-        # late); they must not be pooled for reuse.
+        # late); they must never be parked for reuse.
         sched = Scheduler()
         ev = sched.schedule(1e-6, lambda: None)
+        at = sched.schedule_at(2e-6, lambda: None)
         sched.run()
-        assert ev not in sched._free
+        assert sched._spare is None
+        assert sched.schedule_once(1e-6, lambda: None) not in (ev, at)
         ev.cancel()  # late cancel through the stale handle: harmless no-op
-        assert sched.pending == 0
+        assert sched.pending == 1
 
     def test_recycled_event_fires_with_new_payload(self):
         sched = Scheduler()
@@ -387,6 +466,22 @@ class TestFreelist:
         sched.schedule_once(1e-6, fired.append, "second")
         sched.run()
         assert fired == ["first", "second"]
+
+    def test_reset_empties_the_slot(self):
+        sched = Scheduler()
+        sched.schedule_once(1e-6, lambda: None)
+        sched.run()
+        assert sched._spare is not None
+        sched.reset()
+        assert sched._spare is None
+
+    @pytest.mark.parametrize("drive", [_plain, _profiled(4), _profiled(1), _stepped],
+                             ids=["plain", "profiled-sampled", "profiled-exact", "step"])
+    def test_mixed_chain_matches_heap_engine(self, drive):
+        calendar = _mixed_chain(Scheduler(), drive)
+        heap = _mixed_chain(HeapScheduler(), drive)
+        assert calendar == heap
+        assert len(calendar[0]) > 300  # the chain really branched
 
 
 class TestReservedSequences:

@@ -95,6 +95,18 @@ class TestForwarding:
         star.inject(pkt)
         assert pkt.hops == 1
 
+    def test_send_to_directly_downed_port_counts_one_drop(self):
+        # Port.set_down() without refresh_fault_state leaves the FIB (and
+        # the route memo) pointing at the dead port; the port counts the
+        # packet as link_down and the switch must not count it again.
+        star = Star()
+        star.inject(data_pkt())  # memoizes the route to the host port
+        star.hub.ports[0].set_down()
+        star.inject(data_pkt())
+        assert star.hub.ports[0].drops_link_down == 2  # killed + rejected
+        assert star.hub.counters.drops == 0
+        assert star.hub.counters.forwards == 1
+
     def test_path_appended_when_tracing(self):
         star = Star()
         pkt = data_pkt()
@@ -147,19 +159,84 @@ class TestEcmp:
         for _ in range(5):
             sw.receive(data_pkt(flow=7), in_port=0)
         expected = sw.fib[0][stable_hash(7, sw.node_id) % 2]
-        assert sw._ecmp_cache[(0, 7)] == expected
+        # The memo holds the output Port itself, not its index.
+        assert sw._ecmp_cache[(0, 7)] is sw.ports[expected]
+        assert sw.ports[expected].pkts_sent + len(sw.ports[expected].queue) == 5
+        # A multi-hop destination never lands in the per-destination memo.
+        assert 0 not in sw._route
 
     def test_fib_install_invalidates_ecmp_cache(self):
+        # Both memos: the ECMP picks and the per-destination routes.
         sched, sw, sinks = self.make_two_path_switch()
-        sw.receive(data_pkt(flow=7), in_port=0)
-        assert sw._ecmp_cache
-        sw.install_fib({0: [1, 0]})
-        assert not sw._ecmp_cache
+        self._fill_both_memos(sw)
+        sw.install_fib({0: [1, 0], 5: [0]})
+        assert not sw._route and not sw._ecmp_cache
+        sw.receive(data_pkt(flow=7, dst=5), in_port=0)
+        assert sw._route[5] is sw.ports[0]  # re-resolved from the new FIB
         # Direct assignment (the Network builder idiom) also invalidates.
-        sw.receive(data_pkt(flow=7), in_port=0)
-        assert sw._ecmp_cache
+        self._fill_both_memos(sw)
         sw.fib = {0: [0, 1]}
+        assert not sw._route and not sw._ecmp_cache
+
+    def test_single_hop_destination_memoized_per_destination(self):
+        sched, sw, sinks = self.make_two_path_switch()
+        sw.install_fib({0: [0, 1], 5: [1]})
+        for flow in range(10):
+            sw.receive(data_pkt(flow=flow, dst=5), in_port=0)
+        # One entry for the destination, whatever the flow.
+        assert sw._route == {5: sw.ports[1]}
         assert not sw._ecmp_cache
+        assert sw.ports[1].pkts_sent + len(sw.ports[1].queue) == 10
+
+    def _fill_both_memos(self, sw):
+        sw.install_fib({0: [0, 1], 5: [1]})
+        sw.receive(data_pkt(flow=7, dst=0), in_port=0)
+        sw.receive(data_pkt(flow=7, dst=5), in_port=0)
+        assert sw._route and sw._ecmp_cache
+
+    def test_port_down_then_refresh_invalidates_both_memos(self):
+        sched, sw, sinks = self.make_two_path_switch()
+        self._fill_both_memos(sw)
+        sw.ports[1].set_down()
+        killed = sw.ports[1].drops_link_down  # packets caught mid-flight
+        sw.refresh_fault_state()
+        assert not sw._route and not sw._ecmp_cache
+        for flow in range(20):
+            sw.receive(data_pkt(flow=flow, dst=0), in_port=0)
+        sw.receive(data_pkt(flow=7, dst=5), in_port=0)
+        # No cached pick points at the dead port: dst 0 is down to one
+        # live hop (now a per-destination entry), and dst 5, whose only
+        # hop died, has no route at all.
+        assert sw._route == {0: sw.ports[0]}
+        assert not sw._ecmp_cache
+        assert sw.counters.drops_no_route == 1
+        assert sw.ports[1].drops_link_down == killed  # nothing sent to it
+
+    def test_detour_toggle_invalidates_both_memos(self):
+        sched, sw, sinks = self.make_two_path_switch()
+        self._fill_both_memos(sw)
+        sw.set_detour_enabled(False)
+        assert not sw._route and not sw._ecmp_cache
+        self._fill_both_memos(sw)
+        sw.set_detour_enabled(True)
+        assert not sw._route and not sw._ecmp_cache
+
+    def test_packet_spray_round_robins_and_is_never_memoized(self):
+        sched = Scheduler()
+        sw = Switch(10, "sw", sched, rng=random.Random(0), ecmp_mode="packet")
+        for i in range(3):
+            nbr = Switch(20 + i, f"n{i}", sched, rng=random.Random(i))
+            connect(Port(sw, DropTailQueue(1000), 1e9, 0.0),
+                    Port(nbr, DropTailQueue(1000), 1e9, 0.0))
+        sw.fib = {0: [0, 1, 2], 5: [2]}
+        for _ in range(30):
+            sw.receive(data_pkt(flow=7), in_port=0)  # one flow, sprayed
+        used = [len(p.queue) + p.pkts_sent for p in sw.ports]
+        assert used == [10, 10, 10]
+        assert not sw._ecmp_cache and 0 not in sw._route
+        # Single-hop destinations are still memoized under spraying.
+        sw.receive(data_pkt(flow=7, dst=5), in_port=0)
+        assert sw._route == {5: sw.ports[2]}
 
 
 class TestDibsDetour:
