@@ -194,6 +194,16 @@ def _worker_main(workload: str, engine: str) -> int:
     return 0
 
 
+def _child_env() -> dict:
+    """This environment with every ``PYTHONPATH`` entry made absolute and
+    the repo's ``src`` appended: the sample runs from ``benchmarks/``,
+    where a relative entry such as ``PYTHONPATH=src`` would miss."""
+    entries = [os.path.abspath(entry)
+               for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    entries.append(str(Path(__file__).resolve().parent.parent / "src"))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+
+
 def _sample(workload: str, engine: str) -> dict:
     """Run one timed sample in a fresh interpreter (see module docstring)."""
     proc = subprocess.run(
@@ -201,6 +211,7 @@ def _sample(workload: str, engine: str) -> dict:
          "--worker", workload, "--engine", engine],
         capture_output=True, text=True, check=False,
         cwd=os.path.dirname(os.path.abspath(__file__)),
+        env=_child_env(),
     )
     if proc.returncode != 0:
         raise RuntimeError(

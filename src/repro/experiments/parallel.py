@@ -10,10 +10,10 @@ semantics of the serial path:
   the serial ``run_pooled`` uses.  Same seeds ⇒ bit-identical pooled
   percentiles and counters, independent of worker count or completion order.
 * **Isolation** — one process per run, so a crashing or wedged simulation
-  cannot take the sweep down.  A crashed, raising, or timed-out run is
-  retried up to ``max_retries`` times — with capped exponential backoff,
-  deterministic jitter, and a ×1.5 per-attempt timeout escalation — and
-  then recorded in :class:`RunTelemetry` instead of raising.
+  cannot take the sweep down.  Crashed, raising, and timed-out runs are
+  settled by the shared policy in :mod:`repro.experiments.settle`
+  (retries with deterministic backoff and ×1.5 timeout escalation) and
+  recorded in :class:`RunTelemetry` instead of raising.
 * **Durability** — with a :class:`~repro.experiments.journal.RunJournal`
   attached, every completed cell is checkpointed atomically the moment it
   settles, ``resume=True`` skips already-journaled cells, and a permanent
@@ -22,15 +22,14 @@ semantics of the serial path:
   them to the journal, terminates and joins every worker (no orphans), and
   returns the partial results with ``telemetry.interrupted`` set so
   callers can distinguish "interrupted" from "failed".
-* **Degradation** — ``workers=1``, or a platform where multiprocessing
-  offers neither ``fork`` nor ``spawn``, runs everything serially
-  in-process with identical results and the same telemetry shape.
-* **Persistence** — the process-management mechanics live in
-  :class:`WorkerPool`, a long-lived pool that launches one process per
+* **One loop, two pools** — :class:`WorkerPool` launches one process per
   run and reports settlements (ok / error / timeout / crash) from
-  :meth:`WorkerPool.poll`.  The one-shot batch loop here drives it to
-  exhaustion; ``repro serve`` (:mod:`repro.server.scheduler`) drives the
-  same pool indefinitely as a job server.
+  :meth:`WorkerPool.poll`; :class:`InlinePool` is a pool of one
+  in-process worker with the same surface.  ``workers=1``, or a platform
+  whose multiprocessing offers neither ``fork`` nor ``spawn``, drives the
+  inline pool through the same loop, with identical results and the same
+  telemetry shape.  ``repro serve`` (:mod:`repro.server.scheduler`)
+  drives a :class:`WorkerPool` indefinitely as a job server.
 
 Scenarios cross the process boundary as plain dicts (``dataclasses.asdict``
 of the frozen :class:`~repro.experiments.scenarios.Scenario` built via
@@ -44,14 +43,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_mod
-import random
 import signal
 import threading
 import time
 import traceback as traceback_mod
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
     ExperimentResult,
@@ -61,7 +59,7 @@ from repro.experiments.runner import (
     run_scenario,
 )
 from repro.experiments.scenarios import Scenario
-from repro.sim.rng import stable_hash
+from repro.experiments.settle import Cell, Settler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.journal import RunJournal
@@ -73,13 +71,12 @@ __all__ = [
     "RunProgress",
     "RunTelemetry",
     "Settlement",
+    "InlinePool",
     "WorkerPool",
     "execute_runs",
     "run_grid",
     "pooled_parallel",
     "default_workers",
-    "backoff_delay",
-    "is_retryable",
 ]
 
 ProgressHook = Callable[["RunProgress"], None]
@@ -88,45 +85,6 @@ ProgressHook = Callable[["RunProgress"], None]
 # before its (possibly buffered) message surfaced.
 _CRASH_DRAIN_S = 0.25
 _POLL_S = 0.05
-
-# Retry backoff: attempt n waits min(cap, base * 2**(n-1)) scaled by a
-# jitter factor in [0.5, 1.5) drawn from a dedicated RNG stream keyed on
-# (run key, attempt) — deterministic across reruns, decorrelated across
-# cells so a crashed batch does not retry in lockstep.
-_BACKOFF_BASE_S = 0.05
-_BACKOFF_CAP_S = 5.0
-# Each retry of a timed-out (or otherwise failed) run gets 1.5x the
-# previous attempt's timeout: transient slowness gets headroom instead of
-# hitting the same wall three times.
-_TIMEOUT_ESCALATION = 1.5
-
-# Deterministic aborts raised by the robustness guards (repro.faults and
-# repro.sim.engine): the same scenario + seed will fail identically every
-# time, so retrying only burns wall clock.  They settle as recorded
-# failures on the first attempt.
-_NON_RETRYABLE_PREFIXES = ("LivelockError", "InvariantError", "ResourceError")
-
-
-def _retryable(reason: str) -> bool:
-    return not reason.startswith(_NON_RETRYABLE_PREFIXES)
-
-
-def _backoff_delay(key: Hashable, attempt: int,
-                   base_s: float = _BACKOFF_BASE_S, cap_s: float = _BACKOFF_CAP_S) -> float:
-    """Deterministic jittered exponential backoff before retry ``attempt + 1``."""
-    rng = random.Random(stable_hash(str(key), "retry-backoff", attempt))
-    delay = min(cap_s, base_s * (2 ** (attempt - 1)))
-    return delay * (0.5 + rng.random())
-
-
-# Public aliases for other executors (repro.server) that reuse the same
-# retry policy.
-is_retryable = _retryable
-backoff_delay = _backoff_delay
-
-# How often a request parked behind another process's journal claim
-# re-checks for the entry (or for the claim going stale).
-_CLAIM_RECHECK_S = 0.1
 
 
 def default_workers() -> int:
@@ -295,6 +253,22 @@ class RunTelemetry:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
+def _run_request(scenario: Scenario, trace_paths: bool) -> Tuple[str, object]:
+    """Run one scenario: ``("ok", result)`` or ``("error", reason payload)``.
+
+    Shared by the worker process and :class:`InlinePool`.  ``run_scenario``
+    is looked up on this module at call time.
+    """
+    try:
+        return "ok", run_scenario(scenario, trace_paths=trace_paths)
+    except Exception as exc:  # noqa: BLE001 - settled by the caller's policy
+        return "error", _error_payload(exc)
+
+
+def _error_payload(exc: BaseException) -> dict:
+    return {"reason": f"{type(exc).__name__}: {exc}", "traceback": traceback_mod.format_exc()}
+
+
 def _worker_entry(out_queue, launch_id: int, scenario_dict: dict, trace_paths: bool) -> None:
     """Executed inside the worker process: rehydrate, simulate, report.
 
@@ -309,18 +283,12 @@ def _worker_entry(out_queue, launch_id: int, scenario_dict: dict, trace_paths: b
     except (ValueError, OSError):  # pragma: no cover - non-main thread / exotic platform
         pass
     try:
-        scenario = Scenario(**scenario_dict)
-        result = run_scenario(scenario, trace_paths=trace_paths)
-        out_queue.put((launch_id, "ok", result_to_dict(result, include_scenario=False)))
+        status, payload = _run_request(Scenario(**scenario_dict), trace_paths)
+        if status == "ok":
+            payload = result_to_dict(payload, include_scenario=False)
     except BaseException as exc:  # noqa: BLE001 - the whole point is containment
-        out_queue.put((
-            launch_id,
-            "error",
-            {
-                "reason": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback_mod.format_exc(),
-            },
-        ))
+        status, payload = "error", _error_payload(exc)
+    out_queue.put((launch_id, status, payload))
 
 
 @dataclass
@@ -350,8 +318,8 @@ class Settlement:
 
     ``status`` is one of:
 
-    * ``"ok"``      — ``payload`` is the worker's ``result_to_dict`` output
-      (rehydrate with the request's scenario);
+    * ``"ok"``      — ``payload`` is the worker's ``result_to_dict`` output,
+      or the live result from :class:`InlinePool` (see :attr:`result`);
     * ``"error"``   — the worker raised; ``payload`` carries ``reason`` and
       ``traceback``;
     * ``"timeout"`` — the launch exceeded its ``timeout_s`` and was killed;
@@ -362,7 +330,7 @@ class Settlement:
     request: RunRequest
     attempt: int
     status: str
-    payload: Optional[dict]
+    payload: object  # see status above; None for timeout and crash
     wall: float
     timeout_s: Optional[float]
     exitcode: Optional[int] = None
@@ -386,6 +354,13 @@ class Settlement:
             return self.payload.get("traceback")
         return None
 
+    @property
+    def result(self) -> ExperimentResult:
+        """An ``ok`` settlement's result, rehydrated with the request's scenario."""
+        if isinstance(self.payload, ExperimentResult):
+            return self.payload
+        return result_from_dict(self.payload, scenario=self.request.scenario)
+
 
 class WorkerPool:
     """A persistent pool of one-process-per-run simulation workers.
@@ -393,8 +368,9 @@ class WorkerPool:
     The pool owns the multiprocessing context, the result queue, and the
     table of in-flight launches.  Callers :meth:`launch` requests while
     :attr:`has_slot` and harvest :class:`Settlement` records from
-    :meth:`poll`; retry policy, journaling, and fairness all live in the
-    caller (the batch executor below, or the ``repro serve`` scheduler).
+    :meth:`poll`; the settlement policy lives in
+    :mod:`repro.experiments.settle` and launch order in the caller (the
+    batch executor below, or the ``repro serve`` scheduler).
 
     Crash detection and per-launch timeouts are handled inside ``poll``:
     a launch past its deadline is terminated and settles as ``timeout``; a
@@ -559,6 +535,63 @@ class WorkerPool:
         self._closed = True
 
 
+class InlinePool:
+    """A pool of one in-process worker: the serial executor.
+
+    :meth:`launch` queues the request and the next :meth:`poll` runs it to
+    completion in this process, so an ``ok`` settlement carries the live
+    :class:`ExperimentResult` (with its ``collector``).  There is no
+    isolation: the pool enforces no timeout (settlements report
+    ``timeout_s=None``), and a ``KeyboardInterrupt`` inside the run
+    propagates out of ``poll`` with the launch dropped.
+    """
+
+    workers = 1
+
+    def __init__(self) -> None:
+        self._queued: Optional[Tuple[int, RunRequest, int]] = None
+        self._next_launch_id = 0
+
+    @property
+    def active(self) -> int:
+        return 0 if self._queued is None else 1
+
+    @property
+    def has_slot(self) -> bool:
+        return self._queued is None
+
+    def running_info(self) -> List[dict]:
+        if self._queued is None:
+            return []
+        launch_id, request, attempt = self._queued
+        return [{"launch_id": launch_id, "key": str(request.key), "attempt": attempt,
+                 "wall_s": 0.0, "pid": os.getpid()}]
+
+    def launch(self, request: RunRequest, attempt: int = 1,
+               timeout_s: Optional[float] = None) -> int:
+        if self._queued is not None:
+            raise RuntimeError("the inline pool runs one launch at a time")
+        launch_id = self._next_launch_id
+        self._next_launch_id += 1
+        self._queued = (launch_id, request, attempt)
+        return launch_id
+
+    def poll(self, block_s: float = 0.0, window: bool = False) -> List[Settlement]:
+        """Run the queued launch, or wait ``block_s`` when there is none."""
+        if self._queued is None:
+            if block_s > 0:
+                time.sleep(block_s)
+            return []
+        (launch_id, request, attempt), self._queued = self._queued, None
+        started = time.perf_counter()
+        status, payload = _run_request(request.scenario, request.trace_paths)
+        return [Settlement(launch_id, request, attempt, status, payload,
+                           time.perf_counter() - started, None)]
+
+    def shutdown(self, join_timeout_s: float = 5.0) -> None:
+        self._queued = None
+
+
 # ----------------------------------------------------------------------
 # executor
 # ----------------------------------------------------------------------
@@ -571,8 +604,6 @@ def execute_runs(
     telemetry: Optional[RunTelemetry] = None,
     journal: Optional["RunJournal"] = None,
     resume: bool = False,
-    backoff_base_s: float = _BACKOFF_BASE_S,
-    backoff_cap_s: float = _BACKOFF_CAP_S,
     heartbeat: Optional["ExecutorHeartbeat"] = None,
 ) -> Dict[Hashable, ExperimentResult]:
     """Execute every request, serially or across worker processes.
@@ -587,12 +618,14 @@ def execute_runs(
     is retried ``max_retries`` times after its first failure (crash, raised
     exception, or ``timeout_s`` exceeded) before being declared failed; each
     retry waits a capped, deterministically jittered exponential backoff and
-    runs under a timeout escalated ×1.5 per attempt.
+    runs under a timeout escalated ×1.5 per attempt.  Fresh work launches
+    in request order; a retry queues behind it.
 
     With ``journal`` attached every settled run is checkpointed atomically
     (successes as journal entries, permanent failures as replay bundles);
     ``resume=True`` additionally satisfies already-journaled requests from
-    disk without re-running them.
+    disk without re-running them, and takes a journal claim per cell so
+    concurrent resumers execute each cell once.
 
     A SIGINT/SIGTERM during execution stops cleanly: in-flight completions
     are drained and journaled, workers are terminated and joined, and the
@@ -601,39 +634,18 @@ def execute_runs(
     if telemetry is None:
         telemetry = RunTelemetry()
     telemetry.runs_total = len(requests)
-    telemetry.workers = max(1, workers)
     started = time.perf_counter()
-
-    results: Dict[Hashable, ExperimentResult] = {}
-    remaining: List[RunRequest] = []
-    total = len(requests)
-    if journal is not None and resume:
-        for request in requests:
-            cached = journal.lookup(request)
-            if cached is not None:
-                results[request.key] = cached
-                telemetry.record_resumed(request.key)
-                _notify(progress, RunProgress(request.key, "resumed", 0,
-                                              len(results), total, 0.0, cached.events))
-            else:
-                remaining.append(request)
-    else:
-        remaining = list(requests)
-
     ctx = _mp_context() if workers > 1 else None
+    if ctx is None:
+        telemetry.mode = "serial"
+        pool = InlinePool()
+    else:
+        telemetry.mode = "parallel"
+        pool = WorkerPool(workers, ctx=ctx)
+    telemetry.workers = pool.workers
+    settler = Settler(journal, max_retries, use_claims=resume)
     with _interrupt_on_sigterm():
-        if ctx is None:
-            telemetry.mode = "serial"
-            telemetry.workers = 1
-            _execute_serial(remaining, max_retries, progress, telemetry,
-                            results, total, journal, backoff_base_s, backoff_cap_s,
-                            heartbeat, resume=resume)
-        else:
-            telemetry.mode = "parallel"
-            _execute_parallel(remaining, workers, timeout_s, max_retries, progress,
-                              telemetry, ctx, results, total, journal,
-                              backoff_base_s, backoff_cap_s, heartbeat,
-                              resume=resume)
+        results = _drive(pool, settler, requests, timeout_s, progress, telemetry, heartbeat)
     telemetry.wall_seconds = time.perf_counter() - started
     return results
 
@@ -670,242 +682,62 @@ class _interrupt_on_sigterm:
         raise KeyboardInterrupt(f"signal {signum}")
 
 
-def _journal_success(journal, request, result, attempts, telemetry) -> None:
-    if journal is not None:
-        journal.record_success(request, result, attempts=attempts)
-        telemetry.cells_journaled += 1
+def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
+           heartbeat) -> Dict[Hashable, ExperimentResult]:
+    """The batch loop: FIFO launches into ``pool`` until every cell settles."""
+    results: Dict[Hashable, ExperimentResult] = {}
+    total = len(requests)
+    # Cells waiting to launch: fresh work in request order, then retries and
+    # claim-parked cells, each due at its ``ready_at``.
+    pending: deque = deque(Cell(request, timeout_s) for request in requests)
+    launched: Dict[int, Cell] = {}
 
-
-def _journal_failure(journal, request, reason, attempts, traceback_text) -> Optional[str]:
-    if journal is None:
-        return None
-    return str(journal.record_failure(request, reason, attempts, traceback_text))
-
-
-def _acquire_or_wait(journal, request) -> str:
-    """Claim the right to execute ``request``, or wait out a peer's claim.
-
-    Returns ``"claimed"`` (we own execution), ``"resumed"`` (the journal
-    entry appeared while waiting), or ``"interrupted"``.
-    """
-    while True:
-        if journal.lookup(request) is not None:
-            return "resumed"
-        if journal.try_claim(request):
-            return "claimed"
-        try:
-            time.sleep(_CLAIM_RECHECK_S)
-        except KeyboardInterrupt:
-            return "interrupted"
-
-
-def _execute_serial(requests, max_retries, progress, telemetry, results, total,
-                    journal, backoff_base_s, backoff_cap_s,
-                    heartbeat=None, resume=False) -> Dict[Hashable, ExperimentResult]:
-    use_claims = journal is not None and resume
-    for request in requests:
-        if heartbeat is not None:
-            heartbeat.maybe_emit(
-                completed=len(results), total=total,
-                running=[{"key": str(request.key), "attempt": 1, "wall_s": 0.0}],
-            )
-        if use_claims:
-            # Cross-process dedupe: wait behind a peer's claim (the entry
-            # will appear, or the claim will go stale and we take over).
-            outcome = _acquire_or_wait(journal, request)
-            if outcome == "interrupted":
-                telemetry.interrupted = True
-                break
-            if outcome == "resumed":
-                cached = journal.lookup(request)
-                if cached is not None:
-                    results[request.key] = cached
-                    telemetry.record_resumed(request.key)
-                    _notify(progress, RunProgress(request.key, "resumed", 0,
-                                                  len(results), total, 0.0,
-                                                  cached.events))
-                    continue
-                # The entry vanished between checks; fall through and run.
-                if not journal.try_claim(request):
-                    pass  # peer re-claimed: run anyway, writes are atomic
-        attempt = 0
-        attempts_log: List[dict] = []
-        interrupted = False
-        while True:
-            attempt += 1
-            run_started = time.perf_counter()
-            try:
-                result = run_scenario(request.scenario, trace_paths=request.trace_paths)
-            except KeyboardInterrupt:
-                interrupted = True
-                break
-            except Exception as exc:
-                wall = time.perf_counter() - run_started
-                reason = f"{type(exc).__name__}: {exc}"
-                record = {"attempt": attempt, "reason": reason, "wall_s": wall,
-                          "timeout_s": None}
-                attempts_log.append(record)
-                if attempt <= max_retries and _retryable(reason):
-                    backoff = _backoff_delay(request.key, attempt, backoff_base_s, backoff_cap_s)
-                    record["backoff_s"] = backoff
-                    telemetry.record_retry(reason, wall, backoff)
-                    _notify(progress, RunProgress(request.key, "retry", attempt,
-                                                  len(results), total, wall, 0))
-                    try:
-                        time.sleep(backoff)
-                    except KeyboardInterrupt:
-                        interrupted = True
-                        break
-                    continue
-                bundle = _journal_failure(journal, request, reason, attempts_log,
-                                          traceback_mod.format_exc())
-                telemetry.record_failure(request.key, attempt, reason, wall, bundle)
-                _notify(progress, RunProgress(request.key, "failed", attempt,
-                                              len(results), total, wall, 0))
-                break
-            wall = time.perf_counter() - run_started
-            results[request.key] = result
-            telemetry.record_success(request.key, wall, result.events)
-            _journal_success(journal, request, result, attempts_log, telemetry)
-            _notify(progress, RunProgress(request.key, "ok", attempt,
-                                          len(results), total, wall, result.events))
-            break
-        if interrupted:
-            if use_claims:
-                journal.release_claim(request)
-            telemetry.interrupted = True
-            break
-    return results
-
-
-@dataclass
-class _Pending:
-    request: RunRequest
-    attempt: int
-    ready_at: float  # perf_counter timestamp the retry backoff expires
-    timeout_s: Optional[float]
-
-
-def _execute_parallel(requests, workers, timeout_s, max_retries, progress, telemetry,
-                      ctx, results, total, journal, backoff_base_s, backoff_cap_s,
-                      heartbeat=None, resume=False):
-    pool = WorkerPool(workers, ctx=ctx)
-    pending: deque = deque(_Pending(request, 1, 0.0, timeout_s) for request in requests)
-    # Requests parked behind another process's journal claim, as
-    # (next_recheck_time, _Pending) pairs.
-    claim_waits: List[tuple] = []
-    owned_claims: Dict[Hashable, RunRequest] = {}
-    attempts_log: Dict[Hashable, List[dict]] = {}
-    use_claims = journal is not None and resume
-
-    def pop_ready(now: float) -> Optional[_Pending]:
-        """First pending item whose backoff has expired (stable order)."""
-        for index, item in enumerate(pending):
-            if item.ready_at <= now:
+    def pop_ready(now: float) -> Optional[Cell]:
+        for index, cell in enumerate(pending):
+            if cell.ready_at <= now:
                 del pending[index]
-                return item
+                return cell
         return None
 
-    def settle_resumed(request: RunRequest, cached) -> None:
-        results[request.key] = cached
-        telemetry.record_resumed(request.key)
-        _notify(progress, RunProgress(request.key, "resumed", 0,
-                                      len(results), total, 0.0, cached.events))
-
-    def try_launch(item: _Pending) -> None:
-        """Launch, unless the journal already has (or another process owns)
-        this cell — the cross-process dedupe the claim file provides."""
-        if use_claims and item.request.key not in owned_claims:
-            cached = journal.lookup(item.request)
-            if cached is not None:
-                settle_resumed(item.request, cached)
-                return
-            if not journal.try_claim(item.request):
-                claim_waits.append((time.perf_counter() + _CLAIM_RECHECK_S, item))
-                return
-            owned_claims[item.request.key] = item.request
-        pool.launch(item.request, item.attempt, item.timeout_s)
-
-    def recheck_claims(now: float) -> None:
-        if not claim_waits:
-            return
-        still_waiting = []
-        for ready_at, item in claim_waits:
-            if ready_at > now:
-                still_waiting.append((ready_at, item))
-                continue
-            cached = journal.lookup(item.request)
-            if cached is not None:
-                settle_resumed(item.request, cached)
-            elif journal.try_claim(item.request):
-                owned_claims[item.request.key] = item.request
-                pending.appendleft(_Pending(item.request, item.attempt, 0.0,
-                                            item.timeout_s))
-            else:
-                still_waiting.append((now + _CLAIM_RECHECK_S, item))
-        claim_waits[:] = still_waiting
-
-    def release_claim(request: RunRequest) -> None:
-        if owned_claims.pop(request.key, None) is not None:
-            journal.release_claim(request)
-
-    def settle_failure(settlement: Settlement) -> None:
-        reason = settlement.reason
-        wall = settlement.wall
-        request = settlement.request
-        log = attempts_log.setdefault(request.key, [])
-        record = {"attempt": settlement.attempt, "reason": reason, "wall_s": wall,
-                  "timeout_s": settlement.timeout_s}
-        log.append(record)
-        if settlement.attempt <= max_retries and _retryable(reason):
-            backoff = _backoff_delay(request.key, settlement.attempt,
-                                     backoff_base_s, backoff_cap_s)
-            record["backoff_s"] = backoff
-            next_timeout = settlement.timeout_s
-            if next_timeout is not None:
-                next_timeout *= _TIMEOUT_ESCALATION
-                telemetry.timeout_escalations += 1
-            telemetry.record_retry(reason, wall, backoff)
-            _notify(progress, RunProgress(request.key, "retry", settlement.attempt,
-                                          len(results), total, wall, 0))
-            # The claim (if any) stays ours across retries: we still own
-            # the right to execute this cell.
-            pending.append(_Pending(request, settlement.attempt + 1,
-                                    time.perf_counter() + backoff, next_timeout))
-        else:
-            bundle = _journal_failure(journal, request, reason, log,
-                                      settlement.traceback)
-            owned_claims.pop(request.key, None)  # record_failure released it
-            telemetry.record_failure(request.key, settlement.attempt, reason, wall, bundle)
-            _notify(progress, RunProgress(request.key, "failed", settlement.attempt,
-                                          len(results), total, wall, 0))
+    def report(key, status, attempt, wall, events) -> None:
+        _notify(progress, RunProgress(key, status, attempt, len(results), total, wall, events))
 
     def handle(settlement: Settlement) -> None:
-        request = settlement.request
-        if settlement.status == "ok":
-            result = result_from_dict(settlement.payload, scenario=request.scenario)
-            results[request.key] = result
-            telemetry.record_success(request.key, settlement.wall, result.events)
-            _journal_success(journal, request, result,
-                             attempts_log.get(request.key, []), telemetry)
-            owned_claims.pop(request.key, None)  # record_success released it
-            _notify(progress, RunProgress(request.key, "ok", settlement.attempt,
-                                          len(results), total, settlement.wall,
-                                          result.events))
+        cell = launched.pop(settlement.launch_id)
+        key, wall = cell.request.key, settlement.wall
+        verdict = settler.settle(cell, settlement)
+        if verdict.action == "ok":
+            results[key] = verdict.result
+            telemetry.record_success(key, wall, verdict.result.events)
+            if settler.journal is not None:
+                telemetry.cells_journaled += 1
+            report(key, "ok", settlement.attempt, wall, verdict.result.events)
+        elif verdict.action == "retry":
+            telemetry.record_retry(verdict.reason, wall, verdict.backoff_s)
+            telemetry.timeout_escalations += verdict.escalated
+            pending.append(cell)
+            report(key, "retry", settlement.attempt, wall, 0)
         else:
-            settle_failure(settlement)
+            telemetry.record_failure(key, settlement.attempt, verdict.reason, wall,
+                                     verdict.bundle)
+            report(key, "failed", settlement.attempt, wall, 0)
 
     try:
-        while pending or claim_waits or pool.active:
-            now = time.perf_counter()
+        while pending or pool.active:
+            now = time.monotonic()
             while pool.has_slot:
-                item = pop_ready(now)
-                if item is None:
+                cell = pop_ready(now)
+                if cell is None:
                     break
-                try_launch(item)
-            recheck_claims(time.perf_counter())
-            for settlement in pool.poll(block_s=_POLL_S):
-                handle(settlement)
+                verdict = settler.acquire(cell)
+                if verdict.action == "launch":
+                    launched[pool.launch(cell.request, cell.attempt, cell.timeout_s)] = cell
+                elif verdict.action == "resumed":
+                    results[cell.request.key] = verdict.result
+                    telemetry.record_resumed(cell.request.key)
+                    report(cell.request.key, "resumed", 0, 0.0, verdict.result.events)
+                else:  # parked behind a peer's claim
+                    pending.append(cell)
             if heartbeat is not None:
                 heartbeat.maybe_emit(
                     completed=len(results), total=total,
@@ -914,24 +746,26 @@ def _execute_parallel(requests, workers, timeout_s, max_retries, progress, telem
                          "wall_s": row["wall_s"]}
                         for row in pool.running_info()
                     ],
-                    pending=len(pending) + len(claim_waits),
+                    pending=len(pending),
                 )
+            for settlement in pool.poll(block_s=_POLL_S):
+                handle(settlement)
     except KeyboardInterrupt:
         # Graceful shutdown: collect whatever already finished (journaling
         # it as usual), then terminate the stragglers below.  The partial
         # results are returned to the caller; exit-code policy is theirs.
         telemetry.interrupted = True
-        try:
-            for settlement in pool.poll(block_s=_CRASH_DRAIN_S, window=True):
-                handle(settlement)
-        except (KeyboardInterrupt, Exception):  # noqa: BLE001 - already shutting down
-            pass
+        if pool.active:
+            try:
+                for settlement in pool.poll(block_s=_CRASH_DRAIN_S, window=True):
+                    handle(settlement)
+            except (KeyboardInterrupt, Exception):  # noqa: BLE001 - already shutting down
+                pass
     finally:
         pool.shutdown()
         # Release claims for cells we never finished so a restart (ours or
         # a peer's) is not blocked until the claim goes stale.
-        for request in list(owned_claims.values()):
-            release_claim(request)
+        settler.release_all()
     return results
 
 

@@ -13,11 +13,12 @@ concurrent tenants.  One scheduler thread owns every state transition:
    credits, a launch costs one, so concurrent tenants interleave
    regardless of who submitted first, while a tenant alone gets the whole
    pool.  Within a tenant, higher ``priority`` launches first.
-3. **Robustness** — worker crashes, raises, and timeouts are retried with
-   the executor's capped exponential backoff and ×1.5 timeout
-   escalation; permanent failures journal a replay bundle and feed the
-   per-scenario-class circuit breaker.  Journal claims serialize
-   execution across server replicas sharing a state directory.
+3. **Settlement** — claims, retries, backoff, timeout escalation, and the
+   journal writes are the executor's shared policy
+   (:class:`~repro.experiments.settle.Settler`), the same one the batch
+   sweep drives.  Journal claims serialize execution across server
+   replicas sharing a state directory; ready retries launch ahead of DRR
+   picks; permanent failures feed the per-scenario-class circuit breaker.
 4. **Drain** — :meth:`drain` stops launches, lets in-flight jobs finish
    and journal (bounded by ``drain_timeout_s``), spools everything still
    queued to ``spool.json``, and joins every worker: zero orphans, and a
@@ -32,23 +33,16 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.journal import RunJournal, scenario_class, scenario_hash
-from repro.experiments.parallel import (
-    RunRequest,
-    Settlement,
-    WorkerPool,
-    backoff_delay,
-    is_retryable,
-)
-from repro.experiments.runner import result_from_dict, run_scenario, result_to_dict
+from repro.experiments.parallel import RunRequest, Settlement, WorkerPool
+from repro.experiments.runner import ExperimentResult, result_to_dict
 from repro.experiments.scenarios import Scenario
+from repro.experiments.settle import Cell, Settler
 from repro.server.admission import AdmissionGate, ClassBreaker
 from repro.server.jobs import Job, JobStore, read_spool, write_spool
 
 __all__ = ["JobScheduler", "SubmitOutcome"]
 
 _POLL_S = 0.05
-_CLAIM_RECHECK_S = 0.25
-_TIMEOUT_ESCALATION = 1.5
 
 
 class SubmitOutcome:
@@ -87,7 +81,7 @@ class JobScheduler:
         self.store = store
         self.journal = journal
         self.workers = max(1, int(workers))
-        self.max_retries = max(0, int(max_retries))
+        self.settler = Settler(journal, max_retries, use_claims=True)
         self.run_timeout_s = run_timeout_s
         self.quantum = int(quantum)
         self.admission = admission
@@ -102,11 +96,9 @@ class JobScheduler:
         self._ring: List[str] = []
         self._ring_index = 0
         self._deficit: Dict[str, float] = {}
-        self._retry_heap: List[tuple] = []  # (ready_at, seq, job_id, timeout_s)
-        self._claim_waits: Dict[str, float] = {}  # job_id -> next recheck
-        self._owned_claims: set = set()  # job ids whose journal claim we hold
-        self._running: Dict[int, str] = {}  # launch_id -> job_id
-        self._run_timeouts: Dict[str, Optional[float]] = {}  # job_id -> next timeout
+        self._retry_heap: List[tuple] = []  # (ready_at, seq, cell)
+        self._claim_waits: Dict[str, Cell] = {}  # job_id -> cell parked behind a claim
+        self._running: Dict[int, Cell] = {}  # launch_id -> cell
         self._seq = 0
 
         self._pool: Optional[WorkerPool] = None
@@ -172,11 +164,7 @@ class JobScheduler:
                 cached = self.journal.lookup(RunRequest(key=key, scenario=scenario))
                 if cached is not None:
                     job = self.store.create(tenant, priority, scenario)
-                    job.result = result_to_dict(cached, include_scenario=False)
-                    job.state = "done"
-                    job.cached = True
-                    job.finished_at = time.time()
-                    self.dedupe_cached += 1
+                    self._finish_cached_locked(job, cached)
                     return SubmitOutcome("cached", job=job)
             # Active dedupe: the same content key is already queued/running.
             active = self.store.active_for_key(key)
@@ -206,12 +194,10 @@ class JobScheduler:
             job.state = "cancelled"
             job.finished_at = time.time()
             self._claim_waits.pop(job.id, None)
-            if self.journal is not None and job.id in self._owned_claims:
-                # A job cancelled out of retry backoff still holds its
-                # journal claim; drop it so resubmissions (here or on a
-                # replica) are not parked until the claim TTL.
-                self.journal.release_claim(RunRequest(key=job.id, scenario=job.scenario))
-                self._owned_claims.discard(job.id)
+            # A job cancelled out of retry backoff still holds its journal
+            # claim; drop it so resubmissions (here or on a replica) are
+            # not parked until the claim TTL.
+            self.settler.release(job.id)
             self.store.clear_active(job)
             return True, "cancelled"
 
@@ -266,13 +252,20 @@ class JobScheduler:
             self._ring_index += 1
         return None
 
-    def _retry_ready_locked(self, now: float) -> Optional[Tuple[Job, Optional[float]]]:
+    def _retry_ready_locked(self, now: float) -> Optional[Tuple[Job, Cell]]:
         while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, _, job_id, timeout_s = heapq.heappop(self._retry_heap)
-            job = self.store.get(job_id)
+            _, _, cell = heapq.heappop(self._retry_heap)
+            job = self.store.get(cell.request.key)
             if job is not None and job.state == "queued":
-                return job, timeout_s
+                return job, cell
         return None
+
+    def _finish_cached_locked(self, job: Job, cached: ExperimentResult) -> None:
+        job.result = result_to_dict(cached, include_scenario=False)
+        job.state = "done"
+        job.cached = True
+        job.finished_at = time.time()
+        self.dedupe_cached += 1
 
     # ------------------------------------------------------------------
     # the scheduler loop
@@ -297,127 +290,86 @@ class JobScheduler:
         now = time.monotonic()
         while pool.has_slot:
             picked = self._retry_ready_locked(now)
-            timeout_s: Optional[float]
             if picked is not None:
-                job, timeout_s = picked
+                job, cell = picked
             else:
                 job = self._drr_next_locked()
-                timeout_s = self.run_timeout_s
                 if job is None:
                     return
-            self._launch_locked(job, timeout_s)
+                cell = Cell(RunRequest(key=job.id, scenario=job.scenario),
+                            self.run_timeout_s, attempts=job.attempts)
+            self._launch_locked(job, cell)
 
-    def _launch_locked(self, job: Job, timeout_s: Optional[float]) -> None:
-        request = RunRequest(key=job.id, scenario=job.scenario)
-        if self.journal is not None and job.id not in self._owned_claims:
-            # A replica sharing this journal may have finished (or claimed)
-            # the same content key since submission.  A claim we already
-            # hold (a retry launch) is ours to keep — re-claiming would
-            # read our own claim file as a live peer and park forever.
-            cached = self.journal.lookup(request)
-            if cached is not None:
-                job.result = result_to_dict(cached, include_scenario=False)
-                job.state = "done"
-                job.cached = True
-                job.finished_at = time.time()
-                self.dedupe_cached += 1
-                self.store.clear_active(job)
-                if self.breaker is not None:
-                    self.breaker.record_success(job.scenario_class)
-                return
-            if not self.journal.try_claim(request):
-                self._claim_waits[job.id] = time.monotonic() + _CLAIM_RECHECK_S
-                return
-            self._owned_claims.add(job.id)
+    def _launch_locked(self, job: Job, cell: Cell) -> None:
+        verdict = self.settler.acquire(cell)
+        if verdict.action == "resumed":
+            # A replica sharing this journal finished the same content key
+            # since submission.
+            self._finish_cached_locked(job, verdict.result)
+            self.store.clear_active(job)
+            if self.breaker is not None:
+                self.breaker.record_success(job.scenario_class)
+            return
+        if verdict.action == "parked":
+            self._claim_waits[job.id] = cell
+            return
         job.state = "running"
-        job.attempt += 1
+        job.attempt = cell.attempt
         if job.started_at is None:
             job.started_at = time.time()
-        launch_id = self._pool.launch(request, attempt=job.attempt, timeout_s=timeout_s)
+        launch_id = self._pool.launch(cell.request, attempt=cell.attempt,
+                                      timeout_s=cell.timeout_s)
         job.pid = self._pool.pid_of(launch_id)
-        self._running[launch_id] = job.id
-        self._run_timeouts[job.id] = timeout_s
+        self._running[launch_id] = cell
         self.launches += 1
 
     def _recheck_claims_locked(self) -> None:
-        if not self._claim_waits:
-            return
         now = time.monotonic()
-        for job_id, ready_at in list(self._claim_waits.items()):
-            if ready_at > now:
-                continue
+        for job_id, cell in list(self._claim_waits.items()):
             job = self.store.get(job_id)
             if job is None or job.state != "queued":
-                self._claim_waits.pop(job_id, None)
-                continue
-            if self._pool.has_slot and not self._draining:
-                self._claim_waits.pop(job_id, None)
-                self._launch_locked(job, self.run_timeout_s)  # re-claims or re-parks
-            else:
-                self._claim_waits[job_id] = now + _CLAIM_RECHECK_S
+                del self._claim_waits[job_id]
+            elif cell.ready_at <= now and self._pool.has_slot and not self._draining:
+                del self._claim_waits[job_id]
+                self._launch_locked(job, cell)  # re-claims or re-parks
 
     # ------------------------------------------------------------------
     def _settle_locked(self, settlement: Settlement) -> None:
-        job_id = self._running.pop(settlement.launch_id, None)
-        job = self.store.get(job_id) if job_id else None
+        cell = self._running.pop(settlement.launch_id, None)
+        job = self.store.get(cell.request.key) if cell is not None else None
         if job is None:  # pragma: no cover - settlement for an unknown launch
             return
         job.pid = None
-        timeout_s = self._run_timeouts.pop(job.id, None)
-        request = RunRequest(key=job.id, scenario=job.scenario)
-        if settlement.status == "ok":
-            result = result_from_dict(settlement.payload, scenario=job.scenario)
-            if self.journal is not None:
-                self.journal.record_success(request, result, attempts=job.attempts)
-                self._owned_claims.discard(job.id)  # record_success released it
+        verdict = self.settler.settle(cell, settlement, draining=self._draining)
+        if verdict.action == "ok":
             job.result = settlement.payload
             job.state = "done"
             job.finished_at = time.time()
             self.store.clear_active(job)
             if self.breaker is not None:
                 self.breaker.record_success(job.scenario_class)
-            return
-        reason = settlement.reason
-        job.attempts.append({"attempt": settlement.attempt, "reason": reason,
-                             "wall_s": settlement.wall, "timeout_s": settlement.timeout_s})
-        retry_allowed = (settlement.attempt <= self.max_retries
-                         and is_retryable(reason) and not self._draining)
-        if retry_allowed:
-            backoff = backoff_delay(job.id, settlement.attempt)
-            next_timeout = timeout_s
-            if next_timeout is not None:
-                next_timeout *= _TIMEOUT_ESCALATION
-                self.timeout_escalations += 1
+        elif verdict.action == "retry":
             job.state = "queued"
             self.retries += 1
+            self.timeout_escalations += verdict.escalated
             self._seq += 1
-            heapq.heappush(self._retry_heap,
-                           (time.monotonic() + backoff, self._seq, job.id, next_timeout))
-            # The journal claim (if any) stays ours across retries.
-            return
-        if self._draining and is_retryable(reason):
+            heapq.heappush(self._retry_heap, (cell.ready_at, self._seq, cell))
+        elif verdict.action == "requeue":
             # Mid-drain transient failure: hand the job to the next
             # incarnation instead of burning the drain window on backoff.
             # Re-enqueue (launches are blocked while draining) so the job
             # sits in a tenant queue where the drain's spool scan finds it;
             # flipping the state alone would strand it in no collection.
-            if self.journal is not None:
-                self.journal.release_claim(request)
-                self._owned_claims.discard(job.id)
             self._enqueue_locked(job)
-            return
-        bundle = None
-        if self.journal is not None:
-            bundle = str(self.journal.record_failure(
-                request, reason, job.attempts, settlement.traceback))
-            self._owned_claims.discard(job.id)  # record_failure released it
-        job.state = "failed"
-        job.error = reason
-        job.bundle = bundle
-        job.finished_at = time.time()
-        self.store.clear_active(job)
-        if self.breaker is not None:
-            self.breaker.record_failure(job.scenario_class, reason, bundle)
+        else:
+            job.state = "failed"
+            job.error = verdict.reason
+            job.bundle = verdict.bundle
+            job.finished_at = time.time()
+            self.store.clear_active(job)
+            if self.breaker is not None:
+                self.breaker.record_failure(job.scenario_class, verdict.reason,
+                                            verdict.bundle)
 
     # ------------------------------------------------------------------
     # drain (SIGTERM) and spool
@@ -452,16 +404,14 @@ class JobScheduler:
                     self._settle_locked(settlement)
         with self._lock:
             interrupted: List[Job] = []
-            for job_id in self._running.values():
-                job = self.store.get(job_id)
+            for cell in self._running.values():
+                job = self.store.get(cell.request.key)
                 if job is not None:
                     interrupted.append(job)
             self._running.clear()
             spooling = interrupted + self._queued_jobs_locked()
             for job in spooling:
-                if self.journal is not None:
-                    self.journal.release_claim(RunRequest(key=job.id, scenario=job.scenario))
-                    self._owned_claims.discard(job.id)
+                self.settler.release(job.id)
                 job.state = "spooled"
                 job.pid = None
             self._tenant_queues.clear()
@@ -482,8 +432,8 @@ class JobScheduler:
         for queue in self._tenant_queues.values():
             for _, _, job_id in queue:
                 seen.add(job_id)
-        for _, _, job_id, _ in self._retry_heap:
-            seen.add(job_id)
+        for _, _, cell in self._retry_heap:
+            seen.add(cell.request.key)
         seen.update(self._claim_waits.keys())
         for job_id in sorted(seen):
             job = self.store.get(job_id)
@@ -579,9 +529,3 @@ class JobScheduler:
             out["journal"] = self.journal.stats()
         return out
 
-
-# Re-exported for the inline (multiprocessing-free) degradation path used
-# by unit tests on exotic platforms; the server itself always pools.
-def run_job_inline(scenario: Scenario) -> dict:
-    """Run one scenario in-process and return its wire-format result."""
-    return result_to_dict(run_scenario(scenario), include_scenario=False)

@@ -33,16 +33,16 @@ from repro.experiments.journal import (
     scenario_from_json_dict,
     scenario_hash,
 )
+from repro.experiments import settle as settle_mod
 from repro.experiments.parallel import (
-    _BACKOFF_CAP_S,
     RunRequest,
     RunTelemetry,
-    _backoff_delay,
     execute_runs,
     run_grid,
 )
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, Scenario
+from repro.server import JobScheduler, JobStore
 from repro.sim.engine import ResourceError, Scheduler
 
 TINY = SCALED_DEFAULTS.with_overrides(
@@ -170,7 +170,8 @@ class TestJournalRoundTrip:
 # crash recovery
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
-    def test_sigkilled_worker_is_retried_and_journal_never_torn(self, tmp_path):
+    def test_sigkilled_worker_is_retried_and_journal_never_torn(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(settle_mod, "_BACKOFF_BASE_S", 0.01)
         journal = RunJournal(tmp_path / "j")
         requests = [RunRequest(key=("c", s), scenario=TINY.with_overrides(seed=s))
                     for s in range(3)]
@@ -190,7 +191,7 @@ class TestCrashRecovery:
         thread.start()
         telemetry = RunTelemetry()
         results = execute_runs(requests, workers=2, max_retries=3, telemetry=telemetry,
-                               journal=journal, backoff_base_s=0.01)
+                               journal=journal)
         thread.join()
         assert killed.is_set(), "killer never saw a worker process"
         # Every cell completed despite the SIGKILL; the killed attempt was
@@ -280,28 +281,31 @@ class TestGracefulShutdown:
 # ----------------------------------------------------------------------
 class TestRetryBackoff:
     def test_backoff_is_deterministic_per_key_and_attempt(self):
-        a = _backoff_delay(("cell", 0), 1)
-        assert a == _backoff_delay(("cell", 0), 1)
-        assert a != _backoff_delay(("cell", 1), 1)
-        assert a != _backoff_delay(("cell", 0), 2)
+        backoff = settle_mod._backoff_delay
+        a = backoff(("cell", 0), 1)
+        assert a == backoff(("cell", 0), 1)
+        assert a != backoff(("cell", 1), 1)
+        assert a != backoff(("cell", 0), 2)
 
-    def test_backoff_grows_exponentially_and_caps(self):
+    def test_backoff_grows_exponentially_and_caps(self, monkeypatch):
         base, cap = 0.1, 5.0
+        monkeypatch.setattr(settle_mod, "_BACKOFF_BASE_S", base)
+        monkeypatch.setattr(settle_mod, "_BACKOFF_CAP_S", cap)
         for attempt in (1, 2, 3, 8, 30):
-            delay = _backoff_delay("k", attempt, base, cap)
+            delay = settle_mod._backoff_delay("k", attempt)
             nominal = min(cap, base * 2 ** (attempt - 1))
             assert 0.5 * nominal <= delay < 1.5 * nominal
-        assert _backoff_delay("k", 64, base, cap) < 1.5 * cap
+        assert settle_mod._backoff_delay("k", 64) < 1.5 * cap
 
     def test_default_cap_bounds_any_attempt(self):
-        assert _backoff_delay("x", 1000) < 1.5 * _BACKOFF_CAP_S
+        assert settle_mod._backoff_delay("x", 1000) < 1.5 * settle_mod._BACKOFF_CAP_S
 
-    def test_retries_record_backoff_in_telemetry_and_bundle(self, tmp_path):
+    def test_retries_record_backoff_in_telemetry_and_bundle(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(settle_mod, "_BACKOFF_BASE_S", 0.01)
         journal = RunJournal(tmp_path / "j")
         telemetry = RunTelemetry()
         execute_runs([RunRequest(key="bad", scenario=RAISING)], workers=1,
-                     max_retries=2, telemetry=telemetry, journal=journal,
-                     backoff_base_s=0.01)
+                     max_retries=2, telemetry=telemetry, journal=journal)
         assert telemetry.runs_failed == 1
         assert telemetry.retries == 2
         assert telemetry.backoff_waits == 2
@@ -315,12 +319,13 @@ class TestRetryBackoff:
         assert "backoff_s" not in bundle["attempts"][-1]  # final attempt: no retry
         assert "ValueError" in bundle["traceback"]
 
-    def test_timeout_escalates_per_attempt(self, tmp_path):
+    def test_timeout_escalates_per_attempt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(settle_mod, "_BACKOFF_BASE_S", 0.01)
         journal = RunJournal(tmp_path / "j")
         telemetry = RunTelemetry()
         results = execute_runs([RunRequest(key="slow", scenario=SLOW)], workers=2,
                                timeout_s=0.2, max_retries=1, telemetry=telemetry,
-                               journal=journal, backoff_base_s=0.01)
+                               journal=journal)
         assert results == {}
         assert telemetry.runs_failed == 1
         assert telemetry.timeout_escalations == 1
@@ -546,17 +551,21 @@ class TestExecutionClaims:
                                [{"attempt": 1, "reason": "ValueError: nope"}])
         assert journal.claim_count() == 0
 
-    def test_concurrent_resumers_execute_each_cell_exactly_once(self, tmp_path):
+    @pytest.mark.parametrize("cells", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_concurrent_resumers_execute_each_cell_exactly_once(self, tmp_path, workers, cells):
         """Two resume-mode executors sharing a journal: the claim file makes
-        one execute while the other waits and resumes the journaled entry."""
+        one execute each cell while the other parks it, moves on to the next
+        cell, and later resumes the journaled entry."""
         journal_dir = tmp_path / "shared"
-        requests = [RunRequest(key="cell", scenario=TINY)]
+        requests = [RunRequest(key=("cell", s), scenario=TINY.with_overrides(seed=s))
+                    for s in range(cells)]
         telemetries = [RunTelemetry(), RunTelemetry()]
         threads = [
             threading.Thread(
                 target=execute_runs,
                 args=(requests,),
-                kwargs=dict(workers=1, journal=RunJournal(journal_dir),
+                kwargs=dict(workers=workers, journal=RunJournal(journal_dir),
                             resume=True, telemetry=telemetries[i]),
             )
             for i in range(2)
@@ -565,11 +574,72 @@ class TestExecutionClaims:
             t.start()
         for t in threads:
             t.join(timeout=60)
-        # Both completed the cell; exactly one of them actually ran it.
-        assert all(t.runs_completed == 1 for t in telemetries)
-        assert sum(t.cells_resumed for t in telemetries) == 1
+            assert not t.is_alive()
+        # Both completed every cell; exactly one of them actually ran each.
+        assert all(t.runs_completed == cells for t in telemetries)
+        assert sum(t.cells_resumed for t in telemetries) == cells
+        assert sum(t.cells_journaled for t in telemetries) == cells
         assert RunJournal(journal_dir).claim_count() == 0
         _assert_journal_clean(journal_dir)
+
+
+def _settle_failing_cell(driver, scenario, journal, max_retries):
+    """Settle one always-failing cell through ``driver``.
+
+    Returns ``(key, bundle, retries)``: the key the driver retried under,
+    the replay bundle it wrote, and its retry count.
+    """
+    if driver == "server":
+        sched = JobScheduler(JobStore(), journal=journal, workers=2,
+                             max_retries=max_retries).start()
+        try:
+            job = sched.submit("t", 0, scenario).job
+            assert sched.wait_idle(60)
+        finally:
+            sched.drain(timeout_s=10)
+        assert job.state == "failed"
+        assert len(job.attempts) == job.attempt
+        return job.id, load_replay_bundle(job.bundle), sched.retries
+    telemetry = RunTelemetry()
+    results = execute_runs([RunRequest(key="cell", scenario=scenario)],
+                           workers=1 if driver == "serial" else 2,
+                           max_retries=max_retries, telemetry=telemetry,
+                           journal=journal, resume=True)
+    assert results == {}
+    assert telemetry.runs_failed == 1
+    (failure,) = telemetry.failures
+    assert failure.attempts == len(load_replay_bundle(failure.bundle)["attempts"])
+    return "cell", load_replay_bundle(failure.bundle), telemetry.retries
+
+
+class TestOnePolicyThreeDrivers:
+    """Serial, pooled, and server executors share one settlement policy."""
+
+    @pytest.mark.parametrize(
+        "scenario, max_retries, expect_attempts",
+        [(RAISING, 2, 3),  # transient by policy: retried to the budget
+         (TINY.with_overrides(max_pending_events=50, name="runaway"), 3, 1)],
+        ids=["raising", "runaway"],
+    )
+    @pytest.mark.parametrize("driver", ["serial", "workers2", "server"])
+    def test_failing_cell_settles_the_same_in_every_driver(
+            self, tmp_path, monkeypatch, driver, scenario, max_retries, expect_attempts):
+        monkeypatch.setattr(settle_mod, "_BACKOFF_BASE_S", 0.01)
+        with pytest.raises(Exception) as raised:
+            run_scenario(scenario)
+        reason = f"{raised.type.__name__}: {raised.value}"
+        journal = RunJournal(tmp_path / "j")
+        key, bundle, retries = _settle_failing_cell(driver, scenario, journal, max_retries)
+        attempts = bundle["attempts"]
+        assert [a["attempt"] for a in attempts] == list(range(1, expect_attempts + 1))
+        assert [a["reason"] for a in attempts] == [reason] * expect_attempts
+        assert retries == expect_attempts - 1
+        # Every attempt but the last waited the policy's backoff.
+        assert [a.get("backoff_s") for a in attempts[:-1]] == [
+            settle_mod._backoff_delay(key, n) for n in range(1, expect_attempts)]
+        assert "backoff_s" not in attempts[-1]
+        assert bundle["expect_exception"] == raised.type.__name__
+        assert journal.claim_count() == 0
 
 
 class TestBundleBounds:

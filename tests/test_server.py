@@ -34,6 +34,7 @@ from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import RunRequest, Settlement
 from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
+from repro.experiments.settle import Cell
 from repro.server import (
     AdmissionGate,
     ClassBreaker,
@@ -249,12 +250,13 @@ class TestSubmitPaths:
         job = sched.submit("a", 0, TINY).job
         # Simulate a job cancelled out of retry backoff: the claim taken
         # at first launch is held across retries while state is "queued".
-        assert sched.journal.try_claim(RunRequest(key=job.id, scenario=job.scenario))
-        sched._owned_claims.add(job.id)
+        cell = Cell(RunRequest(key=job.id, scenario=job.scenario))
+        assert sched.settler.acquire(cell).action == "launch"
+        assert job.id in sched.settler.claims
         ok, _ = sched.cancel(job.id)
         assert ok
         assert sched.journal.claim_count() == 0
-        assert job.id not in sched._owned_claims
+        assert job.id not in sched.settler.claims
         # A resubmission of the same scenario is admitted afresh instead
         # of parking behind the dead job's claim until the TTL.
         assert sched.submit("a", 0, TINY).status == "queued"
@@ -454,7 +456,10 @@ class TestDrainAndSpool:
         with sched._lock:
             job.state = "running"  # as _launch_locked would leave it
             job.attempt = 1
-            sched._running[0] = job.id
+            cell = Cell(RunRequest(key=job.id, scenario=job.scenario),
+                        attempts=job.attempts)
+            assert sched.settler.acquire(cell).action == "launch"  # claim held
+            sched._running[0] = cell
             sched._tenant_queues["a"].clear()  # the launch consumed the entry
             sched._draining = True
             sched._settle_locked(Settlement(
@@ -463,6 +468,7 @@ class TestDrainAndSpool:
                 attempt=1, status="crash", payload=None, wall=0.1,
                 timeout_s=None, exitcode=-9))
         assert job.state == "queued"
+        assert sched.journal.claim_count() == 0  # released for the next incarnation
         summary = sched.drain(timeout_s=1)
         assert summary["spooled"] == 1
         assert job.state == "spooled"
