@@ -36,10 +36,11 @@ def _run(scenario, architecture: str):
     qcts = net.collector.qct_values()
     from repro.metrics.stats import percentile
 
+    counters = net.counters()
     return {
         "qct_p99_ms": f"{percentile(qcts, 99) * 1e3:.2f}" if qcts else "-",
-        "drops": net.total_drops(),
-        "detours": net.total_detours(),
+        "drops": counters.total_drops(),
+        "detours": counters.total_detours(),
     }
 
 

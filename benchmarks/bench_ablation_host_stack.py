@@ -43,7 +43,7 @@ def _run(scenario, tcp_overrides):
         "qct_p99_ms": f"{percentile(qcts, 99) * 1e3:.2f}" if qcts else "-",
         "retransmits": sum(f.retransmits for f in flows),
         "timeouts": sum(f.timeouts for f in flows),
-        "detours": net.total_detours(),
+        "detours": net.counters().total_detours(),
     }
 
 

@@ -31,12 +31,13 @@ def _run(scenario, admit_qps):
         query.start()
     net.run(until=scenario.duration_s + scenario.drain_s)
     qcts = net.collector.qct_values()
+    counters = net.counters()
     return {
         "admitted_qps": admit_qps if admit_qps is not None else "unlimited",
         "queries": f"{sum(1 for q in net.collector.queries if q.completed)}/{query.queries_started}",
         "qct_p99_ms": f"{percentile(qcts, 99) * 1e3:.1f}" if qcts else "-",
-        "drops": net.total_drops(),
-        "detours": net.total_detours(),
+        "drops": counters.total_drops(),
+        "detours": counters.total_detours(),
         "delayed": gated.controller.delayed if gated else 0,
     }
 

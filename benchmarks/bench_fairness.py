@@ -23,7 +23,7 @@ def _jain(scenario, flows_per_direction):
     workload = LongLivedFlows(net, flows_per_direction, transport=scenario.transport_config())
     workload.start()
     net.run(until=scenario.duration_s)
-    return workload.fairness(until=scenario.duration_s), net.total_detours()
+    return workload.fairness(until=scenario.duration_s), net.counters().total_detours()
 
 
 def run(full: bool = False) -> str:

@@ -56,7 +56,8 @@ def _one_trial(setting: str, seed: int):
     net.run(until=5.0)
     assert all(f.completed for f in flows)
     qct = max(f.receiver_done_time for f in flows)
-    return qct, [f.fct for f in flows], net.total_drops(), net.total_detours()
+    counters = net.counters()
+    return qct, [f.fct for f in flows], counters.total_drops(), counters.total_detours()
 
 
 def run(full: bool = False) -> str:

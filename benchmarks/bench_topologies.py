@@ -47,8 +47,9 @@ def _run(topo_factory, dibs: bool, trials: int = 5):
         done = [f for f in flows if f.completed]
         if len(done) == len(flows):
             qcts.append(max(f.receiver_done_time for f in flows))
-        drops += net.total_drops()
-        detours += net.total_detours()
+        counters = net.counters()
+        drops += counters.total_drops()
+        detours += counters.total_detours()
     return qcts, drops, detours
 
 

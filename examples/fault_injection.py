@@ -62,9 +62,10 @@ def main() -> None:
 
     done = sum(1 for f in flows if f.completed)
     report = conservation_report(network)
-    drops = network.drop_report()
+    counters = network.counters()
+    drops = counters.drop_report()
     print(f"Queries completed : {done}/{len(flows)}")
-    print(f"Detours           : {network.total_detours()}")
+    print(f"Detours           : {counters.total_detours()}")
     print(f"Packets killed    : {injector.packets_killed} (in flight on the dead link)")
     print(f"Drop breakdown    : { {k: v for k, v in drops.items() if v} }")
     print(f"Invariant audits  : {checker.checks_run} (all green, or we'd have raised)")

@@ -78,8 +78,9 @@ def main() -> None:
         render_snapshot(occupancy, t_mid, "t2: switches detouring")
         render_snapshot(occupancy, t_last + 2e-3, "t3: congestion abating")
 
-    print(f"\nTotals: {network.total_detours()} detours, "
-          f"{network.total_drops()} drops, "
+    counters = network.counters()
+    print(f"\nTotals: {counters.total_detours()} detours, "
+          f"{counters.total_drops()} drops, "
           f"burst delivered in {max(f.receiver_done_time for f in flows) * 1e3:.1f}ms")
 
 

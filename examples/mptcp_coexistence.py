@@ -47,8 +47,9 @@ def main() -> None:
               f"(subflows: {subflow_fcts} ms)")
 
     incast_done = max(f.receiver_done_time for f in incast)
+    counters = network.counters()
     print(f"\nIncast burst absorbed in {incast_done * 1e3:.2f} ms "
-          f"({network.total_detours()} detours, {network.total_drops()} drops).")
+          f"({counters.total_detours()} detours, {counters.total_drops()} drops).")
 
     # Show the multipath spreading: both uplinks of host_4's edge carried data.
     up0 = network.port_between("edge_1_0", "agg_1_0").pkts_sent

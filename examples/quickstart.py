@@ -32,11 +32,12 @@ def run_incast(use_dibs: bool) -> dict:
     ]
     network.run(until=2.0)
     assert all(flow.completed for flow in flows)
+    counters = network.counters()
     return {
         "query_completion_ms": max(f.receiver_done_time for f in flows) * 1e3,
         "slowest_flow_ms": max(f.fct for f in flows) * 1e3,
-        "packets_dropped": network.total_drops(),
-        "packets_detoured": network.total_detours(),
+        "packets_dropped": counters.total_drops(),
+        "packets_detoured": counters.total_detours(),
         "rto_timeouts": sum(f.timeouts for f in flows),
     }
 

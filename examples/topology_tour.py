@@ -26,10 +26,11 @@ def run_on(topo, target, senders, label):
     network.run(until=3.0)
     completed = sum(1 for f in flows if f.completed)
     qct = max((f.receiver_done_time for f in flows if f.completed), default=None)
+    counters = network.counters()
     print(
         f"{label:<22} flows {completed}/{len(flows)}  "
         f"burst_done={qct * 1e3:7.2f}ms  "
-        f"detours={network.total_detours():>5}  drops={network.total_drops():>3}  "
+        f"detours={counters.total_detours():>5}  drops={counters.total_drops():>3}  "
         f"diameter={topo.diameter()}"
     )
 

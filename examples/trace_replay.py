@@ -59,11 +59,12 @@ def main() -> None:
         fcts = [f.fct for f in net.collector.flows if f.completed and f.kind == "query"]
         return percentile(fcts, 99) * 1e3
 
+    with_dibs = original.counters()
     print("\nsame workload, two fabrics:")
     print(f"  with DIBS   : query-flow p99 {p99(original):7.2f} ms, "
-          f"drops {original.total_drops():>5}, detours {original.total_detours()}")
+          f"drops {with_dibs.total_drops():>5}, detours {with_dibs.total_detours()}")
     print(f"  without DIBS: query-flow p99 {p99(counterfactual):7.2f} ms, "
-          f"drops {counterfactual.total_drops():>5}")
+          f"drops {counterfactual.counters().total_drops():>5}")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ These power the anatomy examples that mirror Figures 1 and 2:
 These keep events in memory for the anatomy plots.  For an on-disk,
 versioned record of the same events (plus occupancy samples and counter
 snapshots) that ``repro trace`` can summarize, use
-:class:`repro.obs.trace.TraceWriter` — it chains the same callbacks, so
-both can observe one run.
+:class:`repro.obs.trace.TraceWriter` — both subscribe through
+:func:`repro.obs.trace.tap`, so they observe one run in either attach
+order.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from repro.obs.trace import tap
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
-    from repro.net.packet import Packet
-    from repro.net.switch import Switch
 
 __all__ = ["DetourTrace", "QueueOccupancyTrace", "arc_counts"]
 
@@ -37,15 +38,15 @@ class DetourTrace:
         self.network = network
         self.detour_events: list[tuple[float, str, int, int]] = []  # (t, switch, flow, nth_detour)
         self.drop_events: list[tuple[float, str, int, str]] = []  # (t, switch, flow, reason)
-        for switch in network.switches:
-            switch.on_detour = self._on_detour
-            switch.on_drop = self._on_drop
+        tap(network, self._record, paths=False)
 
-    def _on_detour(self, time: float, switch: "Switch", pkt: "Packet") -> None:
-        self.detour_events.append((time, switch.name, pkt.flow_id, pkt.detours))
-
-    def _on_drop(self, time: float, switch: "Switch", pkt: "Packet", reason: str) -> None:
-        self.drop_events.append((time, switch.name, pkt.flow_id, reason))
+    def _record(self, record: dict) -> None:
+        if record["type"] == "detour":
+            self.detour_events.append(
+                (record["t"], record["switch"], record["flow"], record["detours"]))
+        else:
+            self.drop_events.append(
+                (record["t"], record["node"], record["flow"], record["reason"]))
 
     # ------------------------------------------------------------------
     def detours_by_switch(self) -> dict[str, int]:

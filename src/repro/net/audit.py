@@ -88,7 +88,7 @@ def conservation_report(network: "Network") -> ConservationReport:
         acks_delivered += f.acks_received
     unclaimed = sum(h.unclaimed for h in network.hosts)
     misdelivered = sum(h.misdelivered for h in network.hosts)
-    dropped = network.total_drops()
+    dropped = network.counters().total_drops()
     parked = 0
     in_flight = 0
     for switch in network.switches:

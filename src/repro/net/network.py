@@ -375,9 +375,9 @@ class Network:
 
         Returns a :class:`repro.obs.counters.CounterSnapshot` with
         hierarchical per-switch / per-port / per-host / PFC scopes and the
-        aggregate helpers (``total_drops()``, ``drop_report()``,
-        ``total_detours()``, ``total_ecn_marks()``) the legacy ``Network``
-        methods now delegate to.
+        network-wide totals (``total_drops()``, ``drop_report()``,
+        ``total_detours()``, ``total_ecn_marks()``).  Take one snapshot and
+        read every total from it.
         """
         return self.counter_registry.snapshot()
 
@@ -484,7 +484,7 @@ class Network:
         return qid
 
     # ------------------------------------------------------------------
-    # execution & aggregate accounting
+    # execution
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -502,46 +502,3 @@ class Network:
                 if port._txdone_seq >= 0:
                     port._materialize_tx()
         return processed
-
-    def total_detours(self) -> int:
-        """DIBS detours across all switches.
-
-        Deprecated: prefer ``counters().total_detours()`` — one
-        :meth:`counters` snapshot serves every aggregate.
-        """
-        return self.counters().total_detours()
-
-    def total_switch_drops(self) -> int:
-        """Drops recorded by switch forwarding pipelines.
-
-        Deprecated: prefer ``counters().total_switch_drops()``.
-        """
-        return self.counters().total_switch_drops()
-
-    def total_ecn_marks(self) -> int:
-        """ECN CE marks applied by switch egress queues.
-
-        Deprecated: prefer ``counters().total_ecn_marks()``.
-        """
-        return self.counters().total_ecn_marks()
-
-    def drop_report(self) -> dict[str, int]:
-        """Drops by cause, network-wide (switch pipeline + host NICs +
-        pFabric in-queue evictions + fault-injected losses).
-
-        Deprecated: prefer ``counters().drop_report()`` (identical keys and
-        values; the snapshot additionally exposes the per-scope breakdown).
-        """
-        return self.counters().drop_report()
-
-    def total_drops(self) -> int:
-        # "overflow" counts arrivals the queue rejected; pFabric evictions
-        # happen after acceptance (a resident is pushed out), so the two
-        # causes are disjoint and both count as lost packets.  Fault causes
-        # (link_down, corrupt, switch_failed) are likewise disjoint from
-        # the queue counters: a down port rejects before the queue sees the
-        # packet, corruption discards after dequeue, and a failed switch
-        # drops in its own pipeline.
-        #
-        # Deprecated: prefer ``counters().total_drops()``.
-        return self.counters().total_drops()

@@ -3,18 +3,17 @@
 The simulator keeps its counters where the hot paths already touch them —
 ``SwitchCounters`` slots, queue ``drops``/``enqueues``/``marks`` fields,
 ``Port`` byte/fault tallies — so increments stay O(1) attribute bumps with
-zero indirection.  What was missing is one place to *read* them: the
-aggregate methods on :class:`~repro.net.network.Network` each rescanned the
-topology with their own ad-hoc ``getattr`` walks.
+zero indirection.  This module is the one place to *read* them.
 
-:class:`CounterRegistry` closes that gap.  Every instrumented object
+Through :class:`CounterRegistry`, every instrumented object
 registers a *scope* (a dotted hierarchical name such as
 ``switch.agg_0.port2`` or ``host.host_3.nic``) together with a callable
 returning its counters as a plain dict.  :meth:`CounterRegistry.snapshot`
 materialises everything into a :class:`CounterSnapshot`, which offers
-hierarchical sums (:meth:`CounterSnapshot.total`) and reproduces the exact
-semantics of the legacy aggregate methods (:meth:`CounterSnapshot.drop_report`
-et al.) so ``Network.total_drops()`` and friends could become thin wrappers.
+hierarchical sums (:meth:`CounterSnapshot.total`) and the network-wide
+aggregates (:meth:`CounterSnapshot.drop_report`, ``total_drops``,
+``total_detours``, ``total_ecn_marks``); ``Network.counters()`` is the one
+API for every total.
 
 Scopes used by :class:`~repro.net.network.Network`:
 
@@ -85,7 +84,7 @@ class CounterSnapshot:
         }
 
     # ------------------------------------------------------------------
-    # legacy aggregates (the Network.total_*() semantics, exactly)
+    # network-wide aggregates
     # ------------------------------------------------------------------
     def total_detours(self) -> int:
         """DIBS detours across all switches."""
@@ -95,21 +94,9 @@ class CounterSnapshot:
         """ECN CE marks applied by switch egress queues."""
         return self.total("ecn_marks", "switch.")
 
-    def total_switch_drops(self) -> int:
-        """Drops recorded by switch forwarding pipelines (all reasons)."""
-        return sum(
-            counters.get(name, 0)
-            for scope, counters in self.scopes.items()
-            if scope.startswith("switch.") and "." not in scope[len("switch."):]
-            for name in (
-                "drops_overflow", "drops_ttl", "drops_no_route",
-                "drops_no_detour", "drops_switch_failed",
-            )
-        )
-
     def drop_report(self) -> dict[str, int]:
-        """Drops by cause, network-wide — key-for-key identical to the
-        historical ``Network.drop_report()`` output."""
+        """Drops by cause, network-wide (switch pipeline + host NICs +
+        pFabric in-queue evictions + fault-injected losses)."""
         return {
             "overflow": self.total("drops_overflow", "switch."),
             "ttl_expired": self.total("drops_ttl", "switch."),
@@ -124,8 +111,14 @@ class CounterSnapshot:
         }
 
     def total_drops(self) -> int:
-        """Sum of :meth:`drop_report` (see its docstring for why the causes
-        are disjoint and safe to add)."""
+        """Sum of :meth:`drop_report`.
+
+        The causes are disjoint, so they add: "overflow" counts arrivals
+        the queue rejected, while pFabric evictions happen after
+        acceptance (a resident is pushed out).  A down port rejects before
+        the queue sees the packet, corruption discards after dequeue, and
+        a failed switch drops in its own pipeline.
+        """
         return sum(self.drop_report().values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -47,6 +47,8 @@ from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
+from repro.obs.trace import counters_record, meta_record, read_trace, tap
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
 
@@ -84,8 +86,6 @@ def find_span_files(target: PathLike) -> list[Path]:
 
 def load_spans(target: PathLike) -> list[dict]:
     """All span records reachable from ``target`` (file or directory)."""
-    from repro.obs.trace import read_trace
-
     records: list[dict] = []
     for path in find_span_files(target):
         records.extend(read_trace(path, kind="span"))
@@ -314,8 +314,8 @@ class FlightRecorder:
     """Fixed-size ring of recent observability records, dumped on anomaly.
 
     Install once per run.  The ring receives span records (via
-    :class:`repro.obs.spans.SpanRecorder`), detour/drop records (chained
-    onto the switch callbacks, same shapes as the trace channel), and
+    :class:`repro.obs.spans.SpanRecorder`), detour/drop records (through
+    :func:`repro.obs.trace.tap`, the same records the trace file gets), and
     periodic fabric counter snapshots from a run-loop hook (never a
     scheduled event — metrics stay bit-identical with the recorder on).
 
@@ -351,11 +351,9 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def install(self) -> "FlightRecorder":
-        """Chain the switch detour/drop callbacks and start the periodic
-        counter snapshots."""
-        for switch in self.network.switches:
-            switch.on_detour = self._chain_detour(switch.on_detour)
-            switch.on_drop = self._chain_drop(switch.on_drop)
+        """Subscribe to the switch detour/drop records and start the
+        periodic counter snapshots."""
+        tap(self.network, self.record, paths=False)
         self._hook = self.network.scheduler.add_hook(
             self._counters_tick, _COUNTER_SNAPSHOT_EVENTS
         )
@@ -372,68 +370,31 @@ class FlightRecorder:
         self.ring.append(record)
         self.records_seen += 1
 
-    def _chain_detour(self, previous):
-        from repro.obs.trace import TRACE_SCHEMA_VERSION
-
-        def on_detour(time, switch, pkt):
-            self.record({
-                "v": TRACE_SCHEMA_VERSION, "type": "detour", "t": time,
-                "switch": switch.name, "flow": pkt.flow_id, "detours": pkt.detours,
-            })
-            if previous is not None:
-                previous(time, switch, pkt)
-        return on_detour
-
-    def _chain_drop(self, previous):
-        from repro.obs.trace import TRACE_SCHEMA_VERSION
-
-        def on_drop(time, switch, pkt, reason):
-            self.record({
-                "v": TRACE_SCHEMA_VERSION, "type": "drop", "t": time,
-                "node": switch.name, "flow": pkt.flow_id, "reason": reason,
-            })
-            if previous is not None:
-                previous(time, switch, pkt, reason)
-        return on_drop
-
     def _counters_tick(self, scheduler) -> None:
-        from repro.obs.trace import TRACE_SCHEMA_VERSION
-
-        self.record({
-            "v": TRACE_SCHEMA_VERSION, "type": "counters", "t": scheduler.now,
-            "counters": self.network.counters().flat(),
-        })
+        self.record(counters_record(self.network))
 
     # ------------------------------------------------------------------
     def dump(self, reason: str, detail: str = "") -> Optional[Path]:
         """Write the ring as ``flight-<n>-<reason>.jsonl`` under
         ``out_dir``.  Deduplicated per reason and capped at ``max_dumps``;
         returns the written path, or ``None`` when suppressed."""
-        from repro.obs.trace import TRACE_SCHEMA_VERSION, TRACE_TYPES
-
         if reason in self._reasons or len(self.dumps) >= self.max_dumps:
             return None
         self._reasons.add(reason)
         slug = "".join(c if c.isalnum() or c in "-_" else "-" for c in reason)[:64]
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"flight-{len(self.dumps)}-{slug}.jsonl"
-        now = self.network.scheduler.now
         with path.open("w") as fh:
             def write(record: dict) -> None:
                 fh.write(json.dumps(record, separators=(",", ":"), default=str) + "\n")
 
-            write({
-                "v": TRACE_SCHEMA_VERSION, "type": "meta", "t": now,
-                "label": self.label, "seed": self.seed,
-                "reason": reason, "detail": detail,
-                "ring_capacity": self.capacity, "records_seen": self.records_seen,
-                "schema": {kind: list(fields) for kind, fields in TRACE_TYPES.items()},
-            })
+            write(meta_record(
+                self.network.scheduler.now, self.label, self.seed,
+                reason=reason, detail=detail,
+                ring_capacity=self.capacity, records_seen=self.records_seen,
+            ))
             for record in self.ring:
                 write(record)
-            write({
-                "v": TRACE_SCHEMA_VERSION, "type": "counters", "t": now,
-                "counters": self.network.counters().flat(),
-            })
+            write(counters_record(self.network))
         self.dumps.append(path)
         return path

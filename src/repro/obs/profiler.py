@@ -7,8 +7,8 @@ switch fabric forwarding, transport timers, workload arming, PFC control,
 fault machinery — cheap enough to leave on for a real experiment (<5%
 overhead) and exactly free when off: the scheduler selects a separate
 instrumented run loop only when ``scheduler.profiler`` is set
-(:meth:`repro.sim.engine.Scheduler._run_profiled`), so the plain loop
-carries no per-event branch.
+(:meth:`repro.sim.engine.Scheduler._run_profiled_sampled`), so the plain
+loop carries no per-event branch.
 
 Categories are derived from the callback's module and qualified name and
 memoized per function object, so steady-state attribution is one dict hit.
@@ -22,9 +22,11 @@ the per-category split is statistical, converging like any sampling
 profiler.  This matters because simulator events run in the low
 microseconds: a per-event ``perf_counter`` read alone (~70ns) would blow
 the 5% budget, while the sampled loop's per-event cost is a local
-countdown decrement.  ``sample_stride=1`` selects the exact loop — one
-clock read per event, each event charged from the previous event's end —
-when per-event precision is worth ~10-15% overhead.
+countdown decrement.  ``sample_stride=1`` is exact mode in the same
+loop: every window holds one event, so the clock is read once per event
+and each event is charged from the previous read — for when per-event
+precision is worth the extra overhead (``bench_obs_overhead.py``'s
+"profiled exact" arm measures it).
 
 Elided tx-done events (see :mod:`repro.net.link`) never reach a run loop;
 the port settles them by calling :meth:`SchedulerProfiler.record` with a
@@ -98,7 +100,7 @@ class SchedulerProfiler:
         """Miss path of the attribution memo: categorize ``fn`` and cache
         its slot under ``key`` (the underlying function object).  The hot
         path — one ``_by_fn`` lookup plus two slot increments — is inlined
-        into :meth:`repro.sim.engine.Scheduler._run_profiled`, so changes
+        into :meth:`repro.sim.engine.Scheduler._run_profiled_sampled`, so changes
         to the memo layout must be mirrored there."""
         category = profile_category(fn)
         slot = self._slots.setdefault(category, [0, 0.0])
@@ -182,20 +184,24 @@ def format_profile(profile: dict) -> str:
 
 def merge_profiles(profiles) -> dict | None:
     """Sum per-category counts/wall over payloads (``None`` entries skipped);
-    returns ``None`` when nothing was profiled — used when pooling seeds."""
+    returns ``None`` when nothing was profiled — used when pooling seeds.
+
+    ``sample_stride`` (the field that says whether a profile is exact) is
+    carried through when every input agrees on it, and left out otherwise.
+    """
     merged: dict[str, list] = {}
-    seen = False
+    strides = set()
     for profile in profiles:
         if not profile:
             continue
-        seen = True
+        strides.add(profile.get("sample_stride"))
         for category, data in profile.get("categories", {}).items():
             slot = merged.setdefault(category, [0, 0.0])
             slot[0] += data["events"]
             slot[1] += data["wall_s"]
-    if not seen:
+    if not strides:  # nothing was profiled
         return None
-    return {
+    out = {
         "categories": {
             category: {"events": slot[0], "wall_s": slot[1]}
             for category, slot in sorted(merged.items())
@@ -203,3 +209,6 @@ def merge_profiles(profiles) -> dict | None:
         "total_events": sum(slot[0] for slot in merged.values()),
         "total_wall_s": sum(slot[1] for slot in merged.values()),
     }
+    if len(strides) == 1 and None not in strides:
+        out["sample_stride"] = strides.pop()
+    return out

@@ -27,11 +27,15 @@ Type-specific fields:
                 biography of a sampled packet; see :mod:`repro.obs.spans`)
 ==============  =============================================================
 
-The writer attaches to a network by *chaining* the existing
-``Switch.on_detour`` / ``Switch.on_drop`` / ``Host.on_path`` callbacks
-(an already-installed :class:`~repro.metrics.trace.DetourTrace` keeps
-working) and samples occupancy from a scheduler run-loop hook, so tracing
-never schedules events and the event calendar stays bit-identical.
+Every observer of detour, drop and path events subscribes through
+:func:`tap`, which *chains* the ``Switch.on_detour`` / ``Switch.on_drop``
+/ ``Host.on_path`` callbacks and hands each subscriber the versioned
+record: the file writer here, the flight recorder's ring
+(:class:`repro.obs.forensics.FlightRecorder`) and the in-memory anatomy
+log (:class:`repro.metrics.trace.DetourTrace`) all observe one run in any
+attach order.  The writer samples occupancy from a scheduler run-loop
+hook, so tracing never schedules events and the event calendar stays
+bit-identical.
 """
 
 from __future__ import annotations
@@ -40,12 +44,15 @@ import json
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TRACE_TYPES",
     "TraceWriter",
+    "tap",
+    "meta_record",
+    "counters_record",
     "read_trace",
     "validate_record",
     "summarize_trace",
@@ -74,6 +81,69 @@ TRACE_TYPES: dict[str, tuple[str, ...]] = {
 # 256 events bounds the sampling jitter to a sliver of simulated time at
 # packet-pipeline event rates.
 _OCCUPANCY_CHECK_EVENTS = 256
+
+
+def tap(network, sink: Callable[[dict], None], paths: bool = True) -> None:
+    """Subscribe ``sink`` to ``network``'s detour and drop events — and,
+    with ``paths``, to every delivered packet's path — as trace records.
+
+    Chains onto whatever callbacks are already installed, so any number
+    of sinks observe one run; the newest subscriber sees each event first.
+    """
+    def chain_detour(previous):
+        def on_detour(time, switch, pkt):
+            sink({
+                "v": TRACE_SCHEMA_VERSION, "type": "detour", "t": time,
+                "switch": switch.name, "flow": pkt.flow_id, "detours": pkt.detours,
+            })
+            if previous is not None:
+                previous(time, switch, pkt)
+        return on_detour
+
+    def chain_drop(previous):
+        def on_drop(time, switch, pkt, reason):
+            sink({
+                "v": TRACE_SCHEMA_VERSION, "type": "drop", "t": time,
+                "node": switch.name, "flow": pkt.flow_id, "reason": reason,
+            })
+            if previous is not None:
+                previous(time, switch, pkt, reason)
+        return on_drop
+
+    def chain_path(previous):
+        def on_path(time, host, pkt):
+            sink({
+                "v": TRACE_SCHEMA_VERSION, "type": "path", "t": time,
+                "host": host.name, "flow": pkt.flow_id, "path": list(pkt.path),
+            })
+            if previous is not None:
+                previous(time, host, pkt)
+        return on_path
+
+    for switch in network.switches:
+        switch.on_detour = chain_detour(switch.on_detour)
+        switch.on_drop = chain_drop(switch.on_drop)
+    if paths:
+        for host in network.hosts:
+            host.on_path = chain_path(host.on_path)
+
+
+def meta_record(t: float, label, seed, **extra) -> dict:
+    """The ``meta`` record that opens a trace file or a flight-recorder
+    dump; ``extra`` fields go between ``seed`` and the schema."""
+    return {
+        "v": TRACE_SCHEMA_VERSION, "type": "meta", "t": t,
+        "label": label, "seed": seed, **extra,
+        "schema": {kind: list(fields) for kind, fields in TRACE_TYPES.items()},
+    }
+
+
+def counters_record(network) -> dict:
+    """A ``counters`` record: the network's flat counter snapshot now."""
+    return {
+        "v": TRACE_SCHEMA_VERSION, "type": "counters", "t": network.scheduler.now,
+        "counters": network.counters().flat(),
+    }
 
 
 class TraceWriter:
@@ -107,19 +177,8 @@ class TraceWriter:
         self._network = network
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("w")
-        self._write({
-            "v": TRACE_SCHEMA_VERSION,
-            "type": "meta",
-            "t": network.scheduler.now,
-            "label": self.label,
-            "seed": self.seed,
-            "schema": {kind: list(fields) for kind, fields in TRACE_TYPES.items()},
-        })
-        for switch in network.switches:
-            switch.on_detour = self._chain_detour(switch.on_detour)
-            switch.on_drop = self._chain_drop(switch.on_drop)
-        for host in network.hosts:
-            host.on_path = self._chain_path(host.on_path)
+        self._write(meta_record(network.scheduler.now, self.label, self.seed))
+        tap(network, self._write)
         if self.occupancy_interval_s > 0:
             names = self.occupancy_switches or [s.name for s in network.switches]
             self._occ_targets = [network.switch(name) for name in names]
@@ -137,12 +196,7 @@ class TraceWriter:
             if self._hook is not None:
                 self._network.scheduler.remove_hook(self._hook)
                 self._hook = None
-            self._write({
-                "v": TRACE_SCHEMA_VERSION,
-                "type": "counters",
-                "t": self._network.scheduler.now,
-                "counters": self._network.counters().flat(),
-            })
+            self._write(counters_record(self._network))
         self._fh.close()
         self._fh = None
 
@@ -164,36 +218,6 @@ class TraceWriter:
     def _write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, separators=(",", ":"), default=str) + "\n")
         self.records_written += 1
-
-    def _chain_detour(self, previous):
-        def on_detour(time, switch, pkt):
-            self._write({
-                "v": TRACE_SCHEMA_VERSION, "type": "detour", "t": time,
-                "switch": switch.name, "flow": pkt.flow_id, "detours": pkt.detours,
-            })
-            if previous is not None:
-                previous(time, switch, pkt)
-        return on_detour
-
-    def _chain_drop(self, previous):
-        def on_drop(time, switch, pkt, reason):
-            self._write({
-                "v": TRACE_SCHEMA_VERSION, "type": "drop", "t": time,
-                "node": switch.name, "flow": pkt.flow_id, "reason": reason,
-            })
-            if previous is not None:
-                previous(time, switch, pkt, reason)
-        return on_drop
-
-    def _chain_path(self, previous):
-        def on_path(time, host, pkt):
-            self._write({
-                "v": TRACE_SCHEMA_VERSION, "type": "path", "t": time,
-                "host": host.name, "flow": pkt.flow_id, "path": list(pkt.path),
-            })
-            if previous is not None:
-                previous(time, host, pkt)
-        return on_path
 
     def _occupancy_tick(self, scheduler) -> None:
         if scheduler.now < self._next_occ_t:

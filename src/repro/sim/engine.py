@@ -562,10 +562,8 @@ class Scheduler:
         try:
             if self.profiler is None:
                 processed = self._run_plain(until, max_events)
-            elif self.profiler.sample_stride > 1:
-                processed = self._run_profiled_sampled(until, max_events)
             else:
-                processed = self._run_profiled(until, max_events)
+                processed = self._run_profiled_sampled(until, max_events)
         finally:
             self._running = False
         if max_events is None or processed < max_events:
@@ -679,7 +677,7 @@ class Scheduler:
         return processed
 
     def _run_profiled_sampled(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """The default profiled loop: sampled attribution (see
+        """The profiled loop (see
         :class:`repro.obs.profiler.SchedulerProfiler`).
 
         The clock is read once per window of ``[stride, 2*stride)``
@@ -696,7 +694,20 @@ class Scheduler:
         budget on microsecond-scale events.  Hook/watchdog time is
         excluded by advancing the window start past it.
 
-        Profiled loops skip the recycle slot: the leftover flush needs
+        ``sample_stride=1`` is exact mode: every window holds exactly one
+        event, so each event is charged its own category and the wall
+        time since the previous clock read (dispatch overhead lands in
+        the category of the event that incurred it).
+
+        The attribution is inlined rather than calling
+        ``profiler.record`` — at sub-microsecond event granularity the
+        call overhead alone is a measurable fraction of the budget.  The
+        memo keys by the underlying function (``__func__``) because bound
+        methods are fresh objects per schedule; the slow path
+        (:meth:`SchedulerProfiler._slot_for`) only runs once per distinct
+        callback.
+
+        The profiled loop skips the recycle slot: the leftover flush needs
         the last executed event intact, and profiling is opt-in so the
         allocation cost is acceptable.  Recycling affects only object
         identity, never behaviour, so profiled and plain runs stay
@@ -762,7 +773,11 @@ class Scheduler:
                         if state[0] <= 0:
                             state[0] = state[1]
                             self._events_processed = base + processed
-                            hook_started = perf_counter()
+                            # A window that closed on this event has
+                            # just read the clock: open the bracket there,
+                            # so exact mode (every window closes) spends no
+                            # extra read and charges no tick to the hook.
+                            hook_started = last if countdown == window else perf_counter()
                             state[2](self)
                             last += perf_counter() - hook_started
                 if max_events is not None and processed >= max_events:
@@ -779,91 +794,6 @@ class Scheduler:
                     slot = slot_for(key, fn)
                 slot[0] += leftover
                 slot[1] += perf_counter() - last
-        return processed
-
-    def _run_profiled(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """The exact-attribution profiled loop (``sample_stride=1``).
-
-        Kept as a separate loop (rather than per-event branches in the
-        plain one) so profiling costs exactly nothing when off.  Wall time
-        is attributed per callback *category*; one clock read per event —
-        each event is charged from the previous event's end, so dispatch
-        overhead lands in the category of the event that incurred it.
-        Hook time is excluded by resetting the window start after a hook
-        actually fires — only then, so the wall time between ordinary
-        events keeps accumulating into their categories and the category
-        totals sum to the loop's wall time.
-
-        The attribution is inlined rather than calling
-        ``profiler.record`` — at sub-microsecond event granularity the
-        call overhead alone is a measurable fraction of the budget.  The
-        memo keys by the underlying function (``__func__``) because bound
-        methods are fresh objects per schedule; the slow path
-        (:meth:`SchedulerProfiler._slot_for`) only runs once per distinct
-        callback.
-        """
-        from time import perf_counter
-
-        profiler = self.profiler
-        slot_of = profiler._by_fn.get
-        slot_for = profiler._slot_for
-        processed = 0
-        hooks = self._hook_states()
-        base = self._events_processed
-        bucket = self._buckets[self._cur]
-        pos = self._pos
-        last = perf_counter()
-        try:
-            while True:
-                if pos < len(bucket):
-                    ev = bucket[pos]
-                else:
-                    self._pos = pos
-                    self._events_processed = base + processed
-                    ev = self._advance()
-                    if ev is None:
-                        break
-                    bucket = self._buckets[self._cur]
-                    pos = 0
-                if until is not None and ev.time > until:
-                    break
-                pos += 1
-                self._count -= 1
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                ev.cancelled = True
-                self.now = ev.time
-                self._now_seq = ev.seq
-                self._pos = pos
-                fn = ev.fn
-                fn(*ev.args)
-                now_wall = perf_counter()
-                key = getattr(fn, "__func__", fn)
-                slot = slot_of(key)
-                if slot is None:
-                    slot = slot_for(key, fn)
-                slot[0] += 1
-                slot[1] += now_wall - last
-                last = now_wall
-                processed += 1
-                if hooks:
-                    fired = False
-                    for state in hooks:
-                        state[0] -= 1
-                        if state[0] <= 0:
-                            state[0] = state[1]
-                            self._events_processed = base + processed
-                            state[2](self)
-                            fired = True
-                    if fired:
-                        # Do not charge hook time to the next event.
-                        last = perf_counter()
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._pos = pos
-            self._events_processed = base + processed
         return processed
 
     def step(self) -> bool:

@@ -162,10 +162,8 @@ class HeapScheduler:
         try:
             if self.profiler is None:
                 processed = self._run_plain(until, max_events)
-            elif self.profiler.sample_stride > 1:
-                processed = self._run_profiled_sampled(until, max_events)
             else:
-                processed = self._run_profiled(until, max_events)
+                processed = self._run_profiled_sampled(until, max_events)
         finally:
             self._running = False
         if max_events is None or processed < max_events:
@@ -214,8 +212,9 @@ class HeapScheduler:
         return processed
 
     def _run_profiled_sampled(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """Sampled-attribution profiled loop (mirrors the calendar
-        engine's; see :class:`repro.obs.profiler.SchedulerProfiler`)."""
+        """The profiled loop, sampled or (``sample_stride=1``) exact;
+        mirrors the calendar engine's, see
+        :class:`repro.obs.profiler.SchedulerProfiler`."""
         from time import perf_counter
 
         profiler = self.profiler
@@ -265,7 +264,11 @@ class HeapScheduler:
                         if state[0] <= 0:
                             state[0] = state[1]
                             self._events_processed = base + processed
-                            hook_started = perf_counter()
+                            # A window that closed on this event has
+                            # just read the clock: open the bracket there,
+                            # so exact mode (every window closes) spends no
+                            # extra read and charges no tick to the hook.
+                            hook_started = last if countdown == window else perf_counter()
                             state[2](self)
                             last += perf_counter() - hook_started
                 if max_events is not None and processed >= max_events:
@@ -281,61 +284,6 @@ class HeapScheduler:
                     slot = slot_for(key, fn)
                 slot[0] += leftover
                 slot[1] += perf_counter() - last
-        return processed
-
-    def _run_profiled(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """Exact-attribution profiled loop (``sample_stride=1``; mirrors
-        the calendar engine's)."""
-        from time import perf_counter
-
-        profiler = self.profiler
-        slot_of = profiler._by_fn.get
-        slot_for = profiler._slot_for
-        processed = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        hooks = self._hook_states()
-        base = self._events_processed
-        last = perf_counter()
-        try:
-            while heap:
-                ev = heap[0]
-                if until is not None and ev.time > until:
-                    break
-                heappop(heap)
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                ev.cancelled = True
-                self.now = ev.time
-                self._now_seq = ev.seq
-                fn = ev.fn
-                fn(*ev.args)
-                now_wall = perf_counter()
-                key = getattr(fn, "__func__", fn)
-                slot = slot_of(key)
-                if slot is None:
-                    slot = slot_for(key, fn)
-                slot[0] += 1
-                slot[1] += now_wall - last
-                last = now_wall
-                processed += 1
-                if hooks:
-                    fired = False
-                    for state in hooks:
-                        state[0] -= 1
-                        if state[0] <= 0:
-                            state[0] = state[1]
-                            self._events_processed = base + processed
-                            state[2](self)
-                            fired = True
-                    if fired:
-                        # Do not charge hook time to the next event.
-                        last = perf_counter()
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._events_processed = base + processed
         return processed
 
     def step(self) -> bool:

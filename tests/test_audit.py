@@ -72,8 +72,8 @@ class TestUnderLoss:
             net.start_flow(f"host_{i}", "host_0", 20_000, transport=cfg, kind="query")
         drained(net)
         report = assert_conserved(net)
-        assert net.drop_report()["ttl_expired"] > 0
-        assert report.dropped >= net.drop_report()["ttl_expired"]
+        assert net.counters().drop_report()["ttl_expired"] > 0
+        assert report.dropped >= net.counters().drop_report()["ttl_expired"]
 
     def test_pfabric_evictions_accounted(self):
         net = Network(

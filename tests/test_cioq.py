@@ -65,7 +65,7 @@ class TestForwarding:
         for i in range(1, 13):
             net.start_flow(f"host_{i}", "host_0", 20_000, transport="dctcp", kind="query")
         net.run(until=2.0)
-        assert net.drop_report()["ingress_overflow"] > 0
+        assert net.counters().drop_report()["ingress_overflow"] > 0
 
     def test_conservation_with_ingress_drops(self):
         net = cioq_net(speedup=0.5, ingress=2, buffer_pkts=100)
@@ -85,10 +85,10 @@ class TestDibsOnCioq:
         ]
         net.run(until=5.0)
         assert all(f.completed for f in flows)
-        assert net.total_detours() > 0
+        assert net.counters().total_detours() > 0
         # Egress overflow is eliminated; only ingress pressure remains and
         # with speedup 2 + 16-pkt inputs it does not materialize.
-        assert net.drop_report()["overflow"] == 0
+        assert net.counters().drop_report()["overflow"] == 0
 
     def test_cioq_dibs_beats_cioq_droptail(self):
         def qct(dibs):

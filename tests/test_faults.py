@@ -154,7 +154,7 @@ class TestLinkFaults:
         assert injector.applied == {LINK_DOWN: 1, LINK_UP: 1}
         # The flow stalls against the dead link, then completes on recovery.
         assert flow.completed
-        assert net.total_drops() > 0
+        assert net.counters().total_drops() > 0
         assert_conserved(net)
 
     def test_reroute_removes_and_restores_paths(self):
@@ -206,10 +206,10 @@ class TestLinkFaults:
         net.run(until=0.00003)  # a few packets out, most still to come
         net.port_between("edge_0_0", "host_1").set_down()
         net.run(until=0.05)
-        report = net.drop_report()
+        report = net.counters().drop_report()
         assert report["link_down"] > 0
         assert report["overflow"] == 0
-        assert net.total_drops() == report["link_down"]
+        assert net.counters().total_drops() == report["link_down"]
         assert_conserved(net)
 
     def test_incast_under_dead_core_links_conserves(self):
@@ -266,7 +266,7 @@ class TestSwitchFaults:
         FaultInjector(net, sched).arm()
         flow = net.start_flow("host_0", "host_1", 20_000, transport="dctcp")
         net.run(until=1.0)
-        assert net.drop_report()["corrupt"] == 3
+        assert net.counters().drop_report()["corrupt"] == 3
         assert flow.completed  # losses repaired by retransmission
         assert_conserved(net)
 

@@ -32,7 +32,7 @@ class TestNoImpactWhenIdle:
         f = net.start_flow("host_0", "host_9", 100_000, transport="dibs")
         net.run(until=1.0)
         assert f.completed
-        assert net.total_detours() == 0
+        assert net.counters().total_detours() == 0
 
     def test_light_load_identical_with_and_without_dibs(self):
         def run(dibs):
@@ -49,8 +49,8 @@ class TestDetourMechanics:
         net, flows = incast_network(DibsConfig())
         net.run(until=5.0)
         assert all(f.completed for f in flows)
-        assert net.total_drops() == 0
-        assert net.total_detours() > 0
+        assert net.counters().total_drops() == 0
+        assert net.counters().total_detours() > 0
 
     def test_detoured_packets_never_reach_wrong_host(self):
         net, flows = incast_network(DibsConfig())
@@ -64,14 +64,14 @@ class TestDetourMechanics:
         net_low.run(until=5.0)
         net_high, flows_high = incast_network(DibsConfig(), ttl=255, seed=6)
         net_high.run(until=5.0)
-        assert net_low.drop_report()["ttl_expired"] > 0
-        assert net_high.drop_report()["ttl_expired"] == 0
+        assert net_low.counters().drop_report()["ttl_expired"] > 0
+        assert net_high.counters().drop_report()["ttl_expired"] == 0
 
     def test_ttl_has_no_effect_without_dibs(self):
         """Fig. 13: TTL never binds on shortest-path forwarding."""
         net, flows = incast_network(DibsConfig.disabled(), ttl=12)
         net.run(until=5.0)
-        assert net.drop_report()["ttl_expired"] == 0
+        assert net.counters().drop_report()["ttl_expired"] == 0
 
     @pytest.mark.parametrize("policy", ["random", "load-aware", "flow-based", "probabilistic"])
     def test_all_policies_complete_incast(self, policy):
@@ -88,7 +88,7 @@ class TestDetourMechanics:
         net, flows = incast_network(DibsConfig(max_detours_per_packet=3))
         net.run(until=5.0)
         # With the cap, packets give up and drop instead of looping.
-        assert net.drop_report()["no_detour_port"] >= 0
+        assert net.counters().drop_report()["no_detour_port"] >= 0
         assert all(f.completed for f in flows)
 
 
@@ -111,7 +111,7 @@ class TestLinearTopologyFootnote:
         ]
         net.run(until=5.0)
         assert all(f.completed for f in flows)
-        assert net.total_detours() > 0
+        assert net.counters().total_detours() > 0
 
 
 class TestCollateralDamage:
@@ -147,6 +147,6 @@ class TestEcnOnDetouredPackets:
         """§5.3: 'The detoured packets are also marked.'"""
         net, flows = incast_network(DibsConfig(), buffer_pkts=10)
         net.run(until=5.0)
-        assert net.total_ecn_marks() > 0
+        assert net.counters().total_ecn_marks() > 0
         # Senders saw the marks: at least one flow echoed CE.
         assert sum(f.marked_acks for f in flows) > 0

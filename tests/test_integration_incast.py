@@ -56,7 +56,7 @@ class TestClickIncast:
         # 50 x 32 KB = 1.6 MB over a 1 Gbps edge: ~13.5 ms minimum.
         ideal = 50 * 32_000 * 8 / 1e9
         assert qct_inf < ideal * 2.0
-        assert net.total_drops() == 0
+        assert net.counters().total_drops() == 0
 
     def test_detour_close_to_infinite(self, results):
         # The paper: infinite completes in 25 ms, DIBS in 27 ms.
@@ -72,12 +72,12 @@ class TestClickIncast:
 
     def test_detour_eliminates_drops_and_timeouts(self, results):
         _, fcts, net = results["detour"]
-        assert net.total_drops() == 0
-        assert net.total_detours() > 0
+        assert net.counters().total_drops() == 0
+        assert net.counters().total_detours() > 0
 
     def test_droptail_has_drops(self, results):
         _, _, net = results["droptail"]
-        assert net.total_drops() > 0
+        assert net.counters().total_drops() > 0
 
     def test_droptail_tail_flows_hit_timeouts(self, results):
         # Fig. 6(b): ~9% of droptail flows take an RTO (minRTO=10ms);

@@ -181,8 +181,8 @@ class TestMultipathBehaviour:
         ]
         net.run(until=5.0)
         assert all(c.completed for c in conns)
-        assert net.total_detours() > 0
-        assert net.total_drops() == 0
+        assert net.counters().total_detours() > 0
+        assert net.counters().total_drops() == 0
 
     def test_deferred_start(self):
         net = Network(fat_tree(k=4), seed=1)

@@ -157,7 +157,7 @@ class TestDeterminism:
             for i in range(1, 13)
         ]
         net.run(until=1.0)
-        return [f.fct for f in flows], net.total_detours()
+        return [f.fct for f in flows], net.counters().total_detours()
 
     def test_identical_seeds_identical_results(self):
         assert self.run_once(seed=3) == self.run_once(seed=3)
@@ -185,22 +185,22 @@ class TestAccounting:
 
     def test_dibs_counts_detours_not_drops(self):
         net, flows = self.incast(dibs=True)
-        assert net.total_detours() > 0
-        assert net.total_drops() == 0
+        assert net.counters().total_detours() > 0
+        assert net.counters().total_drops() == 0
         assert all(f.completed for f in flows)
 
     def test_no_dibs_counts_drops_not_detours(self):
         net, flows = self.incast(dibs=False)
-        assert net.total_detours() == 0
-        assert net.total_drops() > 0
+        assert net.counters().total_detours() == 0
+        assert net.counters().total_drops() > 0
 
     def test_ecn_marks_counted(self):
         net, flows = self.incast(dibs=True)
-        assert net.total_ecn_marks() > 0
+        assert net.counters().total_ecn_marks() > 0
 
     def test_drop_report_keys(self):
         net, _ = self.incast(dibs=False)
-        report = net.drop_report()
+        report = net.counters().drop_report()
         assert set(report) == {
             "overflow",
             "ttl_expired",
@@ -213,4 +213,4 @@ class TestAccounting:
             "link_down",
             "corrupt",
         }
-        assert report["overflow"] == net.total_drops()
+        assert report["overflow"] == net.counters().total_drops()

@@ -39,6 +39,16 @@ def _metrics(result):
     return payload
 
 
+def _start_queries(network, scenario):
+    from repro.workload.query import QueryTraffic
+
+    QueryTraffic(
+        network, qps=scenario.qps, degree=scenario.incast_degree,
+        response_bytes=scenario.response_bytes,
+        transport=scenario.transport_config(), stop_at=scenario.duration_s,
+    ).start()
+
+
 def _strip_obs(scenario):
     """The same operating point with every obs knob back at its default."""
     return scenario.with_overrides(
@@ -51,14 +61,22 @@ def _strip_obs(scenario):
 # counters
 # ----------------------------------------------------------------------
 class TestCounters:
-    def test_snapshot_matches_legacy_methods(self):
+    def test_snapshot_totals_match_device_counters(self):
+        # The network-wide totals sum the per-device counters the hot
+        # paths bump.
         network = TINY.build_network()
+        _start_queries(network, TINY)
         network.run(until=0.3)
         snap = network.counters()
-        assert snap.total_detours() == network.total_detours()
-        assert snap.total_ecn_marks() == network.total_ecn_marks()
-        assert snap.total_drops() == network.total_drops()
-        assert snap.drop_report() == network.drop_report()
+        detours = sum(switch.counters.detours for switch in network.switches)
+        assert snap.total_detours() == detours > 0
+        assert snap.total_ecn_marks() == sum(
+            port.queue.marks for switch in network.switches for port in switch.ports
+        )
+        assert snap.drop_report()["overflow"] == sum(
+            switch.counters.drops_overflow for switch in network.switches
+        )
+        assert snap.total_drops() == sum(snap.drop_report().values())
 
     def test_scopes_cover_every_device(self):
         network = TINY.build_network()
@@ -140,6 +158,19 @@ class TestDeterminismUnderInstrumentation:
         assert merged["total_events"] == sum(r.events for r in results)
         assert merge_profiles([None, None]) is None
         assert "link.deliver" in format_profile(merged)
+
+    def test_pooled_profile_keeps_sample_stride(self):
+        # sample_stride is what says whether a profile is exact; pooling
+        # seeds must not drop it.
+        from repro.experiments.runner import run_pooled
+
+        single = run_scenario(TINY.with_overrides(profile=True))
+        pooled = run_pooled(TINY.with_overrides(profile=True), seeds=(0, 1))
+        assert pooled.profile["sample_stride"] == single.profile["sample_stride"]
+        exact = dict(single.profile, sample_stride=1)
+        assert merge_profiles([exact, exact])["sample_stride"] == 1
+        # Inputs that disagree have no single stride to report.
+        assert "sample_stride" not in merge_profiles([single.profile, exact])
 
 
 def _transport_cb():
@@ -380,21 +411,37 @@ class TestTraceSchema:
     def test_trace_chains_existing_detour_trace(self, tmp_path):
         from repro.metrics.trace import DetourTrace
         from repro.obs.trace import TraceWriter
-        from repro.workload.query import QueryTraffic
 
         network = TINY.build_network()
         anatomy = DetourTrace(network)  # installed first, must keep working
         writer = TraceWriter(tmp_path / "t.jsonl").attach(network)
-        QueryTraffic(
-            network, qps=TINY.qps, degree=TINY.incast_degree,
-            response_bytes=TINY.response_bytes,
-            transport=TINY.transport_config(), stop_at=TINY.duration_s,
-        ).start()
+        _start_queries(network, TINY)
         network.run(until=0.3)
         writer.close()
         traced = sum(1 for _ in read_trace(tmp_path / "t.jsonl", kind="detour"))
         assert traced == len(anatomy.detour_events)
         assert traced > 0
+
+    def test_detour_trace_attached_last_keeps_earlier_sinks(self, tmp_path):
+        # A DetourTrace attached after a trace writer and a flight
+        # recorder must not disconnect them: all three see every detour.
+        from repro.metrics.trace import DetourTrace
+        from repro.obs.forensics import FlightRecorder
+        from repro.obs.trace import TraceWriter
+
+        scenario = TINY.with_overrides(buffer_pkts=25)
+        network = scenario.build_network()
+        writer = TraceWriter(tmp_path / "t.jsonl").attach(network)
+        recorder = FlightRecorder(network, tmp_path / "flight", capacity=100_000).install()
+        anatomy = DetourTrace(network)
+        _start_queries(network, scenario)
+        network.run(until=0.3)
+        writer.close()
+        total = network.counters().total_detours()
+        assert total > 0
+        assert sum(1 for _ in read_trace(tmp_path / "t.jsonl", kind="detour")) == total
+        assert sum(1 for r in recorder.ring if r["type"] == "detour") == total
+        assert len(anatomy.detour_events) == total
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,7 @@ class TestLosslessness:
         ]
         net.run(until=5.0)
         assert all(f.completed for f in flows)
-        assert net.drop_report()["overflow"] <= 5
+        assert net.counters().drop_report()["overflow"] <= 5
         assert sum(c.pause_frames_sent for c in net.pfc_controllers) > 0
 
     def test_without_pfc_same_incast_drops(self):
@@ -114,7 +114,7 @@ class TestLosslessness:
             for i in range(1, 13)
         ]
         net.run(until=5.0)
-        assert net.drop_report()["overflow"] > 0
+        assert net.counters().drop_report()["overflow"] > 0
 
     def test_no_ports_left_paused_after_drain(self):
         net = pfc_network(buffer_pkts=20)

@@ -484,6 +484,66 @@ class TestRecycleSlot:
         assert len(calendar[0]) > 300  # the chain really branched
 
 
+def _category_chain(sched, dispatched):
+    """Callbacks in four profile categories that fan out into each other,
+    with some children cancelled before they fire; ``dispatched`` counts
+    the callbacks that actually ran, by module."""
+    rng = random.Random(5)
+
+    def make(module):
+        def callback(depth):
+            dispatched[module] += 1
+            if depth == 0:
+                return
+            for _ in range(2):
+                ev = sched.schedule(rng.choice([0.0, 1e-7, 1e-6]),
+                                    rng.choice(callbacks), depth - 1)
+                if rng.random() < 0.1:
+                    ev.cancel()
+        callback.__module__ = module
+        return callback
+
+    callbacks = [make(module) for module in (
+        "repro.transport.tcp", "repro.workload.query",
+        "repro.faults.injector", "repro.net.pfc",
+    )]
+    sched.schedule(0.0, callbacks[0], 9)
+    return callbacks
+
+
+class TestExactProfile:
+    """``sample_stride=1`` is exact mode of the one profiled loop: every
+    window holds one event, so category counts are dispatch counts."""
+
+    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
+    def test_category_events_equal_dispatch_counts_across_resume(self, engine):
+        from collections import Counter
+
+        from repro.obs.profiler import SchedulerProfiler, profile_category
+
+        sched = engine()
+        profiler = SchedulerProfiler(sample_stride=1).install(sched)
+        dispatched = Counter()
+        callbacks = _category_chain(sched, dispatched)
+        assert sched.run(until=2e-6) > 0
+        assert sched.pending > 0  # the horizon split the run
+        sched.run()
+        expected = {profile_category(cb): dispatched[cb.__module__] for cb in callbacks}
+        events = {c: d["events"] for c, d in profiler.as_dict()["categories"].items()}
+        assert events == expected
+        assert len(events) == 4
+        assert sum(events.values()) == sched.events_processed
+
+    def test_mixed_chain_category_events_match_heap_engine(self):
+        events = []
+        for sched in (Scheduler(), HeapScheduler()):
+            _mixed_chain(sched, _profiled(1))
+            categories = sched.profiler.as_dict()["categories"]
+            events.append({c: d["events"] for c, d in categories.items()})
+        calendar, heap = events
+        assert calendar == heap
+
+
 class TestReservedSequences:
     """reserve_seq / schedule_reserved: the elision primitive must keep
     the (time, seq) total order exactly as if the event was never elided."""

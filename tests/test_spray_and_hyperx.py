@@ -78,7 +78,7 @@ class TestPacketSpraying:
             ]
             net.run(until=5.0)
             assert all(f.completed for f in flows)
-            return net.total_drops()
+            return net.counters().total_drops()
 
         spray_drops = drops("packet", dibs=False)
         dibs_drops = drops("flow", dibs=True)
@@ -136,5 +136,5 @@ class TestHyperX:
         ]
         net.run(until=5.0)
         assert all(f.completed for f in flows)
-        assert net.total_drops() == 0
-        assert net.total_detours() > 0
+        assert net.counters().total_drops() == 0
+        assert net.counters().total_detours() > 0

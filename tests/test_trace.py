@@ -32,7 +32,7 @@ class TestDetourTrace:
         trace = DetourTrace(net)
         launch_incast(net)
         net.run(until=1.0)
-        assert len(trace.detour_events) == net.total_detours()
+        assert len(trace.detour_events) == net.counters().total_detours()
         assert trace.detour_events, "incast against 10-pkt buffers must detour"
 
     def test_events_sorted_in_time(self):
