@@ -4,8 +4,9 @@ A packet-level simulator has one global invariant: every packet created by
 a transport endpoint is eventually (a) delivered to a transport endpoint,
 (b) delivered to a host that didn't want it (misdelivered/unclaimed),
 (c) dropped with a recorded cause, (d) still parked in some queue, or
-(e) in flight on a link (transmitted but not yet delivered — tracked
-per-port, see :attr:`repro.net.link.Port.in_flight`).
+(e) in flight on a link (transmitted but not yet delivered — each port
+keeps these on an in-flight FIFO and reads out its length in O(1), see
+:attr:`repro.net.link.Port.in_flight`).
 :func:`conservation_report` computes both sides of that ledger from the
 counters the simulator already keeps, and :func:`assert_conserved` is used
 by the integration tests after every quiescent run — a failing audit means

@@ -47,7 +47,6 @@ engine's transmit path event for event; that is the "before" arm of
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import Optional
 
 from repro.net.node import Node
@@ -66,9 +65,13 @@ class Port:
     rejects new sends and kills packets already propagating, both recorded
     as ``link_down`` drops) and a ``corrupt_next`` budget (the next N
     deliveries are discarded as CRC failures, recorded as ``corrupt``
-    drops).  Packets between transmit start and delivery are tracked in
-    ``_in_flight`` so the conservation ledger (:mod:`repro.net.audit`) is
-    exact at any simulated time, not just at quiescence.
+    drops).  Packets between transmit start and delivery are tracked on an
+    in-flight FIFO so the conservation ledger (:mod:`repro.net.audit`) is
+    exact at any simulated time, not just at quiescence.  The FIFO is
+    threaded through the packets themselves (``Packet.flight_next``, with
+    the delivery event in ``Packet.flight_event``): the port keeps only
+    head, tail and count, so linking a packet in and out costs attribute
+    stores rather than container calls.
     """
 
     __slots__ = (
@@ -93,7 +96,9 @@ class Port:
         "corrupt_next",
         "on_queue_change",
         "_pause_expiry",
-        "_in_flight",
+        "_flight_head",
+        "_flight_tail",
+        "_flight_count",
         "pauses_received",
         "_s_per_byte",
         "_peer_receive",
@@ -137,11 +142,14 @@ class Port:
         # port's queue; used by PFC to watch occupancy thresholds.
         self.on_queue_change = None
         self._pause_expiry = None
-        # (event, packet) pairs scheduled for delivery but not yet arrived.
-        # Deliveries fire in FIFO order (each packet's arrival time is its
-        # predecessor's tx-done plus its own serialization plus the fixed
-        # propagation delay), so a deque popped at _deliver suffices.
-        self._in_flight: deque = deque()
+        # Packets scheduled for delivery but not yet arrived, as a FIFO
+        # linked through Packet.flight_next.  Deliveries fire in FIFO order
+        # (each packet's arrival time is its predecessor's tx-done plus its
+        # own serialization plus the propagation delay, clamped monotone
+        # under jitter), so _deliver always unlinks the head.
+        self._flight_head: Optional[Packet] = None
+        self._flight_tail: Optional[Packet] = None
+        self._flight_count = 0
         self.pauses_received = 0
         # Hot-path hoists: serialization seconds per byte, and the peer's
         # bound receive method (rebound by attach_peer).
@@ -189,22 +197,16 @@ class Port:
         jittered runs replay bit-identically).  Arrival times are clamped
         monotone per port — a link delivers in FIFO order no matter the
         draw — which both models real links (no single-link reordering)
-        and preserves the ``_in_flight`` deque invariant.
+        and keeps the in-flight FIFO's head the next packet to arrive.
+        Jittered deliveries keep their absolute arrival time: the transmit
+        sites take a fresh sequence number and insert the event with
+        :meth:`Scheduler.schedule_reserved`, which goes through the
+        scheduler's recycle slot like the fixed-delay ``schedule_once``.
         """
         if jitter_s < 0:
             raise ValueError("jitter cannot be negative")
         self.jitter_s = jitter_s
         self._jitter_rng = rng if jitter_s > 0 else None
-
-    def _schedule_delivery(self, tx_end: float, pkt: Packet):
-        """Schedule ``pkt``'s arrival with jittered propagation (only
-        called when a jitter RNG is installed; the fixed-delay paths
-        schedule directly)."""
-        arrival = tx_end + self.delay_s + self.jitter_s * self._jitter_rng.random()
-        if arrival < self._last_arrival:
-            arrival = self._last_arrival  # FIFO clamp: links never reorder
-        self._last_arrival = arrival
-        return self.scheduler.schedule_at(arrival, self._deliver, pkt)
 
     # ------------------------------------------------------------------
     @property
@@ -223,7 +225,7 @@ class Port:
     @property
     def in_flight(self) -> int:
         """Packets transmitted (or transmitting) but not yet delivered."""
-        return len(self._in_flight)
+        return self._flight_count
 
     def counter_dict(self) -> dict[str, int]:
         """This port's counters (plus its queue's) for the observability
@@ -237,7 +239,7 @@ class Port:
             link_down=self.drops_link_down,
             corrupt=self.drops_corrupt,
             pauses_received=self.pauses_received,
-            in_flight=len(self._in_flight),
+            in_flight=self._flight_count,
             qlen=len(self.queue),
         )
         return counters
@@ -335,11 +337,27 @@ class Port:
             seq = sched._seq
             sched._seq = seq + 1
             self._txdone_seq = seq
-            if self._jitter_rng is None:
-                delivery = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+            rng = self._jitter_rng
+            if rng is None:
+                pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
             else:
-                delivery = self._schedule_delivery(self._tx_end, pkt)
-            self._in_flight.append((delivery, pkt))
+                # Jittered delivery (see set_jitter), FIFO-clamped; a fresh
+                # sequence number keeps the arrival time absolute.
+                arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
+                if arrival < self._last_arrival:
+                    arrival = self._last_arrival
+                self._last_arrival = arrival
+                seq = sched._seq
+                sched._seq = seq + 1
+                pkt.flight_event = sched.schedule_reserved(arrival, seq, self._deliver, pkt)
+            # Link onto the in-flight FIFO (pkt.flight_next is None: a
+            # packet off the wire never keeps a link).
+            if self._flight_count:
+                self._flight_tail.flight_next = pkt
+            else:
+                self._flight_head = pkt
+            self._flight_tail = pkt
+            self._flight_count += 1
             return True
         if not queue.enqueue(pkt):
             # Tail drop.  Idempotent finish: the switch's _drop also
@@ -449,11 +467,24 @@ class Port:
             # packet; propagation of the in-flight packet continues
             # independently.
             sched.schedule_once(tx, self._tx_next)
-        if self._jitter_rng is None:
-            delivery = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+        rng = self._jitter_rng
+        if rng is None:
+            pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
         else:
-            delivery = self._schedule_delivery(self._tx_end, pkt)
-        self._in_flight.append((delivery, pkt))
+            # Jittered delivery: same draw and clamp as send()'s fast path.
+            arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+            self._last_arrival = arrival
+            seq = sched._seq
+            sched._seq = seq + 1
+            pkt.flight_event = sched.schedule_reserved(arrival, seq, self._deliver, pkt)
+        if self._flight_count:
+            self._flight_tail.flight_next = pkt
+        else:
+            self._flight_head = pkt
+        self._flight_tail = pkt
+        self._flight_count += 1
 
     def _tx_done(self) -> None:
         # Kept as a named alias (tests and older call sites reference it);
@@ -468,7 +499,18 @@ class Port:
             raise SimulationError(
                 f"port {self.node.name}[{self.index}] delivered a packet but is not connected"
             )
-        self._in_flight.popleft()
+        # Unlink the head (which is ``pkt``) before ``receive``: the
+        # receiver may forward this same packet onto another port, which
+        # links it into that port's FIFO.  The delivery handle is dropped
+        # too — its event is recycled once this callback returns.
+        nxt = pkt.flight_next
+        self._flight_head = nxt
+        if nxt is None:
+            self._flight_tail = None
+        else:
+            pkt.flight_next = None
+        pkt.flight_event = None
+        self._flight_count -= 1
         if self.corrupt_next > 0:
             # Injected corruption: the frame fails its CRC at the receiver
             # and is discarded — to the transport this is an ordinary loss.
@@ -507,29 +549,36 @@ class Port:
                 self._materialize_tx()
         self.up = False
         now = self.scheduler.now
-        if self._busy and self._in_flight and now < self._tx_end:
+        if self._busy and self._flight_count and now < self._tx_end:
             # The newest in-flight packet is still serializing: back out
             # the part of its transmit-start credit that never made it
             # onto the wire.  (Counted in whole bytes; the sub-byte
             # truncation is below measurement granularity.)
-            _ev, tail_pkt = self._in_flight[-1]
+            tail_pkt = self._flight_tail
             remainder_s = self._tx_end - now
             undo = int(remainder_s * self.rate_bps / 8.0)
             if undo > tail_pkt.size:
                 undo = tail_pkt.size
             self.bytes_sent -= undo
             self.busy_seconds -= remainder_s
-        killed = 0
-        while self._in_flight:
-            delivery, pkt = self._in_flight.popleft()
-            delivery.cancel()
+        killed = self._flight_count
+        pkt = self._flight_head
+        self._flight_head = self._flight_tail = None
+        self._flight_count = 0
+        while pkt is not None:
+            pkt.flight_event.cancel()
+            # Clear both links: a killed packet must not keep its (soon
+            # recycled) event, nor the event its packet, alive as a cycle.
+            nxt = pkt.flight_next
+            pkt.flight_next = None
+            pkt.flight_event = None
             self.drops_link_down += 1
             self.bytes_killed += pkt.size
             if pkt.span is not None:
                 pkt.span.rec.finish(
                     pkt.span, "dropped:link_down", now, where=self.node.name
                 )
-            killed += 1
+            pkt = nxt
         return killed
 
     def set_up(self) -> None:

@@ -72,6 +72,12 @@ class Packet:
         unless this transmission was sampled.
     is_retransmit:
         Marked by the sender so RTT sampling can apply Karn's rule.
+    flight_next / flight_event:
+        Owned by the transmitting :class:`~repro.net.link.Port` while the
+        packet is on the wire: the next packet on that port's in-flight
+        FIFO and the pending delivery event.  Both are ``None`` whenever
+        the packet is not propagating (cleared on delivery and on a
+        link-down kill).
     """
 
     __slots__ = (
@@ -96,6 +102,8 @@ class Packet:
         "sent_at",
         "sack",
         "rate_signal",
+        "flight_next",
+        "flight_event",
     )
 
     def __init__(
@@ -143,6 +151,10 @@ class Packet:
         # receiver echoes the value on ACKs and the sender paces to it.
         # None everywhere else — legacy schemes never touch the field.
         self.rate_signal: Optional[float] = None
+        # In-flight FIFO links (see repro.net.link.Port); a store-and-forward
+        # packet is on at most one port's FIFO at a time.
+        self.flight_next: Optional[Packet] = None
+        self.flight_event = None
 
     @property
     def is_data(self) -> bool:

@@ -401,10 +401,16 @@ class Scheduler:
         """Materialize a previously :meth:`reserve_seq`-ed event at its
         original ``(time, seq)`` position.  Used when the condition that
         justified eliding the event stops holding (e.g. a packet arrives
-        behind an in-progress transmission)."""
+        behind an in-progress transmission), and by jittered link
+        deliveries, which draw an absolute arrival time and take a fresh
+        sequence number themselves.  Subject to ``max_pending_events``
+        like every other insert path."""
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
-        self._count += 1
+        count = self._count + 1
+        if count > self._cap:
+            self._overpressure(fn, time)
+        self._count = count
         ev = self._spare
         if ev is not None:
             self._spare = None  # parked events are recyclable already
@@ -483,7 +489,8 @@ class Scheduler:
         drained).  Leaves ``_cur``/``_pos`` pointing at the returned
         event.  The caller must have flushed its local consumption
         cursor into ``_pos`` and its event-count delta into
-        ``_events_processed`` (the width adaptation reads it)."""
+        ``_events_processed`` (the width adaptation reads it).  The plain
+        run loop carries its own copy of this advance, inlined."""
         buckets = self._buckets
         buckets[self._cur].clear()
         count = self._count
@@ -599,38 +606,28 @@ class Scheduler:
         # exit — so hooks and re-entrant scheduling observe exact state
         # while the per-event cost stays a couple of local updates.
         base = self._events_processed
-        bucket = self._buckets[self._cur]
+        buckets = self._buckets
+        overflow = self._overflow
+        cur = self._cur
+        bucket = buckets[cur]
         pos = self._pos
+        # ``end`` is a cached lower bound on the bucket length: callbacks
+        # can only *grow* the bucket, and only at or after the cursor
+        # (insorts bisect from ``lo=_pos``), so entries up to a stale
+        # ``end`` are always valid to consume in order.  It is re-read
+        # only when the cursor reaches it, which turns the per-event
+        # bound check into a local integer compare.
+        end = len(bucket)
         # Horizon checks are hoisted to bucket granularity: a bucket whose
         # window-derived upper bound (with one spare bucket of slack for
         # float fuzz in the index map) lies at or before the horizon cannot
         # contain an event past it.
-        check_h = self._wstart + (self._cur + 2) * self._width > horizon
-        running = True
+        check_h = self._wstart + (cur + 2) * self._width > horizon
         try:
-            while running:
-                # ``end`` is a cached lower bound on the bucket length:
-                # callbacks can only *grow* the bucket, and only at or
-                # after the cursor (insorts bisect from ``lo=_pos``), so
-                # entries up to a stale ``end`` are always valid to
-                # consume in order.  The outer loop re-reads the real
-                # length, picking up any growth.  This turns the
-                # per-event bound check into a local integer compare.
-                end = len(bucket)
-                if pos >= end:
-                    self._pos = pos
-                    self._events_processed = base + processed
-                    ev = self._advance()
-                    if ev is None:
-                        break
-                    bucket = self._buckets[self._cur]
-                    pos = 0
-                    check_h = self._wstart + (self._cur + 2) * self._width > horizon
-                    continue
+            while True:
                 while pos < end:
                     ev = bucket[pos]
                     if check_h and ev.time > horizon:
-                        running = False
                         break
                     pos += 1
                     self._count -= 1
@@ -669,8 +666,44 @@ class Scheduler:
                                 self._events_processed = base + processed
                                 state[2](self)
                     if processed >= limit:
-                        running = False
                         break
+                else:
+                    # The cursor reached the cached end: pick up growth.
+                    end = len(bucket)
+                    if pos < end:
+                        continue
+                    # The bucket is exhausted.  Advance to the next
+                    # non-empty one here (the _advance logic inlined),
+                    # which also leaves the new bucket's length in hand.
+                    bucket.clear()
+                    if self._count == len(overflow):
+                        # Ring is empty: everything live sits in the
+                        # overflow band, or nothing is left at all.
+                        if not overflow:
+                            # Drained.  Rewind the cursor with the cleared
+                            # bucket, so an event inserted here after this
+                            # run is consumed by the next one.
+                            pos = 0
+                            break
+                        # _new_window reads the event count (width
+                        # adaptation).
+                        self._events_processed = base + processed
+                        self._new_window()
+                        cur = 0
+                    else:
+                        cur += 1
+                        while not buckets[cur]:
+                            cur += 1
+                        self._cur = cur
+                    bucket = buckets[cur]
+                    end = len(bucket)
+                    if end > 1:
+                        bucket.sort(key=_ORDER)
+                    pos = 0
+                    check_h = self._wstart + (cur + 2) * self._width > horizon
+                    continue
+                # Horizon passed or event budget spent.
+                break
         finally:
             self._pos = pos
             self._events_processed = base + processed
@@ -737,6 +770,9 @@ class Scheduler:
                     self._events_processed = base + processed
                     ev = self._advance()
                     if ev is None:
+                        # Drained: keep _advance's rewound cursor (the
+                        # finally below writes ``pos`` back).
+                        pos = 0
                         break
                     bucket = self._buckets[self._cur]
                     pos = 0

@@ -77,6 +77,13 @@ class HeapScheduler:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
+        self._check_pressure(fn, time)
+        ev = Event(time, self._seq, fn, args, self)
+        self._seq += 1
+        heapq.heappush(self._heap, ev)
+        return ev
+
+    def _check_pressure(self, fn: Callable[..., Any], time: float) -> None:
         if self.max_pending_events is not None and len(self._heap) >= self.max_pending_events:
             raise ResourceError(
                 f"event queue exceeded {self.max_pending_events} pending events at "
@@ -84,10 +91,6 @@ class HeapScheduler:
                 f"{getattr(fn, '__qualname__', fn)} for t={time:.9f}s — runaway scheduling "
                 f"loop aborted before the process runs out of memory"
             )
-        ev = Event(time, self._seq, fn, args, self)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
 
     def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Fire-and-forget schedule (see the calendar engine's docstring).
@@ -107,9 +110,11 @@ class HeapScheduler:
     def schedule_reserved(self, time: float, seq: int, fn: Callable[..., Any],
                           *args: Any) -> Event:
         """Materialize a :meth:`reserve_seq`-ed event at its original
-        ``(time, seq)`` position in the total order."""
+        ``(time, seq)`` position in the total order.  Guarded by
+        ``max_pending_events`` like :meth:`schedule_at`."""
         if time < self.now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
+        self._check_pressure(fn, time)
         ev = Event(time, seq, fn, args, self)
         ev.recyclable = True
         heapq.heappush(self._heap, ev)

@@ -9,8 +9,13 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.config import DibsConfig
 from repro.experiments.parallel import RunTelemetry, execute_runs, RunRequest
-from repro.experiments.runner import ExperimentResult, run_pooled, run_scenario
-from repro.experiments.scenarios import SCALED_DEFAULTS
+from repro.experiments.runner import (
+    ExperimentResult,
+    result_to_dict,
+    run_pooled,
+    run_scenario,
+)
+from repro.experiments.scenarios import SCALED_DEFAULTS, flap_storm
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -465,6 +470,31 @@ class TestScenarioIntegration:
         serial = run_pooled(FAULTY, seeds=(0, 1))
         parallel = run_pooled(FAULTY, seeds=(0, 1), workers=2)
         assert _comparable(serial) == _comparable(parallel)
+
+    def test_flap_storm_identical_across_transmit_paths(self, monkeypatch):
+        # An uncontrolled flap storm exercises jittered deliveries, link
+        # kills mid-flight and mid-run audits.  Neither the seed transmit
+        # path nor the heap engine may change a canonical metric or the
+        # logical event count.  (With the controller on, REPRO_ELIDE_TX=0
+        # diverges: see docs/INTERNALS.md, "Known identity gap".)
+        storm = flap_storm(duration_s=0.5, drain_s=0.5, invariant_check_interval_s=0.05)
+
+        def canonical(**env):
+            monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            payload = result_to_dict(run_scenario(storm), include_scenario=False)
+            for name in ("wall_seconds", "run_loop_seconds", "profile", "collector"):
+                payload.pop(name, None)
+            return payload
+
+        default = canonical()
+        assert default["faults_applied"].get(LINK_DOWN, 0) > 0
+        assert default["fault_packets_killed"] > 0
+        assert default["invariant_checks"] > 0
+        assert canonical(REPRO_ELIDE_TX="0") == default
+        assert canonical(REPRO_ENGINE="heap") == default
 
     def test_livelock_failures_are_not_retried(self):
         telemetry = RunTelemetry()

@@ -1,12 +1,18 @@
 """Unit tests for ports and links (serialization + propagation model)."""
 
+import random
+
 import pytest
 
+from repro.net.audit import assert_conserved, conservation_report
 from repro.net.link import Port, connect
+from repro.net.network import Network, SwitchQueueConfig
 from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
-from repro.sim.engine import Scheduler, SimulationError
+from repro.sim.engine import ResourceError, Scheduler, SimulationError
+from repro.sim.engine_heap import HeapScheduler
+from repro.topo import fat_tree
 
 
 class SinkNode(Node):
@@ -20,8 +26,8 @@ class SinkNode(Node):
         self.arrivals.append((self.scheduler.now, pkt, in_port))
 
 
-def make_pair(rate_bps=1e9, delay_s=10e-6, capacity=100):
-    sched = Scheduler()
+def make_pair(rate_bps=1e9, delay_s=10e-6, capacity=100, sched=None):
+    sched = Scheduler() if sched is None else sched
     a = SinkNode(0, "a", sched)
     b = SinkNode(1, "b", sched)
     pa = Port(a, DropTailQueue(capacity), rate_bps, delay_s)
@@ -426,3 +432,145 @@ class TestElisionEquivalence:
         sched.run(until=20e-6)  # serialization ended at 12 us
         assert not pa.busy
         assert sched.events_processed == 2  # delivery + elided tx-done
+
+
+def jittered_pair(jitter_s, **kwargs):
+    sched, a, b, pa, pb = make_pair(**kwargs)
+    if jitter_s:
+        pa.set_jitter(jitter_s, random.Random(7))
+    return sched, a, b, pa, pb
+
+
+def off_the_wire(p):
+    """A packet that is not propagating holds no FIFO link and no
+    delivery handle (a stale handle would pin a recycled event)."""
+    return p.flight_next is None and p.flight_event is None
+
+
+class TestInFlightFifo:
+    """The per-port in-flight FIFO threaded through the packets."""
+
+    @pytest.mark.parametrize("jitter_s", [0.0, 30e-6], ids=["fixed", "jittered"])
+    def test_in_flight_exact_through_flaps(self, jitter_s):
+        sched, a, b, pa, pb = jittered_pair(jitter_s, rate_bps=1e9, delay_s=100e-6)
+        killed = 0
+
+        def check():
+            assert pa.in_flight == pa.pkts_sent - len(b.arrivals) - killed
+
+        for _ in range(4):
+            pa.send(pkt())
+        sched.run(until=40e-6)  # three serialized, the fourth mid-tx
+        assert pa.in_flight == 4
+        check()
+        killed += pa.set_down()
+        assert killed == 4 and pa.in_flight == 0
+        check()
+        sched.run(until=300e-6)
+        pa.set_up()
+        for _ in range(3):
+            pa.send(pkt())
+        while sched.step():
+            check()
+        assert pa.in_flight == 0
+        assert len(b.arrivals) == 3
+        assert pa.drops_link_down == 4
+
+    @pytest.mark.parametrize("jitter_s", [0.0, 30e-6], ids=["fixed", "jittered"])
+    def test_slots_cleared_on_delivery_and_kill(self, jitter_s):
+        sched, a, b, pa, pb = jittered_pair(jitter_s, rate_bps=1e9, delay_s=100e-6)
+        sent = [pkt() for _ in range(5)]
+        for p in sent[:2]:
+            pa.send(p)
+        sched.run()
+        for p in sent[2:]:
+            pa.send(p)
+        sched.run(until=sched.now + 30e-6)
+        assert not any(off_the_wire(p) for p in sent[2:4])  # on the wire
+        assert pa.set_down() == 3
+        sched.run()
+        assert [p for _t, p, _i in b.arrivals] == sent[:2]
+        assert all(off_the_wire(p) for p in sent)
+
+    def test_jittered_deliveries_stay_fifo(self):
+        sched, a, b, pa, pb = jittered_pair(50e-6, rate_bps=1e10, delay_s=1e-6)
+        sent = [pkt() for _ in range(40)]
+        for p in sent:
+            pa.send(p)
+        sched.run()
+        assert [p for _t, p, _i in b.arrivals] == sent
+        times = [t for t, _p, _i in b.arrivals]
+        assert times == sorted(times)
+        assert all(off_the_wire(p) for p in sent)
+
+    def test_forward_from_own_delivery_unlinks_upstream_first(self):
+        # b forwards every arrival onto its second port from inside the
+        # delivery callback: the packet must already be off pa's FIFO
+        # (or linking it onto pb2's would splice the two FIFOs).
+        sched = Scheduler()
+        a = SinkNode(0, "a", sched)
+        c = SinkNode(2, "c", sched)
+        seen = []
+
+        class Relay(Node):
+            def receive(self, p, in_port):
+                seen.append((pa.in_flight, off_the_wire(p)))
+                out.send(p)
+
+        b = Relay(1, "b", sched)
+        pa = Port(a, DropTailQueue(100), 1e9, 100e-6)
+        pb = Port(b, DropTailQueue(100), 1e9, 100e-6)
+        connect(pa, pb)
+        out = Port(b, DropTailQueue(100), 1e9, 10e-6)
+        pc = Port(c, DropTailQueue(100), 1e9, 10e-6)
+        connect(out, pc)
+        sent = [pkt() for _ in range(3)]
+        for p in sent:
+            pa.send(p)
+        sched.run()
+        # All three are on pa's wire (12 us serializations, 100 us
+        # propagation) before the first arrives: 2, 1, 0 stay upstream.
+        assert seen == [(2, True), (1, True), (0, True)]
+        assert [p for _t, p, _i in c.arrivals] == sent
+        assert pa.in_flight == out.in_flight == 0
+        assert all(off_the_wire(p) for p in sent)
+
+    def test_kills_counted_once_and_ledger_conserved(self):
+        net = Network(
+            fat_tree(k=4),
+            switch_queues=SwitchQueueConfig(buffer_pkts=10, ecn_threshold_pkts=4),
+            seed=3,
+        )
+        for i in range(1, 9):
+            net.start_flow(f"host_{i}", "host_0", 20_000, transport="dibs", kind="query")
+        net.run(until=0.0003)
+        ports = [p for sw in net.switches for p in sw.ports if p.in_flight >= 2]
+        assert ports  # the kill below is not vacuous
+        port = ports[0]
+        before = net.counters().total_drops()
+        on_wire = port.in_flight
+        assert port.set_down() == on_wire
+        assert port.in_flight == 0
+        assert net.counters().total_drops() == before + on_wire
+        assert conservation_report(net).leaked == 0  # mid-run, right after
+        port.set_up()
+        net.run()
+        assert_conserved(net)
+
+
+class TestJitterPressure:
+    def test_jittered_flood_hits_pending_cap(self):
+        # Jittered deliveries are inserted with schedule_reserved, which
+        # must honour max_pending_events like every other insert path.
+        def flood(sched):
+            _s, _a, _b, pa, _pb = make_pair(rate_bps=1e9, delay_s=1.0, sched=sched)
+            pa.set_jitter(1e-6, random.Random(3))
+            for _ in range(50):
+                pa.send(pkt())
+            with pytest.raises(ResourceError) as info:
+                sched.run()
+            return str(info.value)
+
+        message = flood(Scheduler(max_pending_events=16))
+        assert "Port._deliver" in message
+        assert flood(HeapScheduler(max_pending_events=16)) == message

@@ -580,6 +580,45 @@ class TestReservedSequences:
         assert drive(Scheduler()) == drive(HeapScheduler())
 
 
+def _run_all(sched):
+    sched.run()
+
+
+def _run_profiled(sched):
+    from repro.obs.profiler import SchedulerProfiler
+
+    if sched.profiler is None:
+        SchedulerProfiler(sample_stride=2).install(sched)
+    sched.run()
+
+
+class TestRunAfterDrain:
+    """Regression: a ``run()`` that drained the calendar used to leave the
+    consumption cursor past the (cleared) current bucket, so the next
+    insert landing in that bucket was lost and the next ``run()`` raised
+    ``IndexError``."""
+
+    @staticmethod
+    def _drain_then_schedule(sched, drive, late_delay):
+        fired = []
+        for i in range(5):
+            sched.schedule(1e-9 * i, fired.append, i)
+        drive(sched)
+        sched.schedule(late_delay, fired.append, "late")
+        drive(sched)
+        return fired, sched.pending, sched.events_processed, sched.now
+
+    @pytest.mark.parametrize("drive", [_run_all, _run_profiled, _stepped],
+                             ids=["plain", "profiled", "step"])
+    @pytest.mark.parametrize("late_delay", [0.0, 1e-9, 5e-6, 2.0])
+    def test_event_after_drained_run_fires(self, drive, late_delay):
+        calendar = self._drain_then_schedule(Scheduler(), drive, late_delay)
+        heap = self._drain_then_schedule(HeapScheduler(), drive, late_delay)
+        assert calendar == heap
+        assert calendar[0] == [0, 1, 2, 3, 4, "late"]
+        assert calendar[1] == 0
+
+
 class TestOverpressure:
     def test_pending_cap_aborts_runaway_scheduling(self):
         sched = Scheduler(max_pending_events=10)
@@ -587,6 +626,16 @@ class TestOverpressure:
             sched.schedule(1.0, lambda: None)
         with pytest.raises(ResourceError):
             sched.schedule(1.0, lambda: None)
+
+    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
+    def test_reserved_insert_honours_cap(self, engine):
+        sched = engine(max_pending_events=3)
+        for _ in range(3):
+            sched.schedule(1.0, lambda: None)
+        seq = sched.reserve_seq()
+        with pytest.raises(ResourceError):
+            sched.schedule_reserved(1.0, seq, lambda: None)
+        assert sched.pending == 3
 
     def test_cap_is_live_tunable(self):
         sched = Scheduler(max_pending_events=5)
