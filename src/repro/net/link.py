@@ -201,7 +201,7 @@ class Port:
         Jittered deliveries keep their absolute arrival time: the transmit
         sites take a fresh sequence number and insert the event with
         :meth:`Scheduler.schedule_reserved`, which goes through the
-        scheduler's recycle slot like the fixed-delay ``schedule_once``.
+        scheduler's event free list like the fixed-delay ``schedule_once``.
         """
         if jitter_s < 0:
             raise ValueError("jitter cannot be negative")
@@ -485,11 +485,6 @@ class Port:
             self._flight_head = pkt
         self._flight_tail = pkt
         self._flight_count += 1
-
-    def _tx_done(self) -> None:
-        # Kept as a named alias (tests and older call sites reference it);
-        # hot paths schedule _tx_next directly.
-        self._tx_next()
 
     def _deliver(self, pkt: Packet) -> None:
         receive = self._peer_receive

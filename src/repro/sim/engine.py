@@ -3,7 +3,7 @@
 The engine is a calendar of timestamped events backed by a **calendar
 queue** (Brown 1988): a ring of time buckets plus an overflow band, sized
 so that in the simulator's steady state an insert is an O(1) append and a
-pop is an O(1) list index.  Everything else in the simulator (links,
+pop is an O(1) list step.  Everything else in the simulator (links,
 switches, transports, workload generators) schedules callbacks on a single
 :class:`Scheduler`.
 
@@ -16,7 +16,9 @@ Python call.  The calendar does no comparisons at all on the fast path.
 
 Design notes
 ------------
-* Time is a float, in **seconds** of simulated time.
+* Time is a float, in **seconds** of simulated time.  Every insert path
+  rejects a negative delay, a time in the past and a non-finite (``inf``
+  or NaN) time before it touches any state.
 * Events scheduled for the same timestamp fire in FIFO order of scheduling
   (a monotonically increasing sequence number breaks ties), which makes
   runs fully deterministic.  The total order is exactly ``(time, seq)`` —
@@ -32,32 +34,54 @@ Design notes
   so that the *disabled* state costs nothing beyond the pre-existing loop:
   the profiled run loop is a separate code path selected once per
   :meth:`run`, never a per-event branch.
-* Settled fire-and-forget events (scheduled via :meth:`schedule_once`)
-  are recycled through a one-event slot: the run loop parks the event it
-  just settled, and the next :meth:`schedule_once` reuses it.  Nearly
-  every link callback schedules its successor, so the slot catches most
-  of the per-event allocations at no per-event call cost.  Only events
+* Settled fire-and-forget events (scheduled via :meth:`schedule_once` or
+  :meth:`schedule_reserved`) are recycled through a LIFO free list
+  threaded through :attr:`Event.free_next`: the run loop parks each one
+  it settles, and the next such schedule pops it instead of allocating.
+  A link callback typically schedules two of these per event it settles,
+  so a single spare would miss half of them; the list catches them all
+  with a few attribute stores and no Python call.  A parked event drops
+  its ``args`` so it does not keep a delivered packet alive.  Only events
   whose handle never escapes the scheduler/port machinery are recycled,
   so a stale external handle can never cancel a recycled (reused) event.
 
 Calendar layout
 ---------------
-``_buckets`` is a fixed ring of ``_NBUCKETS`` lists covering the window
-``[_wstart, _wstart + _NBUCKETS * _width)``.  An event at time ``t`` lands
-in bucket ``int((t - _wstart) * _inv_width)``; float subtraction, multiply
-and truncation are all monotone non-decreasing in ``t``, so bucket indices
-can never invert the time order.  Inserts into an already-being-consumed
-bucket (index <= ``_cur``) go through ``bisect.insort`` keyed on
-``(time, seq)`` — the current bucket is kept sorted, and because every new
-event satisfies ``(t, s) > (now, now_seq)`` the insertion point is always
-at or after the consumption cursor.  Later buckets take a plain append and
-are sorted once, when the consumer reaches them.  Events beyond the window
-go to ``_overflow``, a heap of ``(time, seq, event)`` tuples (tuple
-comparison stays in C).  When the ring drains, the window is rebuilt at
-the overflow head and the bucket width re-derived from the observed mean
-inter-event gap of the window just consumed (clamped to a 4x change per
-rollover), so the calendar adapts to the workload's event density without
-any configuration.
+``_buckets`` is a ring of ``_NBUCKETS`` lists.  An event at time ``t``
+has the absolute bucket index ``idx = int((t - _wstart) * _inv_width)``
+and lives in ring slot ``idx & _MASK``; float subtraction, multiply and
+truncation are all monotone non-decreasing in ``t``, so bucket indices
+can never invert the time order.  ``_cur`` is the absolute index of the
+bucket being consumed, so the ring *slides*: it always covers the one
+revolution ``[_cur, _cur + _NBUCKETS)``, however far the cursor has
+moved, and the look-ahead never shrinks as the cursor advances.
+
+* An insert with ``_cur < idx < _cur + _NBUCKETS`` appends to its bucket,
+  which is sorted once, by ``(time, seq)``, when the cursor enters it.
+* An insert with ``idx <= _cur`` goes into the current bucket through
+  ``bisect.insort`` keyed on time, from the consumption cursor on: every
+  new event satisfies ``(t, s) > (now, now_seq)``, so its place is at or
+  after the cursor.
+* An insert a full revolution ahead or more goes to ``_overflow``, a heap
+  of ``(time, seq, event)`` tuples (tuple comparison stays in C).  When
+  the cursor enters a bucket, the overflow heads that are now within one
+  revolution move into the ring.  ``_slow_at`` is the first cursor value
+  at which that (or the width check below) has work to do, so entering a
+  bucket with nothing due costs one comparison.
+* The width adapts to the workload's event density without any
+  configuration.  Once per revolution, from the events dispatched since
+  the last estimate (at least ``_WIDTH_MIN_SAMPLE`` of them), the width
+  that would hold ``_WIDTH_EVENTS_PER_BUCKET`` events per bucket is
+  estimated, damped to a 4x change and clamped to global bounds.  The
+  window is rebuilt only when the estimate leaves a 2x band around the
+  current width: the ring is re-based at the earliest pending event and
+  every non-empty bucket is re-bucketed.  When the ring drains with
+  events left in the overflow band, the window jumps to the overflow
+  head, taking the new estimate as it goes.
+
+The width, the rebuilds and the migrations are pure functions of the
+event stream, and none of them can reorder events, so the dispatch order
+stays exactly ``(time, seq)`` whatever the geometry.
 """
 
 from __future__ import annotations
@@ -89,17 +113,19 @@ __all__ = [
 # process without leaving a diagnostic behind.
 DEFAULT_MAX_PENDING_EVENTS = 5_000_000
 
-# Calendar-queue geometry.  1024 buckets of adaptive width; anything past
-# the window parks in the overflow heap until a window rollover brings it
-# into the ring.  Power-of-two size is cosmetic (no masking is used — the
-# window does not wrap), what matters is that NBUCKETS * width comfortably
-# covers the few-RTT band where nearly all events land.
+# Calendar-queue geometry.  1024 buckets of adaptive width, indexed by
+# masking the absolute bucket index (hence the power of two); anything a
+# full revolution or more ahead of the cursor parks in the overflow heap
+# until the cursor comes within a revolution of it.  What matters is that
+# NBUCKETS * width comfortably covers the few-RTT band where nearly all
+# events land.
 _NBUCKETS = 1024
+_MASK = _NBUCKETS - 1
 _MIN_WIDTH = 1e-12
 _MAX_WIDTH = 1.0
 _INITIAL_WIDTH = 1e-6
-# Re-derive the width only from windows that consumed enough events for
-# the mean gap to be a signal, and aim for ~4 events per bucket.
+# Re-derive the width only from enough dispatched events for the mean gap
+# to be a signal, and aim for ~4 events per bucket.
 _WIDTH_MIN_SAMPLE = 64
 _WIDTH_EVENTS_PER_BUCKET = 4.0
 
@@ -147,6 +173,23 @@ class LivelockError(SimulationError):
     """
 
 
+def invalid_schedule(fn: Callable[..., Any], value: float, floor: float,
+                     what: str) -> SimulationError:
+    """The error for an insert whose ``what`` (``"delay"`` or ``"time"``)
+    is not in ``[floor, inf)``: negative, in the past, infinite or NaN.
+
+    Shared by both engines.  Their insert paths test the value with one
+    chained comparison and call this only to build the message, before
+    any scheduler state has changed."""
+    name = getattr(fn, "__qualname__", fn)
+    if value < floor:
+        problem = (f"negative delay: {value}" if what == "delay"
+                   else f"cannot schedule into the past: {value} < {floor}")
+    else:
+        problem = f"non-finite {what}: {value}"
+    return SimulationError(f"{problem} (scheduling {name})")
+
+
 class Event:
     """A scheduled callback.
 
@@ -161,12 +204,13 @@ class Event:
     ``recyclable`` marks events created by :meth:`Scheduler.schedule_once`
     or :meth:`Scheduler.schedule_reserved` (fire-and-forget paths whose
     handle never escapes): once settled — after its callback returns, or
-    when consumed cancelled — the run loop parks the event in the
-    scheduler's one-event recycle slot, and the next of those two calls
-    reuses it instead of allocating a fresh object.
+    when consumed cancelled — the run loop parks the event on the
+    scheduler's free list (linked through ``free_next``), and the next of
+    those two calls reuses it instead of allocating a fresh object.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sched", "recyclable")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sched", "recyclable",
+                 "free_next")
 
     def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
                  sched: Optional["Scheduler"] = None):
@@ -211,7 +255,8 @@ class Scheduler:
                  "_running", "watchdog", "watchdog_interval_events",
                  "_cap", "profiler", "_hooks", "_cancelled_pending",
                  "_buckets", "_cur", "_pos", "_wstart", "_width", "_inv_width",
-                 "_overflow", "_count", "_spare", "_win_base")
+                 "_overflow", "_ocount", "_odue", "_slow_at", "_count", "_free",
+                 "_rev_next", "_rev_base", "_rev_t")
 
     def __init__(self, max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS) -> None:
         self.now: float = 0.0
@@ -250,21 +295,34 @@ class Scheduler:
         # ``None`` selects the plain run loop; the disabled state costs
         # nothing per event.
         self.profiler: Optional["SchedulerProfiler"] = None
-        # --- calendar-queue state (see module docstring) ---
+        # Recyclable events parked after they settled, newest first,
+        # linked through Event.free_next (see schedule_once).
+        self._free: Optional[Event] = None
+        self._reset_calendar()
+
+    def _reset_calendar(self) -> None:
+        """Empty calendar state (see the module docstring's layout)."""
         self._buckets: list[list[Event]] = [[] for _ in range(_NBUCKETS)]
-        self._cur: int = 0          # bucket currently being consumed
+        self._cur: int = 0          # absolute index of the bucket being consumed
         self._pos: int = 0          # consumption cursor within that bucket
-        self._wstart: float = 0.0   # absolute time of bucket 0's left edge
+        self._wstart: float = 0.0   # absolute time of bucket index 0's left edge
         self._width: float = _INITIAL_WIDTH
         self._inv_width: float = 1.0 / _INITIAL_WIDTH
         self._overflow: list[tuple[float, int, Event]] = []
+        self._ocount: int = 0       # entries in _overflow (no len() per bucket)
+        # First cursor value at which the overflow head is within one
+        # revolution (``_NO_LIMIT`` while the heap is empty).
+        self._odue: int = _NO_LIMIT
+        # Cursor value of the next width check, and the event count and
+        # clock at the last estimate.
+        self._rev_next: int = _NBUCKETS
+        self._rev_base: int = self._events_processed
+        self._rev_t: float = self.now
+        # min(_odue, _rev_next): entering a bucket below it is the fast path.
+        self._slow_at: int = _NBUCKETS
         # Live entries anywhere in the calendar (ring past the cursor plus
         # overflow), including cancelled-but-not-consumed ones.
         self._count: int = 0
-        # Recycle slot: the most recently settled recyclable event, taken
-        # by the next schedule_once/schedule_reserved (see Event).
-        self._spare: Optional[Event] = None
-        self._win_base: int = 0           # _events_processed at window start
 
     # ------------------------------------------------------------------
     # scheduling
@@ -275,8 +333,8 @@ class Scheduler:
         # method) rather than shared through a helper: this is the
         # hottest entry point in the simulator and each intermediate
         # Python call costs a measurable fraction of the event budget.
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise invalid_schedule(fn, delay, 0.0, "delay")
         time = self.now + delay
         count = self._count + 1
         if count > self._cap:
@@ -286,24 +344,23 @@ class Scheduler:
         self._seq = seq + 1
         ev = Event(time, seq, fn, args, self)
         idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix: entries before the
-                # consumption cursor are settled and may be recycled
-                # Event objects whose (time, seq) now belong to a later
-                # incarnation — their keys must never be compared.
-                insort(self._buckets[cur], ev, key=_TIME, lo=self._pos)
+        cur = self._cur
+        if 0 < idx - cur < _NBUCKETS:
+            self._buckets[idx & _MASK].append(ev)
+        elif idx <= cur:
+            # Bisect only the live suffix: entries before the
+            # consumption cursor are settled and may be recycled Event
+            # objects whose (time, seq) now belong to a later
+            # incarnation — their keys must never be compared.
+            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
-            heappush(self._overflow, (time, seq, ev))
+            self._park_far(idx, time, seq, ev)
         return ev
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
+        if not self.now <= time < _INF:
+            raise invalid_schedule(fn, time, self.now, "time")
         count = self._count + 1
         if count > self._cap:
             self._overpressure(fn, time)
@@ -312,33 +369,29 @@ class Scheduler:
         self._seq = seq + 1
         ev = Event(time, seq, fn, args, self)
         idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix: entries before the
-                # consumption cursor are settled and may be recycled
-                # Event objects whose (time, seq) now belong to a later
-                # incarnation — their keys must never be compared.
-                insort(self._buckets[cur], ev, key=_TIME, lo=self._pos)
+        cur = self._cur
+        if 0 < idx - cur < _NBUCKETS:
+            self._buckets[idx & _MASK].append(ev)
+        elif idx <= cur:
+            # Bisect only the live suffix (see schedule).
+            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
-            heappush(self._overflow, (time, seq, ev))
+            self._park_far(idx, time, seq, ev)
         return ev
 
     def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Like :meth:`schedule`, but the returned handle must not outlive
         the port/scheduler machinery that created it: once the event
         settles (its callback returns, or it is consumed cancelled) the
-        run loop parks it in the recycle slot, and the next
-        ``schedule_once`` or :meth:`schedule_reserved` reuses the object
-        (allocating only when the slot is empty).  Callers that keep the
-        handle only until they cancel it (and drop it at settle time)
-        qualify; anything that might cancel *after* the event fired must
-        use :meth:`schedule` instead, or a recycled (reused) event could
-        be killed through the stale handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        run loop parks it on the free list, and a later ``schedule_once``
+        or :meth:`schedule_reserved` reuses the object (allocating only
+        when the list is empty).  Callers that keep the handle only until
+        they cancel it (and drop it at settle time) qualify; anything that
+        might cancel *after* the event fired must use :meth:`schedule`
+        instead, or a recycled (reused) event could be killed through the
+        stale handle."""
+        if not 0.0 <= delay < _INF:
+            raise invalid_schedule(fn, delay, 0.0, "delay")
         time = self.now + delay
         count = self._count + 1
         if count > self._cap:
@@ -346,11 +399,11 @@ class Scheduler:
         self._count = count
         seq = self._seq
         self._seq = seq + 1
-        ev = self._spare
+        ev = self._free
         if ev is not None:
-            # The slot only ever holds a recyclable event (the run loops
+            # The list only ever holds recyclable events (the run loops
             # park nothing else), so ``recyclable`` is already True.
-            self._spare = None
+            self._free = ev.free_next
             ev.time = time
             ev.seq = seq
             ev.fn = fn
@@ -360,19 +413,26 @@ class Scheduler:
             ev = Event(time, seq, fn, args, self)
             ev.recyclable = True
         idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix: entries before the
-                # consumption cursor are settled and may be recycled
-                # Event objects whose (time, seq) now belong to a later
-                # incarnation — their keys must never be compared.
-                insort(self._buckets[cur], ev, key=_TIME, lo=self._pos)
+        cur = self._cur
+        if 0 < idx - cur < _NBUCKETS:
+            self._buckets[idx & _MASK].append(ev)
+        elif idx <= cur:
+            # Bisect only the live suffix (see schedule).
+            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
-            heappush(self._overflow, (time, seq, ev))
+            self._park_far(idx, time, seq, ev)
         return ev
+
+    def _park_far(self, idx: int, time: float, seq: int, ev: Event) -> None:
+        """Insert an event a full revolution or more ahead of the cursor
+        into the overflow heap (the rare path, kept out of line)."""
+        heappush(self._overflow, (time, seq, ev))
+        self._ocount += 1
+        due = idx - _NBUCKETS + 1
+        if due < self._odue:
+            self._odue = due
+            if due < self._slow_at:
+                self._slow_at = due
 
     def _overpressure(self, fn: Callable[..., Any], time: float) -> None:
         raise ResourceError(
@@ -403,17 +463,18 @@ class Scheduler:
         justified eliding the event stops holding (e.g. a packet arrives
         behind an in-progress transmission), and by jittered link
         deliveries, which draw an absolute arrival time and take a fresh
-        sequence number themselves.  Subject to ``max_pending_events``
-        like every other insert path."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
+        sequence number themselves.  Recycled like :meth:`schedule_once`,
+        and subject to ``max_pending_events`` like every other insert
+        path."""
+        if not self.now <= time < _INF:
+            raise invalid_schedule(fn, time, self.now, "time")
         count = self._count + 1
         if count > self._cap:
             self._overpressure(fn, time)
         self._count = count
-        ev = self._spare
+        ev = self._free
         if ev is not None:
-            self._spare = None  # parked events are recyclable already
+            self._free = ev.free_next  # parked events are recyclable already
             ev.time = time
             ev.seq = seq
             ev.fn = fn
@@ -423,15 +484,14 @@ class Scheduler:
             ev = Event(time, seq, fn, args, self)
             ev.recyclable = True
         idx = int((time - self._wstart) * self._inv_width)
-        if idx < _NBUCKETS:
-            cur = self._cur
-            if idx > cur:
-                self._buckets[idx].append(ev)
-            else:
-                # Bisect only the live suffix (see schedule).
-                insort(self._buckets[cur], ev, key=_ORDER, lo=self._pos)
+        cur = self._cur
+        if 0 < idx - cur < _NBUCKETS:
+            self._buckets[idx & _MASK].append(ev)
+        elif idx <= cur:
+            # Bisect only the live suffix (see schedule).
+            insort(self._buckets[cur & _MASK], ev, key=_ORDER, lo=self._pos)
         else:
-            heappush(self._overflow, (time, seq, ev))
+            self._park_far(idx, time, seq, ev)
         return ev
 
     @staticmethod
@@ -489,72 +549,145 @@ class Scheduler:
         drained).  Leaves ``_cur``/``_pos`` pointing at the returned
         event.  The caller must have flushed its local consumption
         cursor into ``_pos`` and its event-count delta into
-        ``_events_processed`` (the width adaptation reads it).  The plain
+        ``_events_processed`` (the width check reads it).  The plain
         run loop carries its own copy of this advance, inlined."""
         buckets = self._buckets
-        buckets[self._cur].clear()
-        count = self._count
-        overflow = self._overflow
-        if count == len(overflow):
+        cur = self._cur
+        buckets[cur & _MASK].clear()
+        if self._count == self._ocount:
             # Ring is empty: everything live sits in the overflow band.
-            if not overflow:
+            if not self._ocount:
                 self._pos = 0
                 return None
-            self._new_window()
+            cur = self._jump()
         else:
-            cur = self._cur + 1
-            while not buckets[cur]:
+            stop = cur + _NBUCKETS
+            cur += 1
+            while not buckets[cur & _MASK]:
                 cur += 1
+                if cur >= stop:
+                    self._scan_overrun()
+            if cur >= self._slow_at:
+                cur = self._enter_slow(cur)
             self._cur = cur
-        bucket = buckets[self._cur]
-        if len(bucket) > 1:
-            bucket.sort(key=_ORDER)
+        bucket = buckets[cur & _MASK]
+        bucket.sort(key=_ORDER)
         self._pos = 0
         return bucket[0]
 
-    def _new_window(self) -> None:
-        """Rebuild the bucket window at the overflow head and refill the
-        ring from the overflow band.
+    def _scan_overrun(self) -> None:
+        raise SimulationError(
+            f"calendar bucket scan passed a full revolution from bucket {self._cur} "
+            f"without finding the {self._count - self._ocount} entries the ring "
+            f"should hold — the calendar's entry count is out of step"
+        )
 
-        The new width targets ``_WIDTH_EVENTS_PER_BUCKET`` events per
-        bucket based on the mean inter-event gap observed over the window
-        just consumed; the change is damped to a factor of four per
-        rollover and clamped to global bounds, so one odd window cannot
-        destroy the calendar's geometry.  Everything here is a pure
-        function of the event stream, so runs stay deterministic.
-        """
-        consumed = self._events_processed - self._win_base
-        if consumed >= _WIDTH_MIN_SAMPLE:
-            span = self.now - self._wstart
-            if span > 0.0:
-                width = self._width
-                est = (span / consumed) * _WIDTH_EVENTS_PER_BUCKET
-                hi = width * 4.0
-                lo = width * 0.25
-                if est > hi:
-                    est = hi
-                elif est < lo:
-                    est = lo
-                if est < _MIN_WIDTH:
-                    est = _MIN_WIDTH
-                elif est > _MAX_WIDTH:
-                    est = _MAX_WIDTH
-                self._width = est
-                self._inv_width = 1.0 / est
-        self._win_base = self._events_processed
-        overflow = self._overflow
-        wstart = self._wstart = overflow[0][0]
-        self._cur = 0
+    def _enter_slow(self, cur: int) -> int:
+        """Slow path of entering bucket ``cur`` (``cur >= _slow_at``): run
+        the per-revolution width check, then move the overflow heads that
+        are now within one revolution into the ring and re-arm ``_odue``
+        for the next head.  Returns the cursor, which a rebuild re-bases."""
+        if cur >= self._rev_next:
+            self._rev_next = cur + _NBUCKETS
+            width = self._estimate_width()
+            if width is not None and not self._width * 0.5 <= width <= self._width * 2.0:
+                cur = self._rebuild(cur, width)
+        if cur >= self._odue:
+            overflow = self._overflow
+            buckets = self._buckets
+            wstart = self._wstart
+            inv_width = self._inv_width
+            limit = cur + _NBUCKETS
+            moved = 0
+            due = _NO_LIMIT
+            while overflow:
+                idx = int((overflow[0][0] - wstart) * inv_width)
+                if idx >= limit:
+                    due = idx - _NBUCKETS + 1
+                    break
+                buckets[idx & _MASK].append(heappop(overflow)[2])
+                moved += 1
+            self._ocount -= moved
+            self._odue = due
+        self._slow_at = self._odue if self._odue < self._rev_next else self._rev_next
+        return cur
+
+    def _estimate_width(self) -> Optional[float]:
+        """Width for ``_WIDTH_EVENTS_PER_BUCKET`` events per bucket, from
+        the mean gap between the events dispatched since the last
+        estimate, damped to a 4x change and clamped to global bounds.
+
+        ``None`` while fewer than ``_WIDTH_MIN_SAMPLE`` events have been
+        dispatched since then: the sample keeps accumulating across
+        revolutions.  Otherwise the sample restarts here.  A pure function
+        of the event stream, so runs stay deterministic."""
+        processed = self._events_processed
+        consumed = processed - self._rev_base
+        if consumed < _WIDTH_MIN_SAMPLE:
+            return None
+        span = self.now - self._rev_t
+        self._rev_base = processed
+        self._rev_t = self.now
+        width = self._width
+        if span <= 0.0:
+            return width
+        est = (span / consumed) * _WIDTH_EVENTS_PER_BUCKET
+        hi = width * 4.0
+        lo = width * 0.25
+        if est > hi:
+            est = hi
+        elif est < lo:
+            est = lo
+        if est < _MIN_WIDTH:
+            est = _MIN_WIDTH
+        elif est > _MAX_WIDTH:
+            est = _MAX_WIDTH
+        return est
+
+    def _rebuild(self, cur: int, width: float) -> int:
+        """Re-base the ring at the earliest pending event (the head of
+        bucket ``cur``, which the cursor is entering) with a new bucket
+        ``width``, and re-bucket every non-empty bucket; entries now a
+        revolution or more ahead go to the overflow heap.  Returns the
+        new cursor, 0."""
         buckets = self._buckets
-        inv_width = self._inv_width
-        pop = heappop
-        # heappop yields ascending (time, seq), so each bucket receives
-        # its refill already sorted — the later bucket.sort() is O(n).
-        while overflow:
-            idx = int((overflow[0][0] - wstart) * inv_width)
-            if idx >= _NBUCKETS:
-                break
-            buckets[idx].append(pop(overflow)[2])
+        wstart = min(buckets[cur & _MASK], key=_TIME).time
+        entries = []
+        for bucket in buckets:
+            if bucket:
+                entries += bucket
+                bucket.clear()
+        self._width = width
+        self._inv_width = inv_width = 1.0 / width
+        self._wstart = wstart
+        self._cur = 0
+        self._rev_next = _NBUCKETS
+        overflow = self._overflow
+        for ev in entries:
+            time = ev.time
+            idx = int((time - wstart) * inv_width)
+            if idx < _NBUCKETS:
+                buckets[idx].append(ev)
+            else:
+                heappush(overflow, (time, ev.seq, ev))
+                self._ocount += 1
+        self._odue = 0  # re-armed by the migration _enter_slow runs next
+        return 0
+
+    def _jump(self) -> int:
+        """The ring drained with events left in the overflow band: move
+        the window to the overflow head (taking a fresh width estimate if
+        one is ready) and refill the ring from the band.  Returns the new
+        cursor, 0."""
+        width = self._estimate_width()
+        if width is not None:
+            self._width = width
+            self._inv_width = 1.0 / width
+        self._wstart = self._overflow[0][0]
+        self._cur = 0
+        self._rev_next = _NBUCKETS
+        self._odue = 0  # the head is due at once
+        return self._enter_slow(0)
 
     # ------------------------------------------------------------------
     # execution
@@ -607,26 +740,26 @@ class Scheduler:
         # while the per-event cost stays a couple of local updates.
         base = self._events_processed
         buckets = self._buckets
-        overflow = self._overflow
         cur = self._cur
-        bucket = buckets[cur]
+        bucket = buckets[cur & _MASK]
         pos = self._pos
-        # ``end`` is a cached lower bound on the bucket length: callbacks
-        # can only *grow* the bucket, and only at or after the cursor
-        # (insorts bisect from ``lo=_pos``), so entries up to a stale
-        # ``end`` are always valid to consume in order.  It is re-read
-        # only when the cursor reaches it, which turns the per-event
-        # bound check into a local integer compare.
-        end = len(bucket)
+        if pos:
+            # Resuming mid-bucket (after an ``until``/``max_events`` stop,
+            # step() or a profiled run): drop the consumed prefix once, so
+            # the bucket walk below starts at the cursor.
+            del bucket[:pos]
+            pos = self._pos = 0
         # Horizon checks are hoisted to bucket granularity: a bucket whose
-        # window-derived upper bound (with one spare bucket of slack for
-        # float fuzz in the index map) lies at or before the horizon cannot
-        # contain an event past it.
+        # upper bound (with one spare bucket of slack for float fuzz in the
+        # index map) lies at or before the horizon cannot contain an event
+        # past it.
         check_h = self._wstart + (cur + 2) * self._width > horizon
         try:
             while True:
-                while pos < end:
-                    ev = bucket[pos]
+                # A list iterator re-reads the length on every step, so it
+                # picks up entries the callbacks add: they land at or after
+                # the cursor (insort from ``_pos``, appends at the end).
+                for ev in bucket:
                     if check_h and ev.time > horizon:
                         break
                     pos += 1
@@ -634,7 +767,9 @@ class Scheduler:
                     if ev.cancelled:
                         self._cancelled_pending -= 1
                         if ev.recyclable:
-                            self._spare = ev
+                            ev.args = ()
+                            ev.free_next = self._free
+                            self._free = ev
                         continue
                     # Settle the event (see Event.cancel) before dispatch
                     # so a callback cancelling its own handle is a no-op.
@@ -651,7 +786,9 @@ class Scheduler:
                         # Parked only now that the callback has returned:
                         # a callback may still hold (and cancel) its own
                         # handle, which must stay settled until then.
-                        self._spare = ev
+                        ev.args = ()
+                        ev.free_next = self._free
+                        self._free = ev
                     if hfn is not None:
                         hcd -= 1
                         if hcd <= 0:
@@ -668,37 +805,34 @@ class Scheduler:
                     if processed >= limit:
                         break
                 else:
-                    # The cursor reached the cached end: pick up growth.
-                    end = len(bucket)
-                    if pos < end:
-                        continue
                     # The bucket is exhausted.  Advance to the next
-                    # non-empty one here (the _advance logic inlined),
-                    # which also leaves the new bucket's length in hand.
+                    # non-empty one here (the _advance logic inlined).
                     bucket.clear()
-                    if self._count == len(overflow):
+                    if self._count == self._ocount:
                         # Ring is empty: everything live sits in the
                         # overflow band, or nothing is left at all.
-                        if not overflow:
+                        if not self._ocount:
                             # Drained.  Rewind the cursor with the cleared
                             # bucket, so an event inserted here after this
                             # run is consumed by the next one.
                             pos = 0
                             break
-                        # _new_window reads the event count (width
-                        # adaptation).
+                        # The width estimate reads the event count.
                         self._events_processed = base + processed
-                        self._new_window()
-                        cur = 0
+                        cur = self._jump()
                     else:
+                        stop = cur + _NBUCKETS
                         cur += 1
-                        while not buckets[cur]:
+                        while not buckets[cur & _MASK]:
                             cur += 1
+                            if cur >= stop:
+                                self._scan_overrun()
+                        if cur >= self._slow_at:
+                            self._events_processed = base + processed
+                            cur = self._enter_slow(cur)
                         self._cur = cur
-                    bucket = buckets[cur]
-                    end = len(bucket)
-                    if end > 1:
-                        bucket.sort(key=_ORDER)
+                    bucket = buckets[cur & _MASK]
+                    bucket.sort(key=_ORDER)
                     pos = 0
                     check_h = self._wstart + (cur + 2) * self._width > horizon
                     continue
@@ -740,11 +874,11 @@ class Scheduler:
         (:meth:`SchedulerProfiler._slot_for`) only runs once per distinct
         callback.
 
-        The profiled loop skips the recycle slot: the leftover flush needs
-        the last executed event intact, and profiling is opt-in so the
-        allocation cost is acceptable.  Recycling affects only object
-        identity, never behaviour, so profiled and plain runs stay
-        bit-identical.
+        The profiled loop parks nothing on the free list: the leftover
+        flush needs the last executed event intact, and profiling is
+        opt-in so the allocation cost is acceptable.  Recycling affects
+        only object identity, never behaviour, so profiled and plain runs
+        stay bit-identical.
         """
         from time import perf_counter
 
@@ -756,7 +890,7 @@ class Scheduler:
         processed = 0
         hooks = self._hook_states()
         base = self._events_processed
-        bucket = self._buckets[self._cur]
+        bucket = self._buckets[self._cur & _MASK]
         pos = self._pos
         done_ev = None  # last *executed* event, for the leftover flush
         window = countdown = stride
@@ -774,7 +908,7 @@ class Scheduler:
                         # finally below writes ``pos`` back).
                         pos = 0
                         break
-                    bucket = self._buckets[self._cur]
+                    bucket = self._buckets[self._cur & _MASK]
                     pos = 0
                 if until is not None and ev.time > until:
                     break
@@ -835,7 +969,7 @@ class Scheduler:
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when idle."""
         while True:
-            bucket = self._buckets[self._cur]
+            bucket = self._buckets[self._cur & _MASK]
             pos = self._pos
             if pos < len(bucket):
                 ev = bucket[pos]
@@ -843,14 +977,13 @@ class Scheduler:
                 ev = self._advance()
                 if ev is None:
                     return False
-                bucket = self._buckets[self._cur]
                 pos = 0
             self._pos = pos + 1
             self._count -= 1
             if ev.cancelled:
                 self._cancelled_pending -= 1
                 if ev.recyclable:
-                    self._spare = ev
+                    self._park(ev)
                 continue
             ev.cancelled = True
             self.now = ev.time
@@ -858,13 +991,13 @@ class Scheduler:
             ev.fn(*ev.args)
             self._events_processed += 1
             if ev.recyclable:
-                self._spare = ev
+                self._park(ev)
             return True
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
         while True:
-            bucket = self._buckets[self._cur]
+            bucket = self._buckets[self._cur & _MASK]
             pos = self._pos
             if pos < len(bucket):
                 ev = bucket[pos]
@@ -880,7 +1013,14 @@ class Scheduler:
             self._count -= 1
             self._cancelled_pending -= 1
             if ev.recyclable:
-                self._spare = ev
+                self._park(ev)
+
+    def _park(self, ev: Event) -> None:
+        """Push a settled recyclable event on the free list (the plain run
+        loop inlines this)."""
+        ev.args = ()
+        ev.free_next = self._free
+        self._free = ev
 
     @property
     def max_pending_events(self) -> Optional[int]:
@@ -922,24 +1062,16 @@ class Scheduler:
         for bucket in self._buckets:
             for ev in bucket:
                 ev.cancelled = True
-            bucket.clear()
         for _t, _s, ev in self._overflow:
             ev.cancelled = True
-        self._overflow.clear()
-        self._spare = None
+        self._free = None
         self.now = 0.0
         self._seq = 0
         self._now_seq = -1
         self._events_processed = 0
         self._events_elided = 0
         self._cancelled_pending = 0
-        self._count = 0
-        self._cur = 0
-        self._pos = 0
-        self._wstart = 0.0
-        self._width = _INITIAL_WIDTH
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        self._win_base = 0
+        self._reset_calendar()
 
 
 def make_scheduler(max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS,

@@ -12,9 +12,10 @@ bug.
 
 The class mirrors the full scheduler API — including the elision
 primitives (:meth:`reserve_seq` / :meth:`schedule_reserved` /
-``schedule_once``) and the logical ``events_processed`` accounting — so
-the port layer's event elision behaves identically here.  The event
-recycle slot is deliberately *not* replicated: this engine optimises for
+``schedule_once``), the logical ``events_processed`` accounting and the
+rejection of negative, past and non-finite times — so the port layer's
+event elision behaves identically here.  The event free list is
+deliberately *not* replicated: this engine optimises for
 obvious correctness, not speed.
 """
 
@@ -24,10 +25,12 @@ import heapq
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.engine import (
+    _INF,
     DEFAULT_MAX_PENDING_EVENTS,
     Event,
     ResourceError,
     SimulationError,
+    invalid_schedule,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,14 +72,14 @@ class HeapScheduler:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise invalid_schedule(fn, delay, 0.0, "delay")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
+        if not self.now <= time < _INF:
+            raise invalid_schedule(fn, time, self.now, "time")
         self._check_pressure(fn, time)
         ev = Event(time, self._seq, fn, args, self)
         self._seq += 1
@@ -112,8 +115,8 @@ class HeapScheduler:
         """Materialize a :meth:`reserve_seq`-ed event at its original
         ``(time, seq)`` position in the total order.  Guarded by
         ``max_pending_events`` like :meth:`schedule_at`."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule into the past: {time} < {self.now}")
+        if not self.now <= time < _INF:
+            raise invalid_schedule(fn, time, self.now, "time")
         self._check_pressure(fn, time)
         ev = Event(time, seq, fn, args, self)
         ev.recyclable = True

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import (
     _INITIAL_WIDTH,
@@ -306,6 +308,110 @@ class TestCalendarGeometry:
         assert fired == ["after"]
         assert sched.pending == 0
 
+    def test_stream_within_one_revolution_never_overflows(self):
+        # Sixteen self-rearming chains whose delays stay under half the
+        # initial revolution.  The sliding ring covers one full revolution
+        # ahead of the cursor wherever the cursor stands, so no re-arm may
+        # ever take the overflow heap.
+        sched = Scheduler()
+        rng = random.Random(3)
+        revolution = _NBUCKETS * _INITIAL_WIDTH
+        fired = []
+        overflowed = []
+
+        def chain(name, left):
+            fired.append((sched.now, name))
+            if left:
+                sched.schedule(rng.uniform(0.0, 0.5 * revolution), chain, name, left - 1)
+                overflowed.append(len(sched._overflow))
+
+        for name in range(16):
+            sched.schedule(rng.uniform(0.0, 0.5 * revolution), chain, name, 200)
+        assert not sched._overflow
+        sched.run()
+        assert len(fired) == 16 * 201
+        assert [t for t, _ in fired] == sorted(t for t, _ in fired)
+        assert len(overflowed) == 16 * 200 and not any(overflowed)
+
+    def test_event_a_revolution_ahead_overflows_and_fires_in_order(self):
+        sched = Scheduler()
+        revolution = _NBUCKETS * _INITIAL_WIDTH
+        order = []
+
+        def mid():
+            order.append("mid")
+            # From a cursor half-way round the ring: just under one
+            # revolution ahead stays in the ring, well past it overflows.
+            parked = sched._ocount
+            sched.schedule(0.9 * revolution, order.append, "near")
+            assert sched._ocount == parked
+            sched.schedule(1.5 * revolution, order.append, "far")
+            assert sched._ocount == len(sched._overflow) == parked + 1
+            assert any(ev.args == ("far",) for _, _, ev in sched._overflow)
+
+        t_mid = 0.5 * revolution
+        sched.schedule_at(t_mid, mid)
+        background = [(i * 0.1 * revolution + 0.01 * revolution, i) for i in range(1, 30)]
+        for t, i in background:
+            sched.schedule_at(t, order.append, i)
+        sched.run()
+        expected = sorted(background + [(t_mid, "mid"), (t_mid + 0.9 * revolution, "near"),
+                                        (t_mid + 1.5 * revolution, "far")],
+                          key=lambda item: item[0])
+        assert order == [label for _, label in expected]
+        assert sched._ocount == 0 and sched.pending == 0
+
+    def test_revolution_rebuild_keeps_order_and_fifo_ties(self, monkeypatch):
+        # A dense burst followed by a sparse tail: the per-revolution width
+        # check must rebuild the window mid-run (widths outside the 2x
+        # band), and the dispatch order, FIFO ties included, must stay the
+        # heap engine's, also for events callbacks add during the run.
+        rebuilds = []
+        original = Scheduler._rebuild
+
+        def counting(self, cur, width):
+            rebuilds.append(width)
+            return original(self, cur, width)
+
+        monkeypatch.setattr(Scheduler, "_rebuild", counting)
+        rng = random.Random(11)
+        times = [rng.choice([i * 1e-7 for i in range(200)]) for _ in range(600)]
+        times += [rng.choice([i * 2e-5 for i in range(1, 400)]) for _ in range(600)]
+
+        def drive(sched):
+            order = []
+
+            def fire(label):
+                order.append((sched.now, label))
+                if label % 7 == 0:
+                    # A same-time child (it ties with residents scheduled
+                    # before it) and one a few buckets on.
+                    sched.schedule(0.0, fire, -label - 1)
+                    sched.schedule(3e-6, fire, -label - 2)
+
+            for label, t in enumerate(times):
+                sched.schedule_at(t, fire, label)
+            sched.run()
+            return order
+
+        calendar = drive(Scheduler())
+        assert len(rebuilds) >= 2
+        assert calendar == drive(HeapScheduler())
+        assert len(calendar) == 1200 + 2 * sum(1 for label in range(1200) if label % 7 == 0)
+        # FIFO among ties: the initial events at each shared time fire in
+        # the order they were scheduled (ascending label).
+        roots = [(t, label) for t, label in calendar if label >= 0]
+        assert roots == sorted(roots)
+
+    def test_scan_bound_raises_instead_of_spinning(self):
+        # A calendar whose entry count is out of step (the ring claims an
+        # entry it does not hold) must fail loudly, not scan forever.
+        sched = Scheduler()
+        sched.schedule(1e-6, lambda: None)
+        sched._count += 1
+        with pytest.raises(SimulationError, match="full revolution"):
+            sched.run()
+
 
 class TestHeapParity:
     """The calendar engine and the reference heap engine must execute any
@@ -397,19 +503,29 @@ def _stepped(sched):
         pass
 
 
+def _parked(sched):
+    """The free list, newest first."""
+    out = []
+    ev = sched._free
+    while ev is not None:
+        out.append(ev)
+        ev = ev.free_next
+    return out
+
+
 class TestRecycleSlot:
-    """Settled schedule_once/schedule_reserved events are parked in a
-    one-event slot and reused by the next such schedule."""
+    """Settled schedule_once/schedule_reserved events are parked on the
+    scheduler's LIFO free list and reused by later such schedules."""
 
     def test_fired_once_event_is_reused_by_next_schedule_once(self):
         sched = Scheduler()
         fired = sched.schedule_once(1e-6, lambda: None)
         sched.run()
-        assert sched._spare is fired
+        assert _parked(sched) == [fired]
         ev = sched.schedule_once(1e-6, lambda: None)
         assert ev is fired  # reused, not freshly allocated
-        assert sched._spare is None
-        # The slot is empty now, so the next schedule allocates.
+        assert _parked(sched) == []
+        # The list is empty now, so the next schedule allocates.
         assert sched.schedule_once(1e-6, lambda: None) is not fired
 
     def test_reserved_schedule_takes_the_slot(self):
@@ -424,27 +540,27 @@ class TestRecycleSlot:
         seen = []
 
         def callback():
-            # Still in flight: the slot must not offer this very event.
-            seen.append(sched._spare)
+            # Still in flight: the list must not offer this very event.
+            seen.append(_parked(sched))
 
         first = sched.schedule_once(1e-6, lambda: None)
         second = sched.schedule_once(2e-6, callback)
         sched.run()
-        assert seen == [first]
-        assert sched._spare is second
+        assert seen == [[first]]
+        assert _parked(sched) == [second, first]
 
     def test_cancelled_event_recycled_only_after_consumption(self):
         sched = Scheduler()
         fired = []
         ev = sched.schedule_once(2e-6, fired.append, "x")
         ev.cancel()
-        assert sched._spare is None  # cancelling alone parks nothing
+        assert _parked(sched) == []  # cancelling alone parks nothing
         sched.schedule(1e-6, fired.append, "y")
         sched.run(until=1.5e-6)
-        assert sched._spare is None  # still sitting in the calendar
+        assert _parked(sched) == []  # still sitting in the calendar
         sched.run()
         assert fired == ["y"]
-        assert sched._spare is ev  # parked once the loop consumed it
+        assert _parked(sched) == [ev]  # parked once the loop consumed it
 
     def test_schedule_handles_are_never_recycled(self):
         # schedule() handles may outlive the run (callers can cancel
@@ -453,7 +569,7 @@ class TestRecycleSlot:
         ev = sched.schedule(1e-6, lambda: None)
         at = sched.schedule_at(2e-6, lambda: None)
         sched.run()
-        assert sched._spare is None
+        assert _parked(sched) == []
         assert sched.schedule_once(1e-6, lambda: None) not in (ev, at)
         ev.cancel()  # late cancel through the stale handle: harmless no-op
         assert sched.pending == 1
@@ -470,10 +586,33 @@ class TestRecycleSlot:
     def test_reset_empties_the_slot(self):
         sched = Scheduler()
         sched.schedule_once(1e-6, lambda: None)
+        sched.schedule_once(2e-6, lambda: None)
         sched.run()
-        assert sched._spare is not None
+        assert len(_parked(sched)) == 2
         sched.reset()
-        assert sched._spare is None
+        assert _parked(sched) == []
+
+    @pytest.mark.parametrize("drive", [_plain, _stepped], ids=["plain", "step"])
+    def test_parked_events_are_reused_lifo(self, drive):
+        sched = Scheduler()
+        events = [sched.schedule_once(i * 1e-6, lambda: None) for i in range(3)]
+        drive(sched)
+        assert _parked(sched) == events[::-1]  # the last settled is on top
+        reused = [sched.schedule_once(1e-6, lambda: None) for _ in range(3)]
+        assert reused == events[::-1]
+        assert _parked(sched) == []
+
+    def test_parked_event_holds_no_args(self):
+        # A parked event must not keep its payload (a delivered packet)
+        # alive until it is reused.
+        sched = Scheduler()
+        payload = object()
+        fired = sched.schedule_once(1e-6, lambda p: None, payload)
+        cancelled = sched.schedule_once(2e-6, lambda p: None, payload)
+        cancelled.cancel()
+        sched.run()
+        assert _parked(sched) == [cancelled, fired]
+        assert fired.args == () and cancelled.args == ()
 
     @pytest.mark.parametrize("drive", [_plain, _profiled(4), _profiled(1), _stepped],
                              ids=["plain", "profiled-sampled", "profiled-exact", "step"])
@@ -644,3 +783,164 @@ class TestOverpressure:
         for _ in range(50):
             sched.schedule(1.0, lambda: None)
         assert sched.pending == 50
+
+
+class TestInvalidTimes:
+    """Regression: ``schedule(float("inf"), f)`` used to move ``_count``
+    and ``_seq`` before failing with a raw ``OverflowError``, leaving a
+    phantom pending entry that made the next ``run()`` die in the bucket
+    scan; NaN did the same with ``ValueError``, and the heap engine
+    accepted both (a NaN entry breaks heap order).  Every insert path of
+    both engines now rejects them before touching any state."""
+
+    @staticmethod
+    def _insert(sched, path, value, fn):
+        if path == "schedule":
+            return sched.schedule(value, fn)
+        if path == "schedule_once":
+            return sched.schedule_once(value, fn)
+        if path == "schedule_at":
+            return sched.schedule_at(value, fn)
+        return sched.schedule_reserved(value, sched.reserve_seq(), fn)
+
+    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
+    @pytest.mark.parametrize("path", ["schedule", "schedule_once", "schedule_at",
+                                      "schedule_reserved"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf")],
+                             ids=["inf", "nan", "-inf"])
+    def test_rejected_before_any_state_changes(self, engine, path, value):
+        sched = engine()
+        fired = []
+        sched.schedule(1e-6, fired.append, "before")
+        pending = sched.pending
+
+        def victim():
+            fired.append("victim")
+
+        with pytest.raises(SimulationError, match="victim"):
+            self._insert(sched, path, value, victim)
+        assert sched.pending == pending
+        sched.schedule(2e-6, fired.append, "after")
+        assert sched.run() == 2
+        assert fired == ["before", "after"]
+        assert sched.pending == 0
+
+    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
+    def test_messages_name_the_problem(self, engine):
+        sched = engine()
+        sched.run(until=1.0)
+        with pytest.raises(SimulationError, match="negative delay"):
+            sched.schedule(-1e-9, print)
+        with pytest.raises(SimulationError, match="into the past"):
+            sched.schedule_at(0.5, print)
+        with pytest.raises(SimulationError, match="non-finite time"):
+            sched.schedule_at(float("nan"), print)
+        with pytest.raises(SimulationError, match="non-finite delay"):
+            sched.schedule(float("inf"), print)
+
+
+_REVOLUTION = _NBUCKETS * _INITIAL_WIDTH
+# Delays from "same bucket" through several revolutions, plus the exact
+# bucket and revolution edges.
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 1e-9, 1e-7, _INITIAL_WIDTH, 3e-6, 0.5 * _REVOLUTION,
+                     _REVOLUTION, 1.5 * _REVOLUTION, 4 * _REVOLUTION, 0.05]),
+    st.floats(min_value=0.0, max_value=5 * _REVOLUTION),
+)
+_KINDS = st.sampled_from(["schedule", "schedule_at", "schedule_once", "reserved"])
+_PROGRAM = st.lists(st.tuples(_KINDS, _DELAYS), max_size=3)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _KINDS, _DELAYS, _PROGRAM, st.integers(0, 4)),
+    st.tuples(st.just("cancel"), st.integers(0, 1000)),
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("run_max"), st.integers(1, 30)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("peek")),
+), max_size=60)
+
+
+class _Driver:
+    """Applies one operation sequence to one engine and records what it
+    observes.  Callbacks re-run their ``program`` (kind, delay) pairs as
+    children, ``depth`` levels deep, within a shared spawn budget.  Only
+    unfired ``schedule_once``/reserved handles are ever cancelled (the
+    recycling contract); plain handles may be cancelled at any time."""
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.trace = []
+        self.results = []
+        self.plain = {}   # label -> schedule/schedule_at handle
+        self.live = {}    # label -> unfired recyclable handle
+        self.label = 0
+        self.budget = 400
+
+    def fire(self, label, program, depth):
+        self.live.pop(label, None)
+        self.trace.append((self.sched.now, label))
+        if depth:
+            for kind, delay in program:
+                if self.budget <= 0:
+                    return
+                self.budget -= 1
+                self.insert(kind, delay, program, depth - 1)
+
+    def insert(self, kind, delay, program, depth):
+        sched = self.sched
+        label = self.label = self.label + 1
+        if kind == "schedule":
+            self.plain[label] = sched.schedule(delay, self.fire, label, program, depth)
+        elif kind == "schedule_at":
+            self.plain[label] = sched.schedule_at(sched.now + delay, self.fire, label,
+                                                  program, depth)
+        elif kind == "schedule_once":
+            self.live[label] = sched.schedule_once(delay, self.fire, label, program, depth)
+        else:
+            # Reserve, let a same-time event take a later sequence number,
+            # then materialize the reservation ahead of it.
+            seq = sched.reserve_seq()
+            self.insert("schedule", delay, [], 0)
+            self.live[label] = sched.schedule_reserved(sched.now + delay, seq, self.fire,
+                                                       label, program, depth)
+
+    def apply(self, op):
+        sched = self.sched
+        name = op[0]
+        if name == "insert":
+            self.insert(*op[1:])
+        elif name == "cancel":
+            labels = sorted(self.plain.keys() | self.live.keys())
+            if labels:
+                label = labels[op[1] % len(labels)]
+                handle = self.live.pop(label, None) or self.plain[label]
+                handle.cancel()
+        elif name == "run_until":
+            self.results.append(sched.run(until=sched.now + op[1]))
+        elif name == "run_max":
+            self.results.append(sched.run(max_events=op[1]))
+        elif name == "step":
+            self.results.append(sched.step())
+        else:
+            self.results.append(sched.peek_time())
+
+    def state(self):
+        sched = self.sched
+        return (self.trace, self.results, sched.now, sched.pending, sched.events_processed)
+
+
+class TestDifferentialAgainstHeap:
+    """Calendar ≡ heap on random operation sequences: after every
+    operation both engines have dispatched the same callbacks in the same
+    order and agree on ``now``, ``pending`` and ``events_processed``."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(_OPS)
+    def test_every_operation_matches_heap_engine(self, ops):
+        calendar = _Driver(Scheduler())
+        heap = _Driver(HeapScheduler())
+        for op in ops + [("run_until", 10.0)]:
+            calendar.apply(op)
+            heap.apply(op)
+            assert calendar.state() == heap.state(), op
+        assert calendar.sched.pending == 0
