@@ -51,7 +51,7 @@ from typing import Optional
 
 from repro.net.node import Node
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, EcnQueue
+from repro.net.queues import DropTailQueue, DynamicBufferQueue, EcnQueue
 from repro.sim.engine import Scheduler, SimulationError
 
 __all__ = ["Port", "connect"]
@@ -106,6 +106,7 @@ class Port:
         "_txdone_seq",
         "_tx_end",
         "_fast_q",
+        "_pool",
         "jitter_s",
         "_jitter_rng",
         "_last_arrival",
@@ -169,12 +170,17 @@ class Port:
         self._jitter_rng = None
         self._last_arrival = 0.0
         # Queues whose enqueue-then-immediate-dequeue round trip is a
-        # provable no-op on an empty queue (no drop below capacity, no
-        # ECN mark at occupancy 1 <= threshold, no shared-pool state):
-        # sends to an idle port skip the queue entirely (see send()).
-        # DynamicBufferQueue is excluded — its admission depends on the
-        # switch-wide pool, so even an empty queue may reject.
-        self._fast_q = type(queue) in (DropTailQueue, EcnQueue)
+        # provable no-op on an empty queue (no ECN mark at occupancy
+        # 1 <= threshold, and a DBA pool's take-then-release nets to
+        # zero): sends to an idle port skip the queue entirely (see
+        # send()).  A DynamicBufferQueue's admission depends on the
+        # switch-wide pool, so even an empty one may reject: ``_pool``
+        # holds that pool (None for every other queue) and the idle send
+        # tests it first.  Exact types only — subclasses (BShare's sojourn
+        # EWMA, FairQ's rate stamps) need every packet to pass through.
+        qtype = type(queue)
+        self._fast_q = qtype in (DropTailQueue, EcnQueue, DynamicBufferQueue)
+        self._pool = queue.pool if qtype is DynamicBufferQueue else None
 
     # ------------------------------------------------------------------
     def attach_peer(self, peer: "Port") -> None:
@@ -305,19 +311,28 @@ class Port:
                 if sched.profiler is not None:
                     sched.profiler.record(self._tx_next, 0.0)
         queue = self.queue
-        if (self.elide_tx and not self._busy and not self.paused and self._fast_q
-                and not queue._q and self.on_queue_change is None):
+        size = pkt.size
+        fast = (self.elide_tx and not self._busy and not self.paused and self._fast_q
+                and not queue._q and self.on_queue_change is None)
+        if fast and (pool := self._pool) is not None:
+            # DBA port: the idle send may bypass the queue only if the pool
+            # admits the packet at occupancy 0 (== pool.admits(0, size, 0));
+            # a refused packet takes the queue path, which drops and counts
+            # it.
+            free = pool.total_bytes - pool.used_bytes
+            fast = free >= size and (pool.reserved_pkts_per_port > 0 or size <= pool.alpha * free)
+        if fast:
             # Fast path (the common case under light-to-moderate load):
-            # idle transmitter, empty droptail/ECN queue, no occupancy
+            # idle transmitter, empty droptail/ECN/DBA queue, no occupancy
             # observer.  The enqueue-then-dequeue round trip would be a
-            # no-op — below capacity nothing drops, and at occupancy 1
-            # nothing marks (the ECN threshold is >= 1 by construction)
-            # — so the packet goes straight to the transmitter.
-            # ``enqueues`` is still counted: observably the packet
-            # passed through the queue.
+            # no-op — the packet is admitted (below capacity, or by the
+            # pool test above, whose take-then-release nets to zero), and
+            # at occupancy 1 nothing marks (the ECN threshold is >= 1 by
+            # construction) — so the packet goes straight to the
+            # transmitter.  ``enqueues`` is still counted: observably the
+            # packet passed through the queue.
             queue.enqueues += 1
             self._busy = True
-            size = pkt.size
             tx = size * self._s_per_byte
             self.bytes_sent += size
             self.pkts_sent += 1
@@ -421,12 +436,14 @@ class Port:
             self._busy = False
             return
         queue = self.queue
-        if self._fast_q and self.elide_tx:
+        if self._fast_q and self._pool is None and self.elide_tx:
             # Inlined DropTailQueue.dequeue (hot: once per transmitted
-            # packet).  Part of the elide_tx hot-path bundle so that
-            # REPRO_ELIDE_TX=0 keeps the seed's dequeue call; the
-            # DynamicBufferQueue always keeps the method call — its
-            # dequeue also releases shared-pool bytes.
+            # packet) for droptail and ECN ports.  Part of the elide_tx
+            # hot-path bundle so that REPRO_ELIDE_TX=0 keeps the seed's
+            # dequeue call.  A DBA port (``_pool`` set) keeps the method
+            # call even though it shares send()'s idle bypass: its dequeue
+            # releases the packet's pool bytes and raises on a negative
+            # pool balance.
             q = queue._q
             if not q:
                 self._busy = False

@@ -290,6 +290,8 @@ class DynamicBufferQueue:
     __slots__ = ("pool", "_q", "byte_count", "drops", "enqueues", "marks", "mark_threshold_pkts")
 
     def __init__(self, pool: SharedBufferPool, mark_threshold_pkts: Optional[int] = None) -> None:
+        if mark_threshold_pkts is not None and mark_threshold_pkts < 1:
+            raise ValueError("ECN mark threshold must be positive")
         self.pool = pool
         self._q: deque[Packet] = deque()
         self.byte_count = 0
@@ -380,7 +382,10 @@ class BShareQueue(DynamicBufferQueue):
     The pool accounting contract is exactly the parent's: every admitted
     packet takes its bytes from the pool once (``enqueue``), and releases
     them exactly once — at ``dequeue`` or, for packets discarded wholesale,
-    at ``clear()``.  The timestamp deque shadows ``_q`` 1:1.
+    at ``clear()``.  The timestamp deque shadows ``_q`` 1:1.  Unlike its
+    parent, this queue stays off the port's idle-send bypass
+    (``Port._fast_q`` matches exact types only): every ``dequeue`` feeds
+    the sojourn EWMA, so an enqueue-then-dequeue round trip is not a no-op.
     """
 
     __slots__ = ("scheduler", "target_delay_s", "delay_gain", "delay_ewma_s", "_tq")
@@ -475,8 +480,9 @@ class FairQQueue(EcnQueue):
     it.  ECN marking is inherited unchanged as the safety net.
 
     Subclassing :class:`EcnQueue` deliberately keeps this queue off the
-    port's elided-tx fast path (``Port._fast_q`` matches exact types only),
-    so every packet passes through ``enqueue`` and gets stamped.
+    port's idle-send bypass (``Port._fast_q`` matches the exact types
+    ``DropTailQueue``, ``EcnQueue`` and ``DynamicBufferQueue`` only), so
+    every packet passes through ``enqueue`` and gets stamped.
     """
 
     __slots__ = (

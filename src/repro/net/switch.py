@@ -25,7 +25,7 @@ from repro.core.config import DibsConfig
 from repro.core.detour import DetourPolicy
 from repro.net.link import Port
 from repro.net.node import Node
-from repro.net.packet import Packet
+from repro.net.packet import MTU_BYTES, Packet
 from repro.sim.engine import LivelockError, Scheduler, SimulationError
 from repro.sim.rng import stable_hash
 
@@ -269,7 +269,19 @@ class Switch(Node):
         if self._plain_detour:
             # Inlined default trigger (== desired.queue.is_full()).
             q = desired.queue
-            if desired._fast_q:
+            pool = desired._pool
+            if pool is not None:
+                # DBA port: the DT admission rule for a full MTU
+                # (SharedBufferPool.admits), so the hop tests it once here
+                # instead of through is_full -> admits.  The byte limit is
+                # tested before the reserved allotment: the queue length
+                # is needed only for a queue already over its limit.
+                free = pool.total_bytes - pool.used_bytes
+                full = free < MTU_BYTES or (
+                    q.byte_count + MTU_BYTES > pool.alpha * free
+                    and len(q._q) >= pool.reserved_pkts_per_port
+                )
+            elif desired._fast_q:
                 qq = q._q
                 full = qq and len(qq) >= q.capacity_pkts
             else:
@@ -306,7 +318,8 @@ class Switch(Node):
             if not allow_ingress and port.index == in_port:
                 continue
             q = port.queue
-            if port._fast_q:
+            if port._fast_q and port._pool is None:
+                # Droptail/ECN: inlined is_full (DBA ports take the call).
                 qq = q._q
                 if qq and len(qq) >= q.capacity_pkts:
                     continue

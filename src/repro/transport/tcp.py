@@ -37,6 +37,7 @@ class TcpSender:
         "host",
         "scheduler",
         "config",
+        "_ecn_capable",
         "flow",
         "size",
         "snd_una",
@@ -67,6 +68,9 @@ class TcpSender:
         self.host = host
         self.scheduler: Scheduler = host.scheduler
         self.config = config
+        # TcpConfig is frozen and never reassigned: read its derived
+        # property once, not once per segment.
+        self._ecn_capable = config.ecn_capable
         self.flow = flow
         self.size = flow.size
 
@@ -127,7 +131,7 @@ class TcpSender:
             seq=seq,
             payload=payload,
             ttl=cfg.ttl,
-            ecn_capable=cfg.ecn_capable,
+            ecn_capable=self._ecn_capable,
             priority=self._priority_tag(),
         )
         pkt.sent_at = self.scheduler.now
@@ -395,6 +399,7 @@ class TcpReceiver:
         "host",
         "scheduler",
         "config",
+        "_ecn_capable",
         "flow",
         "rcv_next",
         "_ooo",
@@ -414,6 +419,7 @@ class TcpReceiver:
         self.host = host
         self.scheduler: Scheduler = host.scheduler
         self.config = config
+        self._ecn_capable = config.ecn_capable  # frozen config: read once
         self.flow = flow
         self.rcv_next = 0
         self._ooo: dict[int, int] = {}  # seq -> end of out-of-order segments
@@ -429,11 +435,13 @@ class TcpReceiver:
         self.flow.packets_received += 1
         if pkt.ecn_ce:
             self.flow.marked_acks += 1
-        in_order = pkt.seq <= self.rcv_next
-        if pkt.end_seq > self.rcv_next:
-            existing_end = self._ooo.get(pkt.seq)
-            if existing_end is None or pkt.end_seq > existing_end:
-                self._ooo[pkt.seq] = pkt.end_seq
+        seq = pkt.seq
+        end = seq + pkt.payload  # == pkt.end_seq, without the property call
+        in_order = seq <= self.rcv_next
+        if end > self.rcv_next:
+            existing_end = self._ooo.get(seq)
+            if existing_end is None or end > existing_end:
+                self._ooo[seq] = end
             while self.rcv_next in self._ooo:
                 self.rcv_next = self._ooo.pop(self.rcv_next)
             self.flow.bytes_received = self.rcv_next
@@ -491,7 +499,7 @@ class TcpReceiver:
             ttl=self.config.ttl,
             priority=self.ack_priority,
         )
-        ack.ece = echo_ce and self.config.ecn_capable
+        ack.ece = echo_ce and self._ecn_capable
         if self.config.sack and self._ooo:
             ack.sack = self._sack_blocks()
         self._annotate_ack(ack)

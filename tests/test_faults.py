@@ -426,6 +426,19 @@ def _comparable(result):
     return {name: getattr(result, name) for name in _COMPARE_FIELDS}
 
 
+def _canonical(monkeypatch, scenario, **env):
+    """The run's metrics payload minus wall-clock and live-object fields,
+    under exactly the transmit-path/engine variables in ``env``."""
+    monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    payload = result_to_dict(run_scenario(scenario), include_scenario=False)
+    for name in ("wall_seconds", "run_loop_seconds", "profile", "collector"):
+        payload.pop(name, None)
+    return payload
+
+
 class TestScenarioIntegration:
     def test_run_scenario_applies_and_reports_faults(self):
         result = run_scenario(FAULTY)
@@ -478,23 +491,27 @@ class TestScenarioIntegration:
         # logical event count.  (With the controller on, REPRO_ELIDE_TX=0
         # diverges: see docs/INTERNALS.md, "Known identity gap".)
         storm = flap_storm(duration_s=0.5, drain_s=0.5, invariant_check_interval_s=0.05)
-
-        def canonical(**env):
-            monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
-            monkeypatch.delenv("REPRO_ENGINE", raising=False)
-            for name, value in env.items():
-                monkeypatch.setenv(name, value)
-            payload = result_to_dict(run_scenario(storm), include_scenario=False)
-            for name in ("wall_seconds", "run_loop_seconds", "profile", "collector"):
-                payload.pop(name, None)
-            return payload
-
-        default = canonical()
+        default = _canonical(monkeypatch, storm)
         assert default["faults_applied"].get(LINK_DOWN, 0) > 0
         assert default["fault_packets_killed"] > 0
         assert default["invariant_checks"] > 0
-        assert canonical(REPRO_ELIDE_TX="0") == default
-        assert canonical(REPRO_ENGINE="heap") == default
+        assert _canonical(monkeypatch, storm, REPRO_ELIDE_TX="0") == default
+        assert _canonical(monkeypatch, storm, REPRO_ENGINE="heap") == default
+
+    @pytest.mark.parametrize("scheme", ["dibs-dba", "bshare"])
+    def test_shared_pool_identical_across_transmit_paths(self, monkeypatch, scheme):
+        # Shared-buffer ports under link faults and corruption: DBA ports
+        # take the idle-send bypass and the switch's inline admission test
+        # (BShare ports take neither).  The seed transmit path and the
+        # heap engine must agree with them on every canonical metric and
+        # on the logical event count.
+        scenario = FAULTY.with_overrides(scheme=scheme)
+        default = _canonical(monkeypatch, scenario)
+        assert default["faults_applied"].get(LINK_DOWN, 0) > 0
+        assert default["invariant_checks"] > 0
+        assert default["events"] > 0
+        assert _canonical(monkeypatch, scenario, REPRO_ELIDE_TX="0") == default
+        assert _canonical(monkeypatch, scenario, REPRO_ENGINE="heap") == default
 
     def test_livelock_failures_are_not_retried(self):
         telemetry = RunTelemetry()

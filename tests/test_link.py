@@ -3,13 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import DibsConfig
 from repro.net.audit import assert_conserved, conservation_report
+from repro.net.host import Host
 from repro.net.link import Port, connect
 from repro.net.network import Network, SwitchQueueConfig
 from repro.net.node import Node
-from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue
+from repro.net.packet import MTU_BYTES, Packet
+from repro.net.queues import DropTailQueue, DynamicBufferQueue, EcnQueue, SharedBufferPool
+from repro.net.switch import Switch
 from repro.sim.engine import ResourceError, Scheduler, SimulationError
 from repro.sim.engine_heap import HeapScheduler
 from repro.topo import fat_tree
@@ -26,18 +31,25 @@ class SinkNode(Node):
         self.arrivals.append((self.scheduler.now, pkt, in_port))
 
 
-def make_pair(rate_bps=1e9, delay_s=10e-6, capacity=100, sched=None):
+def make_pair(rate_bps=1e9, delay_s=10e-6, capacity=100, sched=None, queues=None):
+    """Two sink nodes joined by one link; ``queues`` is an optional
+    ``(queue_a, queue_b)`` pair (default: droptail of ``capacity``)."""
     sched = Scheduler() if sched is None else sched
     a = SinkNode(0, "a", sched)
     b = SinkNode(1, "b", sched)
-    pa = Port(a, DropTailQueue(capacity), rate_bps, delay_s)
-    pb = Port(b, DropTailQueue(capacity), rate_bps, delay_s)
+    qa, qb = queues if queues is not None else (DropTailQueue(capacity), DropTailQueue(capacity))
+    pa = Port(a, qa, rate_bps, delay_s)
+    pb = Port(b, qb, rate_bps, delay_s)
     connect(pa, pb)
     return sched, a, b, pa, pb
 
 
 def pkt(size=1500, flow=1):
     return Packet(flow_id=flow, src=0, dst=1, payload=size - 40)
+
+
+def ecn_pkt(size=1500, flow=1):
+    return Packet(flow_id=flow, src=0, dst=1, payload=size - 40, ecn_capable=True)
 
 
 class TestDelivery:
@@ -393,36 +405,85 @@ class TestFlapStateMachine:
         assert not pa.busy
 
 
+def _dba_pair(total_pkts=100.0, **pool_kwargs):
+    """Both directions of a link on one shared pool (one switch's DBA
+    buffer), marking ECN at occupancy > 1."""
+    def make():
+        pool = SharedBufferPool(int(total_pkts * MTU_BYTES), **pool_kwargs)
+        return DynamicBufferQueue(pool, 1), DynamicBufferQueue(pool, 1)
+    return make
+
+
+# Port queue kinds the idle-send bypass covers.  The DBA variants: the
+# default pool; no reserved allotment (admission by the alpha rule alone);
+# an alpha that refuses an empty queue once anything else holds pool bytes;
+# and a pool the reverse direction nearly fills, so idle sends drop.
+ELISION_QUEUES = {
+    "droptail": lambda: (DropTailQueue(100), DropTailQueue(100)),
+    "ecn": lambda: (EcnQueue(100, 1), EcnQueue(100, 1)),
+    "dba": _dba_pair(),
+    "dba-unreserved": _dba_pair(reserved_pkts_per_port=0),
+    "dba-alpha-refuses": _dba_pair(total_pkts=10, alpha=0.1, reserved_pkts_per_port=0),
+    "dba-nearly-full": _dba_pair(total_pkts=2.5),
+}
+
+
 class TestElisionEquivalence:
     """The tx-done-elision hot path (elide_tx) must be observationally
     identical to the seed's two-event transmit path — same delivery
-    times, same counters, same logical event count — including across
-    pauses and fault flaps."""
+    times, ECN marks, counters and pool balance, same logical event
+    count — including across pauses and fault flaps, for every queue
+    kind whose idle sends bypass the queue."""
 
     @staticmethod
-    def _run_traffic(elide):
-        sched, a, b, pa, pb = make_pair(rate_bps=1e9, delay_s=10e-6)
+    def _run_traffic(elide, queues):
+        sched, a, b, pa, pb = make_pair(rate_bps=1e9, delay_s=10e-6, queues=queues)
         pa.elide_tx = elide
         pb.elide_tx = elide
+        # The reverse direction parks a backlog (pool bytes, on a shared
+        # pool) until 40 us, then drains it.
+        pb.pause()
+        for i in range(2):
+            pb.send(ecn_pkt())
+        sched.schedule_at(40e-6, pb.resume)
         for i in range(3):
-            pa.send(pkt())
+            pa.send(ecn_pkt())
         sched.schedule_at(5e-6, pa.pause, 20e-6)   # PFC pause mid-burst
-        sched.schedule_at(60e-6, pa.send, pkt())
+        sched.schedule_at(30e-6, pa.send, ecn_pkt(size=200))
+        sched.schedule_at(60e-6, pa.send, ecn_pkt())
         sched.schedule_at(70e-6, pa.set_down)      # flap
         sched.schedule_at(80e-6, pa.set_up)
-        sched.schedule_at(90e-6, pa.send, pkt())
+        sched.schedule_at(90e-6, pa.send, ecn_pkt())
+        sched.schedule_at(91e-6, pa.send, ecn_pkt())
         sched.run()
         # Settle any leftover elided tx-done, as Network.run's post-run
         # sweep does for real topologies.
         assert not pa.busy and not pb.busy
-        arrivals = [(t, p.size) for t, p, _i in b.arrivals]
-        counters = (pa.pkts_sent, pa.bytes_sent, pa.bytes_killed,
-                    pa.drops_link_down, round(pa.busy_seconds, 12),
-                    pa.queue.enqueues)
-        return arrivals, counters, sched.events_processed, sched.now
+        arrivals = [
+            [(t, p.size, p.ecn_ce) for t, p, _i in node.arrivals] for node in (a, b)
+        ]
+        counters = [
+            (port.pkts_sent, port.bytes_sent, port.bytes_killed, port.drops_link_down,
+             round(port.busy_seconds, 12), port.queue.enqueues, port.queue.drops,
+             getattr(port.queue, "marks", 0))
+            for port in (pa, pb)
+        ]
+        pool = getattr(pa.queue, "pool", None)
+        used = None if pool is None else pool.used_bytes
+        return arrivals, counters, used, sched.events_processed, sched.now
 
-    def test_elide_on_matches_elide_off(self):
-        assert self._run_traffic(True) == self._run_traffic(False)
+    @pytest.mark.parametrize("kind", list(ELISION_QUEUES))
+    def test_elide_on_matches_elide_off(self, kind):
+        make = ELISION_QUEUES[kind]
+        on = self._run_traffic(True, make())
+        assert on == self._run_traffic(False, make())
+        arrivals, counters, used, _events, _now = on
+        assert used in (None, 0)  # every admitted byte went back to the pool
+        if kind in ("dba-alpha-refuses", "dba-nearly-full"):
+            # The case under test happened: idle sends were refused.
+            assert counters[0][6] > 0
+        if kind in ("ecn", "dba"):
+            assert any(ce for _t, _size, ce in arrivals[1])
 
     def test_busy_property_settles_elided_tx_done(self):
         # External readers polling `busy` between events must observe the
@@ -432,6 +493,104 @@ class TestElisionEquivalence:
         sched.run(until=20e-6)  # serialization ended at 12 us
         assert not pa.busy
         assert sched.events_processed == 2  # delivery + elided tx-done
+
+
+# A random shared-pool state: pool size, DT alpha, reserved allotment
+# (0 included), the packets each port holds, and bytes held by ports
+# outside the test.
+pool_states = st.fixed_dictionaries({
+    "total": st.integers(1, 24).map(lambda n: n * 500),
+    "alpha": st.sampled_from([0.0625, 0.1, 0.25, 0.5, 1.0, 2.0, 8.0]),
+    "reserved": st.integers(0, 3),
+    "held": st.lists(st.lists(st.sampled_from([64, 500, 1500]), max_size=4),
+                     min_size=3, max_size=3),
+    "others": st.integers(0, 12_000),
+})
+
+
+def _fill(pool, ports, state):
+    """Park each port's packets in its queue (ports paused), then charge
+    the bytes other ports hold, capped at the pool size."""
+    for port, sizes in zip(ports, state["held"]):
+        port.pause()
+        for size in sizes:
+            port.send(Packet(flow_id=9, src=0, dst=1, payload=size - 40))
+    pool.used_bytes += min(state["others"], pool.total_bytes - pool.used_bytes)
+
+
+class TestSharedPoolHotPath:
+    """DBA ports take the idle-send bypass and the switch's inline detour
+    trigger; both must decide exactly as the queue's own admission rule
+    (SharedBufferPool.admits) over any pool state."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(state=pool_states, size=st.sampled_from([40, 64, 500, 1499, 1500]),
+           elide=st.booleans())
+    def test_idle_send_admits_iff_pool_admits_at_zero(self, state, size, elide):
+        pool = SharedBufferPool(state["total"], alpha=state["alpha"],
+                                reserved_pkts_per_port=state["reserved"])
+        sched, a, b, pa, pb = make_pair(
+            delay_s=0.0, queues=(DynamicBufferQueue(pool, 1), DynamicBufferQueue(pool, 1)))
+        pa.elide_tx = pb.elide_tx = elide
+        _fill(pool, [pb], state)  # pa stays idle with an empty queue
+        used = pool.used_bytes
+        expected = pool.admits(0, size, 0)
+        calls = []
+        real_enqueue = DynamicBufferQueue.enqueue
+
+        def spy(queue, p):
+            calls.append(p)
+            return real_enqueue(queue, p)
+
+        DynamicBufferQueue.enqueue = spy
+        try:
+            sent = pa.send(Packet(flow_id=1, src=0, dst=1, payload=size - 40, ecn_capable=True))
+        finally:
+            DynamicBufferQueue.enqueue = real_enqueue
+        assert sent == expected
+        assert pa.queue.drops == (0 if expected else 1)
+        # The bypass is taken exactly when the pool admits the packet (a
+        # refused one goes through enqueue, which drops and counts it);
+        # with elide_tx off every send takes the seed's queue path.
+        assert len(calls) == (0 if elide and expected else 1)
+        sched.run()
+        assert len(b.arrivals) == int(expected)
+        assert not any(p.ecn_ce for _t, p, _i in b.arrivals)  # occupancy 1 never marks
+        assert pool.used_bytes == used  # take-then-release nets to zero
+
+    @settings(deadline=None, max_examples=150)
+    @given(state=pool_states)
+    def test_dba_desired_port_detours_iff_full(self, state):
+        # One DIBS switch whose ports all draw on one pool: port 0 faces
+        # the destination host, ports 1 and 2 face neighbor switches (the
+        # detour candidates).  Paused ports hold their queues.
+        sched = Scheduler()
+        pool = SharedBufferPool(state["total"], alpha=state["alpha"],
+                                reserved_pkts_per_port=state["reserved"])
+        hub = Switch(10, "hub", sched, dibs=DibsConfig(), rng=random.Random(0))
+        host = Host(0, "h0", sched)
+        ports = [Port(hub, DynamicBufferQueue(pool), 1e9, 0.0)]
+        connect(ports[0], Port(host, DropTailQueue(100), 1e9, 0.0))
+        for i in range(2):
+            nbr = Switch(20 + i, f"n{i}", sched, rng=random.Random(i))
+            ports.append(Port(hub, DynamicBufferQueue(pool), 1e9, 0.0))
+            connect(ports[-1], Port(nbr, DropTailQueue(100), 1e9, 0.0))
+        hub.fib = {0: [0]}
+        _fill(pool, ports, state)
+        full = ports[0].queue.is_full()
+        candidates = [p.index for p in ports[1:] if not p.queue.is_full()]
+        assert [p.index for p in hub.detour_candidates(ports[0], 5)] == candidates
+        before = dict(hub.counters.as_dict())
+        hub.receive(Packet(flow_id=1, src=5, dst=0, payload=MTU_BYTES - 40), 5)
+        after = hub.counters.as_dict()
+        triggered = (after["detours"] - before["detours"]
+                     + after["drops_no_detour"] - before["drops_no_detour"])
+        assert triggered == int(full)
+        if full:
+            assert after["detours"] - before["detours"] == int(bool(candidates))
+        else:
+            # Not full means DBA admits a full MTU: the packet is queued.
+            assert after["forwards"] - before["forwards"] == 1
 
 
 def jittered_pair(jitter_s, **kwargs):

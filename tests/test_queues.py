@@ -268,6 +268,16 @@ class TestDynamicBufferQueue:
         q.enqueue(b)
         assert not a.ecn_ce and b.ecn_ce
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_invalid_threshold_rejected(self, threshold):
+        # Same rule as EcnQueue: a threshold below 1 would mark every
+        # ECN-capable packet, even one arriving at an empty queue.
+        with pytest.raises(ValueError, match="ECN mark threshold must be positive"):
+            DynamicBufferQueue(SharedBufferPool(100 * MTU_BYTES), mark_threshold_pkts=threshold)
+        # None (no marking) and 1 stay valid.
+        DynamicBufferQueue(SharedBufferPool(100 * MTU_BYTES), mark_threshold_pkts=None)
+        DynamicBufferQueue(SharedBufferPool(100 * MTU_BYTES), mark_threshold_pkts=1)
+
     def test_is_full_reflects_pool_state(self):
         pool = SharedBufferPool(2 * MTU_BYTES, reserved_pkts_per_port=0)
         q = DynamicBufferQueue(pool)
@@ -318,6 +328,14 @@ class TestBShareQueue:
             BShareQueue(pool, FakeClock(), 1e-3, delay_gain=0.0)
         with pytest.raises(ValueError):
             BShareQueue(pool, FakeClock(), 1e-3, delay_gain=1.5)
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_invalid_threshold_rejected(self, threshold):
+        from repro.net.queues import BShareQueue
+
+        with pytest.raises(ValueError, match="ECN mark threshold must be positive"):
+            BShareQueue(SharedBufferPool(10 * MTU_BYTES), FakeClock(), 1e-3,
+                        mark_threshold_pkts=threshold)
 
     def test_sojourn_ewma_tracks_measured_delay(self):
         q, _, clock = self._queue(gain=1.0)

@@ -14,9 +14,10 @@ extra bytecode inside an existing call.
 * A run that fails or does not match its pins fails the gate.
 * A count more than the ``py_calls_per_event`` bound in
   ``BENCHMARK.json`` (1%) above its ceiling fails the gate.
-* A count more than that bound below its ceiling passes with a warning:
-  the ceiling is stale, and should be lowered to the new value in the
-  same change.
+* A count more than that bound below its ceiling also fails: the
+  ceiling is stale.  The change that made the gain lowers the ceiling
+  to the new value, so the committed ceilings always track the latest
+  measurement.
 
 Usage: python tools/check_call_budget.py   (exit 0 pass, 1 fail)
 """
@@ -54,7 +55,8 @@ def main() -> int:
             print(f"FAIL {line}")
             failed = True
         elif change < -bound:
-            print(f"WARN {line}: the ceiling is stale, lower it to {value:.4f}")
+            print(f"FAIL {line}: the ceiling is stale, lower it to {value:.4f}")
+            failed = True
         else:
             print(f"ok   {line}")
     return 1 if failed else 0
