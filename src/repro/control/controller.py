@@ -5,10 +5,11 @@ run-loop hook (event-count cadence — never a scheduled event, so the
 event calendar is byte-identical with the controller installed or not
 *until the first actuation*), and on every tick:
 
-1. snapshots ``Network.counters()`` and computes windowed deltas —
-   per-switch detour rate, fabric-wide drop rate — plus two gauges read
-   directly off the switches: hottest-switch buffer occupancy and a
-   queueing-delay RTT proxy;
+1. reads the switches' pipeline counters (the values a
+   ``Network.counters()`` snapshot carries, without building one) and
+   computes windowed deltas — per-switch detour rate, fabric-wide drop
+   rate — plus two gauges read directly off the switches: hottest-switch
+   buffer occupancy and a queueing-delay RTT proxy;
 2. runs the per-switch detour-storm circuit breaker: a switch whose
    windowed detour rate explodes has detouring disabled (fall back to
    drop) for ``cooldown_s`` simulated seconds, then re-armed;
@@ -40,16 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
 
 __all__ = ["RuntimeController"]
-
-# Switch-pipeline drop reasons summed into the windowed drop rate.
-_DROP_KEYS = (
-    "drops_overflow",
-    "drops_ttl",
-    "drops_no_route",
-    "drops_no_detour",
-    "drops_switch_failed",
-)
-
 
 class _BreakerState:
     """Per-switch circuit-breaker window and trip state."""
@@ -126,24 +117,16 @@ class RuntimeController:
         return self
 
     def _prime_windows(self) -> None:
-        snapshot = self.network.counters()
-        self._prev_forwards = snapshot.total("forwards", "switch.")
-        self._prev_drops = self._switch_drops(snapshot)
+        forwards = drops = 0
         for switch in self.network.switches:
+            counters = switch.counters
             state = self._breakers[switch.name]
-            scope = snapshot.scopes.get(f"switch.{switch.name}", {})
-            state.prev_forwards = scope.get("forwards", 0)
-            state.prev_detours = scope.get("detours", 0)
-
-    @staticmethod
-    def _switch_drops(snapshot) -> int:
-        total = 0
-        for scope, counters in snapshot.scopes.items():
-            if not scope.startswith("switch.") or "." in scope[len("switch."):]:
-                continue
-            for key in _DROP_KEYS:
-                total += counters.get(key, 0)
-        return total
+            state.prev_forwards = counters.forwards
+            state.prev_detours = counters.detours
+            forwards += counters.forwards
+            drops += counters.drops
+        self._prev_forwards = forwards
+        self._prev_drops = drops
 
     # ------------------------------------------------------------------
     # the control loop body (one run-loop hook invocation)
@@ -152,14 +135,16 @@ class RuntimeController:
         self.ticks += 1
         now = scheduler.now
         spec = self.spec
-        snapshot = self.network.counters()
+        total_forwards = total_drops = 0
 
         # --- per-switch detour-storm circuit breaker -------------------
         for switch in self.network.switches:
+            counters = switch.counters
             state = self._breakers[switch.name]
-            scope = snapshot.scopes.get(f"switch.{switch.name}", {})
-            forwards = scope.get("forwards", 0)
-            detours = scope.get("detours", 0)
+            forwards = counters.forwards
+            detours = counters.detours
+            total_forwards += forwards
+            total_drops += counters.drops
             d_forwards = forwards - state.prev_forwards
             d_detours = detours - state.prev_detours
             state.prev_forwards = forwards
@@ -186,12 +171,10 @@ class RuntimeController:
                     )
 
         # --- windowed fabric signals -----------------------------------
-        forwards = snapshot.total("forwards", "switch.")
-        drops = self._switch_drops(snapshot)
-        d_forwards = forwards - self._prev_forwards
-        d_drops = drops - self._prev_drops
-        self._prev_forwards = forwards
-        self._prev_drops = drops
+        d_forwards = total_forwards - self._prev_forwards
+        d_drops = total_drops - self._prev_drops
+        self._prev_forwards = total_forwards
+        self._prev_drops = total_drops
         drop_rate = d_drops / max(1, d_forwards)
 
         switches = self.network.switches

@@ -98,10 +98,12 @@ class LoadAwareDetourPolicy(DetourPolicy):
 class FlowBasedDetourPolicy(DetourPolicy):
     """§7: all detoured packets of a flow leave via the same port.
 
-    The port is chosen by a stable hash of (flow, switch), so detoured
-    packets of one flow follow a consistent path — fewer reorderings at the
-    cost of less effective buffer spreading.  If the hashed port has become
-    full it falls back to the next eligible one in hash order.
+    The port is chosen by a stable hash of (flow, switch) modulo the
+    number of eligible candidates, so detoured packets of one flow follow
+    a consistent path while the eligible set is unchanged — fewer
+    reorderings at the cost of less effective buffer spreading.  Full
+    ports are never candidates, so when one fills (or frees) the modulus
+    changes and the flow may map to a different port.
     """
 
     name = "flow-based"

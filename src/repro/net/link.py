@@ -38,9 +38,10 @@ checks exactly that equivalence on every CI pass.  The ``busy`` attribute
 became a property so an external reader always observes the settled state.
 Per-port elision can be disabled (``elide_tx = False``, or exporting
 ``REPRO_ELIDE_TX=0`` before network construction) for A/B comparison.
-The flag gates the whole hot-path transmit bundle — elision *and* the
-idle-send queue bypass below — so ``REPRO_ELIDE_TX=0`` restores the seed
-engine's transmit path event for event; that is the "before" arm of
+The flag gates the whole hot-path transmit bundle — elision, the
+idle-send queue bypass below, and the inlined droptail/ECN enqueue and
+dequeue — so ``REPRO_ELIDE_TX=0`` restores the seed engine's transmit
+path event for event; that is the "before" arm of
 ``benchmarks/bench_engine_speed.py``.
 """
 
@@ -106,6 +107,8 @@ class Port:
         "_txdone_seq",
         "_tx_end",
         "_fast_q",
+        "_plain_q",
+        "_ecn_q",
         "_pool",
         "jitter_s",
         "_jitter_rng",
@@ -181,6 +184,12 @@ class Port:
         qtype = type(queue)
         self._fast_q = qtype in (DropTailQueue, EcnQueue, DynamicBufferQueue)
         self._pool = queue.pool if qtype is DynamicBufferQueue else None
+        # Exact droptail/ECN queues (``_plain_q``; ``_ecn_q`` for ECN) are
+        # plain deques with a capacity: send() enqueues into a busy one,
+        # _tx_next dequeues from it, and the switch tests its fullness,
+        # all without a queue method call.
+        self._plain_q = qtype is DropTailQueue or qtype is EcnQueue
+        self._ecn_q = qtype is EcnQueue
 
     # ------------------------------------------------------------------
     def attach_peer(self, peer: "Port") -> None:
@@ -374,7 +383,32 @@ class Port:
             self._flight_tail = pkt
             self._flight_count += 1
             return True
-        if not queue.enqueue(pkt):
+        if self._plain_q and self.elide_tx:
+            # Inlined DropTailQueue/EcnQueue.enqueue (hot: once per packet
+            # that meets a busy droptail/ECN port), mirroring the inlined
+            # dequeue in _tx_next and gated with it on elide_tx, so
+            # REPRO_ELIDE_TX=0 keeps the seed's enqueue call.  Occupancy
+            # is read once for the drop and the mark; the mark compares
+            # the occupancy including this packet with the live threshold
+            # (the runtime controller retunes it).
+            q = queue._q
+            n = len(q)
+            if n < queue.capacity_pkts:
+                if self._ecn_q and pkt.ecn_capable and n + 1 > queue.mark_threshold_pkts:
+                    pkt.ecn_ce = True
+                    queue.marks += 1
+                    if pkt.span is not None:
+                        pkt.span.hops[-1]["ecn"] = True
+                q.append(pkt)
+                queue.byte_count += size
+                queue.enqueues += 1
+                admitted = True
+            else:
+                queue.drops += 1
+                admitted = False
+        else:
+            admitted = queue.enqueue(pkt)
+        if not admitted:
             # Tail drop.  Idempotent finish: the switch's _drop also
             # observes this and fires first for switch-initiated drops.
             if pkt.span is not None:
@@ -436,7 +470,7 @@ class Port:
             self._busy = False
             return
         queue = self.queue
-        if self._fast_q and self._pool is None and self.elide_tx:
+        if self._plain_q and self.elide_tx:
             # Inlined DropTailQueue.dequeue (hot: once per transmitted
             # packet) for droptail and ECN ports.  Part of the elide_tx
             # hot-path bundle so that REPRO_ELIDE_TX=0 keeps the seed's

@@ -22,7 +22,7 @@ import random
 from typing import Callable, Optional
 
 from repro.core.config import DibsConfig
-from repro.core.detour import DetourPolicy
+from repro.core.detour import DetourPolicy, RandomDetourPolicy
 from repro.net.link import Port
 from repro.net.node import Node
 from repro.net.packet import MTU_BYTES, Packet
@@ -307,34 +307,57 @@ class Switch(Node):
     # ------------------------------------------------------------------
     def detour_candidates(self, desired: Port, in_port: int) -> list[Port]:
         """Eligible detour ports per §2: connected, up, switch-facing, not
-        full, and not the desired port itself.  Down ports (failed links or
-        crashed neighbors) shrink the detour mask — the virtual buffer
-        loses the dead neighborhood."""
-        allow_ingress = self.dibs.allow_detour_to_ingress
-        candidates = []
-        for port in self.ports:
-            if port is desired or port.peer_node is None or port.peer_is_host or not port.up:
-                continue
-            if not allow_ingress and port.index == in_port:
-                continue
-            q = port.queue
-            if port._fast_q and port._pool is None:
-                # Droptail/ECN: inlined is_full (DBA ports take the call).
-                qq = q._q
-                if qq and len(qq) >= q.capacity_pkts:
-                    continue
-            elif q.is_full():
-                continue
-            candidates.append(port)
-        return candidates
+        full, and not the desired port itself (nor the ingress port, unless
+        ``allow_detour_to_ingress``).  Down ports (failed links or crashed
+        neighbors) shrink the detour mask — the virtual buffer loses the
+        dead neighborhood.
+
+        One comprehension, so a detour pays one call for the scan.  A
+        droptail/ECN queue's fullness is tested inline (== ``is_full()``,
+        an empty queue skipping the ``len``); pooled and other queues
+        take the call.
+        """
+        skip = -1 if self.dibs.allow_detour_to_ingress else in_port
+        return [
+            port for port in self.ports
+            if port is not desired
+            and port.peer_node is not None
+            and not port.peer_is_host
+            and port.up
+            and port.index != skip
+            and not (
+                ((qq := (q := port.queue)._q) and len(qq) >= q.capacity_pkts)
+                if port._plain_q else port.queue.is_full()
+            )
+        ]
 
     def _detour(self, pkt: Packet, desired: Port, in_port: int) -> None:
-        cap = self.dibs.max_detours_per_packet
+        dibs = self.dibs
+        cap = dibs.max_detours_per_packet
         if cap and pkt.detours >= cap:
             self._drop(pkt, DROP_NO_DETOUR)
             return
         candidates = self.detour_candidates(desired, in_port)
-        choice = self.dibs.policy.choose(pkt, desired, candidates, self.rng)
+        rng = self.rng
+        if type(dibs.policy) is RandomDetourPolicy and type(rng) is random.Random:
+            # Inlined RandomDetourPolicy.choose: rng.randrange(n) on an
+            # exact random.Random is CPython's _randbelow_with_getrandbits
+            # — k = n.bit_length() bits per draw, redrawn until below n —
+            # so these are the very same getrandbits calls and the
+            # dibs.detour stream advances identically (pinned by
+            # tests/test_detour_policies.py's RNG-identity tests).
+            n = len(candidates)
+            if n:
+                k = n.bit_length()
+                getrandbits = rng.getrandbits
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                choice = candidates[r]
+            else:
+                choice = None
+        else:
+            choice = dibs.policy.choose(pkt, desired, candidates, rng)
         if choice is None:
             # Every neighbor is also full: the virtual buffer is exhausted
             # here and the packet is dropped, as it would be without DIBS.

@@ -20,7 +20,7 @@ moment it holds all bytes — the paper's receiver-side FCT.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.net.host import Host
 from repro.net.packet import ACK, DATA, Packet
@@ -31,7 +31,15 @@ __all__ = ["TcpSender", "TcpReceiver"]
 
 
 class TcpSender:
-    """Transmitting endpoint of one flow."""
+    """Transmitting endpoint of one flow.
+
+    ``_priority_tag`` is the hook for a per-segment priority (pFabric's
+    remaining flow size, :class:`repro.transport.pfabric.PFabricSender`):
+    a subclass defines it as a method returning the tag.  Plain TCP sends
+    no priority, so the hook is ``None`` and a segment pays no call for it.
+    """
+
+    _priority_tag: Optional[Callable[[], Optional[int]]] = None
 
     __slots__ = (
         "host",
@@ -132,7 +140,7 @@ class TcpSender:
             payload=payload,
             ttl=cfg.ttl,
             ecn_capable=self._ecn_capable,
-            priority=self._priority_tag(),
+            priority=None if self._priority_tag is None else self._priority_tag(),
         )
         pkt.sent_at = self.scheduler.now
         end = seq + payload
@@ -145,10 +153,6 @@ class TcpSender:
             self._send_times[end] = self.scheduler.now
         self.flow.packets_sent += 1
         self.host.send(pkt)
-
-    def _priority_tag(self) -> Optional[int]:
-        """Hook for pFabric's remaining-size priority; plain TCP sends none."""
-        return None
 
     # ------------------------------------------------------------------
     # ACK processing
@@ -393,7 +397,15 @@ class TcpReceiver:
     change in the incoming CE state — the DCTCP receiver state machine,
     which acknowledges the *previous* run's marking before starting the
     new run so the sender's fraction-of-marked-bytes stays exact.
+
+    ``_annotate_ack`` is the hook for stamping extra fields on an outgoing
+    ACK (:class:`repro.transport.fairq.FairQReceiver` echoes the in-band
+    fair-share signal): a subclass defines it as a method taking the ACK.
+    Plain TCP stamps nothing, so the hook is ``None`` and an ACK pays no
+    call for it.
     """
+
+    _annotate_ack: Optional[Callable[[Packet], None]] = None
 
     __slots__ = (
         "host",
@@ -502,13 +514,10 @@ class TcpReceiver:
         ack.ece = echo_ce and self._ecn_capable
         if self.config.sack and self._ooo:
             ack.sack = self._sack_blocks()
-        self._annotate_ack(ack)
+        if self._annotate_ack is not None:
+            self._annotate_ack(ack)
         self.flow.acks_sent += 1
         self.host.send(ack)
-
-    def _annotate_ack(self, ack: Packet) -> None:
-        """Hook for subclasses to stamp extra fields on an outgoing ACK
-        (FairQ echoes the in-band fair-share signal here)."""
 
     def _sack_blocks(self) -> tuple[tuple[int, int], ...]:
         """Up to 3 coalesced out-of-order blocks above rcv_next."""

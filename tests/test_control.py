@@ -314,6 +314,68 @@ class TestCircuitBreaker:
         assert scope["degraded_ticks"] == ctl.degraded_ticks
         assert scope["ticks"] == ctl.ticks
 
+    def test_tick_windows_match_counter_snapshots_under_flaps(self):
+        """The tick reads the switches' pipeline counters directly; at
+        every tick its windows must equal those derived from a full
+        Network.counters() snapshot (forwards summed over switch scopes,
+        drops over the five switch-pipeline reasons), through a storm
+        with link flaps."""
+        drop_keys = ("drops_overflow", "drops_ttl", "drops_no_route",
+                     "drops_no_detour", "drops_switch_failed")
+        net = self._storm_net()
+        flaps = []
+        for i, (a, b) in enumerate(net.fabric_links()[:6]):
+            t = 100e-6 + 50e-6 * i  # inside the initial burst
+            flaps += [FaultEvent(t, LINK_DOWN, a, b), FaultEvent(t + 200e-6, LINK_UP, a, b)]
+        # The receiver's own link too, across the first retransmission
+        # round: its edge switch drops with no_route.
+        flaps += [FaultEvent(0.0103, LINK_DOWN, "edge_0_0", "host_0"),
+                  FaultEvent(0.0110, LINK_UP, "edge_0_0", "host_0")]
+        FaultInjector(net, FaultSchedule(flaps)).arm()
+        generation = net.topology_generation
+        ctl = RuntimeController(net, spec=_storm_spec())
+
+        def reference():
+            snapshot = net.counters()
+            switches = {
+                name[len("switch."):]: counters
+                for name, counters in snapshot.scopes.items()
+                if name.startswith("switch.") and "." not in name[len("switch."):]
+            }
+            forwards = snapshot.total("forwards", "switch.")
+            drops = sum(c.get(k, 0) for c in switches.values() for k in drop_keys)
+            return forwards, drops, switches
+
+        def assert_windows_match(ref):
+            forwards, drops, switches = ref
+            assert (ctl._prev_forwards, ctl._prev_drops) == (forwards, drops)
+            for name, state in ctl._breakers.items():
+                assert state.prev_forwards == switches[name]["forwards"]
+                assert state.prev_detours == switches[name]["detours"]
+
+        real_tick = ctl._tick
+        windows = []
+
+        def checked_tick(scheduler):
+            ref = reference()
+            before = (ctl._prev_forwards, ctl._prev_drops)
+            real_tick(scheduler)
+            assert_windows_match(ref)
+            windows.append((ref[0] - before[0], ref[1] - before[1]))
+
+        ctl._tick = checked_tick  # install() hooks the instance attribute
+        ctl.install()
+        assert_windows_match(reference())
+        net.run(until=0.5)
+        assert len(windows) == ctl.ticks > 0
+        assert sum(d for _f, d in windows) == ctl._prev_drops > 0
+        assert net.topology_generation == generation + len(flaps)  # every flap landed
+        report = net.counters().drop_report()
+        assert report["overflow"] > 0 and report["no_route"] > 0
+        # The decisions taken on those windows, as the snapshot-reading
+        # controller took them on this storm.
+        assert (ctl.breaker_trips, ctl.breaker_rearms) == (8, 8)
+
     def test_tick_cadence_follows_spec(self):
         net = dibs_net()
         ctl = RuntimeController(net, spec=_storm_spec(cadence_events=100)).install()

@@ -1,11 +1,13 @@
 """Unit tests for ports and links (serialization + propagation model)."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control.actuators import Actuators
 from repro.core.config import DibsConfig
 from repro.net.audit import assert_conserved, conservation_report
 from repro.net.host import Host
@@ -15,6 +17,7 @@ from repro.net.node import Node
 from repro.net.packet import MTU_BYTES, Packet
 from repro.net.queues import DropTailQueue, DynamicBufferQueue, EcnQueue, SharedBufferPool
 from repro.net.switch import Switch
+from repro.obs.spans import PacketSpan
 from repro.sim.engine import ResourceError, Scheduler, SimulationError
 from repro.sim.engine_heap import HeapScheduler
 from repro.topo import fat_tree
@@ -417,7 +420,9 @@ def _dba_pair(total_pkts=100.0, **pool_kwargs):
 # Port queue kinds the idle-send bypass covers.  The DBA variants: the
 # default pool; no reserved allotment (admission by the alpha rule alone);
 # an alpha that refuses an empty queue once anything else holds pool bytes;
-# and a pool the reverse direction nearly fills, so idle sends drop.
+# and a pool the reverse direction nearly fills, so idle sends drop.  The
+# ECN bursts (see ELISION_BURSTS) drive a busy port's inline enqueue past
+# its mark threshold and then to capacity.
 ELISION_QUEUES = {
     "droptail": lambda: (DropTailQueue(100), DropTailQueue(100)),
     "ecn": lambda: (EcnQueue(100, 1), EcnQueue(100, 1)),
@@ -425,6 +430,47 @@ ELISION_QUEUES = {
     "dba-unreserved": _dba_pair(reserved_pkts_per_port=0),
     "dba-alpha-refuses": _dba_pair(total_pkts=10, alpha=0.1, reserved_pkts_per_port=0),
     "dba-nearly-full": _dba_pair(total_pkts=2.5),
+    "ecn-burst": lambda: (EcnQueue(8, 5), EcnQueue(8, 5)),
+    "ecn-burst-retuned": lambda: (EcnQueue(8, 5), EcnQueue(8, 5)),
+}
+
+
+class _SpanLog:
+    """Stands in for a SpanRecorder: records how each span finished."""
+
+    def __init__(self):
+        self.finished = []
+
+    def finish(self, span, status, t_end, where=None):
+        self.finished.append((span.idx, status, t_end, where))
+
+
+def _ecn_burst(retune):
+    """16 span-carrying ECN packets into ``pa``, one every 2 us — six
+    times faster than it drains — so the busy queue passes the mark
+    threshold and then fills; with ``retune``, the runtime controller's
+    actuator lowers the threshold mid-burst.  Returns the spans and
+    their finish log."""
+    def burst(sched, pa, pb):
+        log = _SpanLog()
+        spans = []
+        for i in range(16):
+            p = ecn_pkt(flow=2)
+            p.span = PacketSpan(log, i, 2, i, p.size, False, 0.0)
+            p.span.hops.append({"node": "a"})
+            spans.append(p.span)
+            sched.schedule_at(120e-6 + 2e-6 * i, pa.send, p)
+        if retune:
+            fabric = SimpleNamespace(topology_generation=0,
+                                     switches=[SimpleNamespace(ports=[pa, pb])])
+            sched.schedule_at(127e-6, Actuators(fabric).set_ecn_threshold, 2)
+        return spans, log
+    return burst
+
+
+ELISION_BURSTS = {
+    "ecn-burst": _ecn_burst(retune=False),
+    "ecn-burst-retuned": _ecn_burst(retune=True),
 }
 
 
@@ -436,7 +482,7 @@ class TestElisionEquivalence:
     kind whose idle sends bypass the queue."""
 
     @staticmethod
-    def _run_traffic(elide, queues):
+    def _run_traffic(elide, queues, burst=None):
         sched, a, b, pa, pb = make_pair(rate_bps=1e9, delay_s=10e-6, queues=queues)
         pa.elide_tx = elide
         pb.elide_tx = elide
@@ -455,6 +501,7 @@ class TestElisionEquivalence:
         sched.schedule_at(80e-6, pa.set_up)
         sched.schedule_at(90e-6, pa.send, ecn_pkt())
         sched.schedule_at(91e-6, pa.send, ecn_pkt())
+        spans = None if burst is None else burst(sched, pa, pb)
         sched.run()
         # Settle any leftover elided tx-done, as Network.run's post-run
         # sweep does for real topologies.
@@ -470,20 +517,34 @@ class TestElisionEquivalence:
         ]
         pool = getattr(pa.queue, "pool", None)
         used = None if pool is None else pool.used_bytes
-        return arrivals, counters, used, sched.events_processed, sched.now
+        if spans is not None:
+            # Span hop annotations (the ecn flag included) and how each
+            # span finished.
+            spans = ([span.hops for span in spans[0]], spans[1].finished,
+                     pa.queue.counter_dict())
+        return arrivals, counters, used, sched.events_processed, sched.now, spans
 
     @pytest.mark.parametrize("kind", list(ELISION_QUEUES))
     def test_elide_on_matches_elide_off(self, kind):
         make = ELISION_QUEUES[kind]
-        on = self._run_traffic(True, make())
-        assert on == self._run_traffic(False, make())
-        arrivals, counters, used, _events, _now = on
+        burst = ELISION_BURSTS.get(kind)
+        on = self._run_traffic(True, make(), burst)
+        assert on == self._run_traffic(False, make(), burst)
+        arrivals, counters, used, _events, _now, spans = on
         assert used in (None, 0)  # every admitted byte went back to the pool
         if kind in ("dba-alpha-refuses", "dba-nearly-full"):
             # The case under test happened: idle sends were refused.
             assert counters[0][6] > 0
         if kind in ("ecn", "dba"):
             assert any(ce for _t, _size, ce in arrivals[1])
+        if burst is not None:
+            # The busy queue marked, then overflowed.
+            hops, finished, queue_counters = spans
+            assert queue_counters["ecn_marks"] > 0 and queue_counters["queue_drops"] > 0
+            assert any(hop.get("ecn") for span_hops in hops for hop in span_hops)
+            assert [status for _i, status, _t, _w in finished].count("dropped:overflow") > 0
+            retuned = kind == "ecn-burst-retuned"
+            assert queue_counters["mark_threshold_pkts"] == (2 if retuned else 5)
 
     def test_busy_property_settles_elided_tx_done(self):
         # External readers polling `busy` between events must observe the

@@ -10,6 +10,12 @@ from repro.net.packet import (
     MTU_BYTES,
     Packet,
 )
+from repro.transport.base import FlowHandle, TcpConfig
+from repro.transport.fairq import FairQConfig, FairQReceiver, FairQSender
+from repro.transport.pfabric import PFabricConfig, PFabricReceiver, PFabricSender
+from repro.transport.tcp import TcpReceiver, TcpSender
+
+from tests.helpers import TransportHarness
 
 
 class TestSizes:
@@ -58,6 +64,38 @@ class TestFields:
     def test_priority_tag_carried(self):
         pkt = Packet(flow_id=1, src=0, dst=1, priority=12345)
         assert pkt.priority == 12345
+
+    def test_transport_hooks_stamp_priority_and_rate_signal(self):
+        # The sender's priority hook and the receiver's ACK hook are
+        # methods only on pFabric/FairQ; plain TCP leaves both unset.
+        def observe(sender_cls, receiver_cls, config, signal=None):
+            h = TransportHarness()
+            data, acks = [], []
+
+            def tap(p):
+                if p.kind == DATA:
+                    data.append(p.priority)
+                    p.rate_signal = signal
+                else:
+                    acks.append(p.rate_signal)
+                return False
+
+            h.wire.drop_if = tap
+            handle = FlowHandle(1, "test", 0, 1, 4 * MSS_BYTES, 0.0)
+            receiver_cls(h.b, handle, config)
+            sender_cls(h.a, handle, config).start()
+            h.run()
+            assert handle.completed
+            return data, acks
+
+        data, acks = observe(PFabricSender, PFabricReceiver, PFabricConfig(window_pkts=1))
+        # Remaining flow size at send time: one segment per window.
+        assert data == [4 * MSS_BYTES, 3 * MSS_BYTES, 2 * MSS_BYTES, MSS_BYTES]
+        data, acks = observe(TcpSender, TcpReceiver, TcpConfig())
+        assert data and all(tag is None for tag in data)
+        assert acks and all(signal is None for signal in acks)
+        data, acks = observe(FairQSender, FairQReceiver, FairQConfig(), signal=2.5e8)
+        assert acks and all(signal == 2.5e8 for signal in acks)
 
     def test_slots_prevent_arbitrary_attributes(self):
         pkt = Packet(flow_id=1, src=0, dst=1)
