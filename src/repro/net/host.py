@@ -90,8 +90,9 @@ class Host(Node):
             pkt.path.append(self.name)
             if self.on_path is not None:
                 self.on_path(self.scheduler.now, self, pkt)
-        endpoint = self._endpoints.get(pkt.flow_id)
-        if endpoint is None:
+        endpoints = self._endpoints
+        flow_id = pkt.flow_id
+        if flow_id in endpoints:  # ``in`` plus a subscript: no call
+            endpoints[flow_id](pkt)
+        else:
             self.unclaimed += 1
-            return
-        endpoint(pkt)

@@ -31,6 +31,9 @@ number (:meth:`Scheduler.reserve_seq`) so every later event keeps the exact
   holding (a packet arrives behind the in-progress transmission, or a
   pause/fault transition needs the event's heap-identical side effects).
 
+A tx-done that is not elided goes on the calendar together with its
+packet's delivery, in one :meth:`Scheduler.schedule_tx` call.
+
 Either way the observable simulation — every queue occupancy, ECN mark,
 delivery time and event count — is bit-identical to the engine that
 dispatches every ``_tx_done`` for real; ``benchmarks/bench_engine_speed.py``
@@ -504,7 +507,8 @@ class Port:
             hop["q_s"] = now_t - hop.get("t_q", now_t)
             hop["tx_s"] = tx
             hop["prop_s"] = self.delay_s
-        if self.elide_tx and not queue._q:
+        elided = self.elide_tx and not queue._q
+        if elided:
             # Nothing left to transmit when serialization ends: elide the
             # tx-done (reserve its sequence number so the total order is
             # unchanged) instead of dispatching a no-op event.  Inlined
@@ -512,16 +516,21 @@ class Port:
             seq = sched._seq
             sched._seq = seq + 1
             self._txdone_seq = seq
-        else:
-            # The tx-done callback IS _tx_next: the transmitter frees up
-            # when the last bit leaves and immediately starts the next
-            # packet; propagation of the in-flight packet continues
-            # independently.
-            sched.schedule_once(tx, self._tx_next)
+        # Otherwise the tx-done is scheduled with the delivery below.  Its
+        # callback IS _tx_next: the transmitter frees up when the last bit
+        # leaves and immediately starts the next packet; propagation of the
+        # in-flight packet continues independently.
         rng = self._jitter_rng
         if rng is None:
-            pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+            if elided:
+                pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+            else:
+                # One call, placed as schedule_once for each would place them.
+                pkt.flight_event = sched.schedule_tx(
+                    tx, self._tx_next, tx + self.delay_s, self._deliver, pkt)
         else:
+            if not elided:
+                sched.schedule_once(tx, self._tx_next)
             # Jittered delivery: same draw and clamp as send()'s fast path.
             arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
             if arrival < self._last_arrival:

@@ -243,12 +243,17 @@ class Switch(Node):
             self._drop(pkt, DROP_TTL)
             return
 
+        # Memo probes are ``in`` plus a subscript, not ``.get``: no call.
         dst = pkt.dst
-        desired = self._route.get(dst)
-        if desired is None:
+        route = self._route
+        if dst in route:
+            desired = route[dst]
+        else:
             cache_key = (dst, pkt.flow_id)
-            desired = self._ecmp_cache.get(cache_key)
-            if desired is None:
+            ecmp = self._ecmp_cache
+            if cache_key in ecmp:
+                desired = ecmp[cache_key]
+            else:
                 next_hops = self._fib.get(dst)
                 if not next_hops:
                     self._drop(pkt, DROP_NO_ROUTE)

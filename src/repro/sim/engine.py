@@ -44,6 +44,12 @@ Design notes
   its ``args`` so it does not keep a delivered packet alive.  Only events
   whose handle never escapes the scheduler/port machinery are recycled,
   so a stale external handle can never cancel a recycled (reused) event.
+* A busy port's transmit inserts its tx-done and the packet's delivery
+  with one call, :meth:`schedule_tx`, which places both events exactly
+  as two :meth:`schedule_once` calls would.  Whenever one of those calls
+  would fail, or ``schedule_once`` has been replaced on the class (an
+  instrumenting wrapper that must see every callback), it makes the two
+  calls instead.
 
 Calendar layout
 ---------------
@@ -490,6 +496,71 @@ class Scheduler:
         elif idx <= cur:
             # Bisect only the live suffix (see schedule).
             insort(self._buckets[cur & _MASK], ev, key=_ORDER, lo=self._pos)
+        else:
+            self._park_far(idx, time, seq, ev)
+        return ev
+
+    def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], delay: float,
+                    fn: Callable[..., Any], *args: Any) -> Event:
+        """``schedule_once(tx, tx_fn)`` then ``schedule_once(delay, fn,
+        *args)`` in one call, returning the second event.  A busy port
+        inserts its tx-done and the delivery of the packet it starts this
+        way (``Port._tx_next``): one scheduler call per hop, not two.  Both
+        events get the ``(time, seq)`` and the free-list events the two
+        calls would give them.  When either call would fail (a bad delay,
+        or the pending cap), or ``schedule_once`` has been replaced on the
+        class (a subclass, or a wrapper that must see every callback
+        scheduled), this makes the two calls, so they fail or are seen
+        exactly as before."""
+        count = self._count + 2
+        if (count > self._cap or not 0.0 <= tx < _INF or not 0.0 <= delay < _INF
+                or self.__class__.schedule_once is not _SCHEDULE_ONCE):
+            self.schedule_once(tx, tx_fn)
+            return self.schedule_once(delay, fn, *args)
+        self._count = count
+        now = self.now
+        seq = self._seq
+        self._seq = seq + 2
+        cur = self._cur
+        # The tx-done, as schedule_once(tx, tx_fn) inserts it ...
+        time = now + tx
+        ev = self._free
+        if ev is not None:
+            self._free = ev.free_next  # parked events are recyclable already
+            ev.time = time
+            ev.seq = seq
+            ev.fn = tx_fn
+            ev.args = ()
+            ev.cancelled = False
+        else:
+            ev = Event(time, seq, tx_fn, (), self)
+            ev.recyclable = True
+        idx = int((time - self._wstart) * self._inv_width)
+        if 0 < idx - cur < _NBUCKETS:
+            self._buckets[idx & _MASK].append(ev)
+        elif idx <= cur:
+            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
+        else:
+            self._park_far(idx, time, seq, ev)
+        # ... then the delivery, at the next sequence number.
+        time = now + delay
+        seq += 1
+        ev = self._free
+        if ev is not None:
+            self._free = ev.free_next
+            ev.time = time
+            ev.seq = seq
+            ev.fn = fn
+            ev.args = args
+            ev.cancelled = False
+        else:
+            ev = Event(time, seq, fn, args, self)
+            ev.recyclable = True
+        idx = int((time - self._wstart) * self._inv_width)
+        if 0 < idx - cur < _NBUCKETS:
+            self._buckets[idx & _MASK].append(ev)
+        elif idx <= cur:
+            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
             self._park_far(idx, time, seq, ev)
         return ev
@@ -1072,6 +1143,10 @@ class Scheduler:
         self._events_elided = 0
         self._cancelled_pending = 0
         self._reset_calendar()
+
+
+# What Scheduler.schedule_tx compares the class's schedule_once against.
+_SCHEDULE_ONCE = Scheduler.schedule_once
 
 
 def make_scheduler(max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS,

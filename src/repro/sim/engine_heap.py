@@ -103,6 +103,14 @@ class HeapScheduler:
         ev.recyclable = True
         return ev
 
+    def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], delay: float,
+                    fn: Callable[..., Any], *args: Any) -> Event:
+        """``schedule_once(tx, tx_fn)`` then ``schedule_once(delay, fn,
+        *args)``, returning the second event (see the calendar engine's
+        docstring; here it is just the two calls)."""
+        self.schedule_once(tx, tx_fn)
+        return self.schedule_once(delay, fn, *args)
+
     def reserve_seq(self) -> int:
         """Claim the next sequence number without inserting an event (the
         elision primitive — see the calendar engine's docstring)."""

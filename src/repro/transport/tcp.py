@@ -123,7 +123,12 @@ class TcpSender:
     def _try_send(self) -> None:
         cfg = self.config
         while self.next_seq < self.size and (self.next_seq - self.snd_una) < self.cwnd:
-            payload = min(cfg.mss, self.size - self.next_seq)
+            # Two-operand clamps in this file are comparisons, not
+            # min()/max() calls (hot: per segment and per ACK); each keeps
+            # the builtin's choice of operand: min(a, b) is
+            # ``b if b < a else a``, max(a, b) is ``b if b > a else a``.
+            rest = self.size - self.next_seq
+            payload = rest if rest < cfg.mss else cfg.mss
             self._transmit_segment(self.next_seq, payload)
             self.next_seq += payload
         if self._rto_timer is None and self.snd_una < self.next_seq:
@@ -211,10 +216,13 @@ class TcpSender:
     def _grow_cwnd(self, acked_bytes: int) -> None:
         cfg = self.config
         if self.cwnd < self.ssthresh:
-            self.cwnd += min(acked_bytes, 2 * cfg.mss)  # slow start (ABC, L=2)
+            step = 2 * cfg.mss  # slow start (ABC, L=2)
+            self.cwnd += step if step < acked_bytes else acked_bytes
         else:
             self.cwnd += cfg.mss * acked_bytes / self.cwnd  # congestion avoidance
-        self.cwnd = min(self.cwnd, float(cfg.max_cwnd_pkts * cfg.mss))
+        cap = float(cfg.max_cwnd_pkts * cfg.mss)
+        if cap < self.cwnd:
+            self.cwnd = cap
 
     def _on_dup_ack(self, ece: bool) -> None:
         cfg = self.config
@@ -334,7 +342,10 @@ class TcpSender:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
             self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = min(self.config.max_rto, max(self.config.min_rto, self.srtt + 4.0 * self.rttvar))
+        cfg = self.config
+        rto = self.srtt + 4.0 * self.rttvar
+        rto = rto if rto > cfg.min_rto else cfg.min_rto
+        self.rto = rto if rto < cfg.max_rto else cfg.max_rto
 
     def _arm_timer(self) -> None:
         if self._rto_timer is not None:

@@ -1,6 +1,7 @@
 """Unit tests for ports and links (serialization + propagation model)."""
 
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -794,3 +795,248 @@ class TestJitterPressure:
         message = flood(Scheduler(max_pending_events=16))
         assert "Port._deliver" in message
         assert flood(HeapScheduler(max_pending_events=16)) == message
+
+
+class TestInsertSites:
+    """The transmit sites put their events on the calendar three ways: an
+    idle send's delivery (``schedule_once``, or ``schedule_reserved`` when
+    jittered), a busy send's materialized tx-done (``schedule_reserved``)
+    and a busy ``_tx_next``'s tx-done plus delivery in one
+    ``schedule_tx`` call.  The calendar and heap engines must dispatch the
+    same events at the same ``(time, seq)`` and fail the same way."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """Record ``(now, now_seq, name)`` at every port entry point, and
+        the callback of every event the calendar inserts into the bucket
+        being consumed (``insort``) or into the overflow heap."""
+        import repro.sim.engine as engine
+
+        trace, places = [], []
+        for name in ("send", "_tx_next", "_deliver"):
+            def recorder(port, *args, _fn=getattr(Port, name), _name=name):
+                trace.append((port.scheduler.now, port.scheduler._now_seq, _name))
+                return _fn(port, *args)
+            recorder.__qualname__ = f"Port.{name}"
+            monkeypatch.setattr(Port, name, recorder)
+        insort, park_far = engine.insort, Scheduler._park_far
+
+        def insort_spy(bucket, ev, **kwargs):
+            places.append(("cursor", ev.fn.__qualname__))
+            return insort(bucket, ev, **kwargs)
+
+        def park_far_spy(sched, idx, time, seq, ev):
+            places.append(("far", ev.fn.__qualname__))
+            return park_far(sched, idx, time, seq, ev)
+
+        monkeypatch.setattr(engine, "insort", insort_spy)
+        monkeypatch.setattr(Scheduler, "_park_far", park_far_spy)
+        return trace, places
+
+    # name -> (rate_bps, delay_s, jitter_s, send times); the later sends
+    # find parked events on the free list.
+    CASES = {
+        "fixed": (1e9, 10e-6, 0.0, [0.0, 50e-6, 100e-6]),
+        "jitter": (1e9, 10e-6, 30e-6, [0.0] * 6 + [200e-6, 250e-6]),
+        # A backlog: tx-dones dispatched, and an elided one materialized.
+        "busy": (1e9, 10e-6, 0.0, [0.0] * 8 + [200e-6] * 3),
+        # 12 ns serializations, no propagation: every insert lands in the
+        # bucket being consumed, and the materialized tx-done shares its
+        # time with the delivery inserted after it (an older seq first).
+        "cursor": (1e12, 0.0, 0.0, [0.0] * 5 + [1e-6] * 3),
+        # Propagation beyond one ring revolution: overflow inserts.
+        "overflow": (1e9, 0.01, 0.0, [0.0] * 3 + [1e-3]),
+    }
+
+    def _run(self, sched, case, trace):
+        rate, delay, jitter, times = self.CASES[case]
+        del trace[:]
+        _s, _a, b, pa, pb = make_pair(rate_bps=rate, delay_s=delay, sched=sched)
+        if jitter:
+            pa.set_jitter(jitter, random.Random(7))
+        for t in times:
+            if t == 0.0:
+                pa.send(pkt())
+            else:
+                sched.schedule_at(t, pa.send, pkt())
+        sched.run()
+        assert not pa.busy
+        arrivals = [(t, p.size) for t, p, _i in b.arrivals]
+        return list(trace), arrivals, sched.events_processed, sched._seq, sched.pending
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_calendar_matches_heap(self, case, traced):
+        trace, places = traced
+        calendar = self._run(Scheduler(), case, trace)
+        cal_places = list(places)
+        heap = self._run(HeapScheduler(), case, trace)
+        assert calendar == heap
+        events = calendar[0]
+        assert len(calendar[1]) == len(self.CASES[case][3])  # all delivered
+        if case == "busy":
+            assert any(name == "_tx_next" for _t, _s, name in events)
+        if case == "cursor":
+            # schedule_tx's two inserts and the materialized tx-done all
+            # land in the bucket being consumed ...
+            assert ("cursor", "Port._deliver") in cal_places
+            assert cal_places.count(("cursor", "Port._tx_next")) >= 2
+            # ... and the materialized tx-done (reserved seq) ran before
+            # the delivery sharing its time.
+            tx_done = next(e for e in events if e[2] == "_tx_next")
+            first = next(e for e in events if e[2] == "_deliver")
+            assert tx_done[0] == first[0] and tx_done[1] < first[1]
+        if case == "overflow":
+            assert ("far", "Port._deliver") in cal_places
+
+    @pytest.mark.parametrize("tx, delay", [
+        (float("inf"), 1e-6), (float("nan"), 1e-6), (-1e-6, 1e-6),
+        (1e-6, float("inf")), (1e-6, -1e-6),
+    ])
+    def test_schedule_tx_rejects_like_two_schedule_once(self, tx, delay):
+        """A bad tx-done delay fails before anything is inserted; a bad
+        delivery delay fails with the tx-done already in — on both
+        engines, with the same message and sequence numbers."""
+
+        def attempt(sched):
+            with pytest.raises(SimulationError) as info:
+                sched.schedule_tx(tx, lambda: None, delay, lambda pkt: None, "pkt")
+            return str(info.value), sched.pending, sched._seq
+
+        calendar = attempt(Scheduler())
+        assert calendar == attempt(HeapScheduler())
+        assert calendar[1:] == ((0, 0) if tx != 1e-6 else (1, 1))
+
+    def test_schedule_tx_events_are_parked_after_firing(self):
+        sched = Scheduler()
+        fired = []
+        ev = sched.schedule_tx(1e-6, lambda: fired.append("tx"), 2e-6, fired.append, "deliver")
+        sched.run()
+        assert fired == ["tx", "deliver"]
+        # Both events were new (the free list was empty); both were parked.
+        tx_done = ev.free_next
+        assert sched._free is ev and tx_done is not None and tx_done.free_next is None
+
+    def test_replaced_schedule_once_sees_both_tx_inserts(self, monkeypatch):
+        """With ``schedule_once`` replaced on the class (an instrumenting
+        wrapper), ``schedule_tx`` goes through it for the tx-done and the
+        delivery alike, and the run is unchanged."""
+
+        def run():
+            sched, _a, b, pa, _pb = make_pair(rate_bps=1e9, delay_s=10e-6)
+            for _ in range(4):
+                pa.send(pkt())
+            sched.run()
+            return [(t, p.size) for t, p, _i in b.arrivals], sched._seq, sched.events_processed
+
+        direct = run()
+        seen = []
+        once = Scheduler.schedule_once
+
+        def wrapper(sched, delay, fn, *args):
+            seen.append(fn.__qualname__)
+            return once(sched, delay, fn, *args)
+
+        monkeypatch.setattr(Scheduler, "schedule_once", wrapper)
+        assert run() == direct
+        # Idle send's delivery; then the first busy _tx_next's pair (the
+        # materialized tx-done went through schedule_reserved), the
+        # second's, and the last packet's delivery with its tx-done elided.
+        assert seen == ["Port._deliver", "Port._tx_next", "Port._deliver",
+                        "Port._tx_next", "Port._deliver", "Port._deliver"]
+
+    @staticmethod
+    def _pressure(sched, site):
+        """Drive ``site`` into ``max_pending_events`` and return the
+        error message.  The cap is set to the live count, so the next
+        insert — the one under test — is the first to exceed it."""
+        _s, _a, _b, pa, _pb = make_pair(rate_bps=1e9, delay_s=1.0, sched=sched)
+        if site == "send-delivery":
+            sched.max_pending_events = 1
+            sched.schedule_at(0.5, lambda: None)
+            call = partial(pa.send, pkt())  # idle: the bypass delivery
+        elif site == "materialize":
+            pa.send(pkt())
+            sched.max_pending_events = sched.pending
+            call = partial(pa.send, pkt())  # busy: the elided tx-done back
+        else:
+            for _ in range(3):
+                pa.send(pkt())
+            if site == "tx-done":
+                # Dispatching the tx-done frees a slot that its own
+                # tx-done re-insert takes back: cap one below the count.
+                sched.max_pending_events = sched.pending - 1
+            else:  # "tx-delivery": the tx-done fits, the delivery does not
+                sched.max_pending_events = sched.pending
+            call = sched.run
+        pending = sched.pending
+        with pytest.raises(ResourceError) as info:
+            call()
+        if site in ("send-delivery", "materialize"):
+            assert sched.pending == pending
+        return str(info.value)
+
+    @pytest.mark.parametrize("site, fn", [
+        ("send-delivery", "Port._deliver"),
+        ("materialize", "Port._tx_next"),
+        ("tx-done", "Port._tx_next"),
+        ("tx-delivery", "Port._deliver"),
+    ])
+    def test_pending_cap_at_each_insert_site(self, site, fn):
+        message = self._pressure(Scheduler(), site)
+        assert f"while scheduling {fn} " in message
+        assert self._pressure(HeapScheduler(), site) == message
+
+    @staticmethod
+    def _infinite_tx(sched):
+        _s, _a, _b, pa, _pb = make_pair(rate_bps=1e-320, sched=sched)
+        messages = []
+        for _ in range(2):  # idle-send delivery, then the busy materialize
+            pending = sched.pending
+            with pytest.raises(SimulationError) as info:
+                pa.send(pkt())
+            assert sched.pending == pending == 0
+            messages.append(str(info.value))
+        return messages, sched._seq
+
+    def test_infinite_serialization_rejected_alike(self):
+        calendar = self._infinite_tx(Scheduler())
+        assert calendar == self._infinite_tx(HeapScheduler())
+        assert calendar[0] == [
+            "non-finite delay: inf (scheduling Port._deliver)",
+            "non-finite time: inf (scheduling Port._tx_next)",
+        ]
+
+    def test_steady_state_deliveries_reuse_parked_events(self, monkeypatch):
+        import repro.sim.engine as engine
+
+        made = []
+        real = engine.Event
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "Event", counting)
+        sched, _a, b, pa, _pb = make_pair(rate_bps=1e9, delay_s=10e-6)
+        first = pkt()
+        pa.send(first)  # a fresh event, parked once it has fired
+        ev = first.flight_event
+        sched.run()
+        assert sched._free is ev
+        for _ in range(5):  # warm-up burst: allocates the working set
+            pa.send(pkt())
+        sched.run()
+        assert made
+        del made[:]
+        for _ in range(3):
+            for _ in range(5):
+                pa.send(pkt())
+            sched.run()
+        assert made == []  # every insert popped a parked event
+        for _ in range(3):  # idle sends: the delivery is the free-list head
+            head = sched._free
+            p = pkt()
+            pa.send(p)
+            assert p.flight_event is head
+            sched.run()
+        assert len(b.arrivals) == 24

@@ -111,6 +111,21 @@ class TestCongestionWindow:
         h.run()
         assert sender.cwnd <= 4 * MSS_BYTES + 1e-9
 
+    def test_grow_cwnd_stops_at_max_cwnd(self):
+        h = TransportHarness()
+        config = TcpConfig(init_cwnd_pkts=2, max_cwnd_pkts=8)
+        _flow, sender, _receiver = h.flow(100 * MSS_BYTES, config)
+        cap = 8 * MSS_BYTES
+        sender._grow_cwnd(MSS_BYTES)  # slow start: one MSS per MSS acked
+        assert sender.cwnd == 3 * MSS_BYTES
+        for cwnd in (5, 7, 8):  # ABC caps each step at 2 MSS, then max_cwnd
+            sender._grow_cwnd(10 * MSS_BYTES)
+            assert sender.cwnd == cwnd * MSS_BYTES
+        sender.ssthresh = 0.0  # congestion avoidance pushes past the cap
+        for _ in range(5):
+            sender._grow_cwnd(MSS_BYTES)
+            assert sender.cwnd == cap
+
 
 class TestLossRecovery:
     def test_fast_retransmit_recovers_single_loss(self):
@@ -257,6 +272,18 @@ class TestRttEstimation:
         sender.start()
         h.run()
         assert sender.rto >= 0.01
+
+    def test_sample_rtt_clamps_to_rto_bounds(self):
+        # Inside the bounds the RTO is srtt + 4 * rttvar; outside, exactly
+        # the bound (first sample: rttvar = rtt / 2, so rto = 3 * rtt).
+        h = TransportHarness()
+        config = TcpConfig(min_rto=0.01, max_rto=0.5)
+        for rtt, rto in ((1e-3, 0.01), (0.01, 0.03), (1.0, 0.5)):
+            _flow, sender, _receiver = h.flow(MSS_BYTES, config)
+            sender._sample_rtt(rtt)
+            assert sender.rto == pytest.approx(rto)
+            assert config.min_rto <= sender.rto <= config.max_rto
+        assert sender.rto == 0.5  # the bound itself, not a computed value
 
     def test_no_rtt_sample_from_retransmits(self):
         h = TransportHarness(delay_s=50e-6)
