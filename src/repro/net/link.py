@@ -216,9 +216,11 @@ class Port:
         monotone per port — a link delivers in FIFO order no matter the
         draw — which both models real links (no single-link reordering)
         and keeps the in-flight FIFO's head the next packet to arrive.
-        Jittered deliveries keep their absolute arrival time: the transmit
-        sites take a fresh sequence number and insert the event with
-        :meth:`Scheduler.schedule_reserved`, which goes through the
+        Jittered deliveries keep their absolute arrival time under a fresh
+        sequence number: an idle send or an elided tx-done inserts the
+        event with :meth:`Scheduler.schedule_reserved`, and a busy
+        ``_tx_next`` passes it to :meth:`Scheduler.schedule_tx` with its
+        tx-done, as a fixed-delay link does.  Both go through the
         scheduler's event free list like the fixed-delay ``schedule_once``.
         """
         if jitter_s < 0:
@@ -516,29 +518,32 @@ class Port:
             seq = sched._seq
             sched._seq = seq + 1
             self._txdone_seq = seq
-        # Otherwise the tx-done is scheduled with the delivery below.  Its
-        # callback IS _tx_next: the transmitter frees up when the last bit
-        # leaves and immediately starts the next packet; propagation of the
-        # in-flight packet continues independently.
+        # Otherwise the tx-done is scheduled with the delivery below, in
+        # one schedule_tx call taking the delivery's absolute time, on a
+        # fixed or a jittered link.  Its callback IS _tx_next: the
+        # transmitter frees up when the last bit leaves and immediately
+        # starts the next packet; propagation of the in-flight packet
+        # continues independently.
         rng = self._jitter_rng
         if rng is None:
             if elided:
                 pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
             else:
-                # One call, placed as schedule_once for each would place them.
                 pkt.flight_event = sched.schedule_tx(
-                    tx, self._tx_next, tx + self.delay_s, self._deliver, pkt)
+                    tx, self._tx_next, sched.now + (tx + self.delay_s), self._deliver, pkt)
         else:
-            if not elided:
-                sched.schedule_once(tx, self._tx_next)
             # Jittered delivery: same draw and clamp as send()'s fast path.
             arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-            seq = sched._seq
-            sched._seq = seq + 1
-            pkt.flight_event = sched.schedule_reserved(arrival, seq, self._deliver, pkt)
+            if elided:
+                seq = sched._seq
+                sched._seq = seq + 1
+                pkt.flight_event = sched.schedule_reserved(arrival, seq, self._deliver, pkt)
+            else:
+                pkt.flight_event = sched.schedule_tx(
+                    tx, self._tx_next, arrival, self._deliver, pkt)
         if self._flight_count:
             self._flight_tail.flight_next = pkt
         else:

@@ -288,21 +288,43 @@ class Network:
                 self._port_index[(end, self._other(link, end))] = port.index
                 ports.append(port)
             connect(ports[0], ports[1])
+        # The two transmit ports of every topology link, in topology
+        # order: whose ``up`` flags make the live-link set that
+        # live_topology() and the route memo read.
+        self._link_ports: tuple[tuple[Port, Port], ...] = tuple(
+            (self.port_between(link.node_a, link.node_b),
+             self.port_between(link.node_b, link.node_a))
+            for link in self.topo.links
+        )
 
     @staticmethod
     def _other(link, end: str) -> str:
         return link.node_b if end == link.node_a else link.node_a
 
     def _install_fibs(self) -> None:
-        self._install_fib_tables(compute_fibs(self.topo))
+        tables = self._port_tables(compute_fibs(self.topo))
+        # Route memo: the port tables of every live-link set seen so far,
+        # keyed by its down links (see recompute_routes), seeded with the
+        # build-time tables for "every link up".
+        self._route_memo: dict[tuple[int, ...], tuple[dict[int, list[int]], ...]] = {
+            (): tables}
+        self._install_port_tables(tables)
 
-    def _install_fib_tables(self, fibs: dict[str, dict[str, list[str]]]) -> None:
+    def _port_tables(self, fibs: dict[str, dict[str, list[str]]]) -> tuple[dict[int, list[int]], ...]:
+        """Translate symbolic FIBs into one port table per switch, in
+        ``self.switches`` order."""
+        tables = []
         for switch in self.switches:
             symbolic = fibs.get(switch.name, {})
             table: dict[int, list[int]] = {}
             for dst_name, next_hops in symbolic.items():
                 dst_id = self._nodes[dst_name].node_id
                 table[dst_id] = [self._port_index[(switch.name, hop)] for hop in next_hops]
+            tables.append(table)
+        return tuple(tables)
+
+    def _install_port_tables(self, tables: tuple[dict[int, list[int]], ...]) -> None:
+        for switch, table in zip(self.switches, tables):
             switch.install_fib(table)
         self.note_topology_change()
 
@@ -323,9 +345,8 @@ class Network:
         """
         live_links = [
             link
-            for link in self.topo.links
-            if self.port_between(link.node_a, link.node_b).up
-            and self.port_between(link.node_b, link.node_a).up
+            for link, (port_a, port_b) in zip(self.topo.links, self._link_ports)
+            if port_a.up and port_b.up
         ]
         return Topology(
             name=f"{self.topo.name}-live",
@@ -342,8 +363,28 @@ class Network:
         paths, and unreachable destinations simply vanish from the FIBs
         (their packets drop with ``no_route``).  Installing the new tables
         also clears every memoized ECMP pick.
+
+        The tables are a pure function of the live-link set, so they are
+        memoized on it (keyed by the indices of the links with either
+        direction down): the first visit to a set runs
+        :func:`~repro.routing.fib.compute_fibs` on :meth:`live_topology`
+        and translates the result to port tables, and a return to a set
+        already seen (a flap healing, a switch recovering) reinstalls
+        the stored tables.  The build-time tables seed the "every link
+        up" entry.  Hit or miss, every switch gets its table through
+        :meth:`~repro.net.switch.Switch.install_fib` (which clears its
+        route memos) and the topology generation is bumped.  Installed
+        tables are shared with the memo and never mutated: a switch
+        filters down ports into a new table of its own.  The memo holds
+        at most one table set per distinct live-link set a run reaches.
         """
-        self._install_fib_tables(compute_fibs(self.live_topology()))
+        down = tuple(i for i, (port_a, port_b) in enumerate(self._link_ports)
+                     if not (port_a.up and port_b.up))
+        tables = self._route_memo.get(down)
+        if tables is None:
+            tables = self._port_tables(compute_fibs(self.live_topology()))
+            self._route_memo[down] = tables
+        self._install_port_tables(tables)
 
     # ------------------------------------------------------------------
     # observability

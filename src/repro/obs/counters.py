@@ -96,18 +96,49 @@ class CounterSnapshot:
 
     def drop_report(self) -> dict[str, int]:
         """Drops by cause, network-wide (switch pipeline + host NICs +
-        pFabric in-queue evictions + fault-injected losses)."""
+        pFabric in-queue evictions + fault-injected losses).
+
+        Each cause is one counter summed over one prefix, as
+        :meth:`total` would sum it: the switch pipeline's and queues'
+        causes over ``switch.`` scopes, NIC overflow over ``host.``,
+        ``link_down`` and ``corrupt`` over every scope.  It is one walk
+        over the scopes, with no call per scope, because the invariant
+        checker takes it at every mid-run audit."""
+        overflow = ttl = no_route = no_detour = host_nic = 0
+        evictions = ingress = failed = link_down = corrupt = 0
+        for scope, c in self.scopes.items():
+            if "link_down" in c:
+                link_down += c["link_down"]
+            if "corrupt" in c:
+                corrupt += c["corrupt"]
+            if scope[:7] == "switch.":
+                if "drops_overflow" in c:
+                    overflow += c["drops_overflow"]
+                if "drops_ttl" in c:
+                    ttl += c["drops_ttl"]
+                if "drops_no_route" in c:
+                    no_route += c["drops_no_route"]
+                if "drops_no_detour" in c:
+                    no_detour += c["drops_no_detour"]
+                if "pfabric_evictions" in c:
+                    evictions += c["pfabric_evictions"]
+                if "ingress_overflow" in c:
+                    ingress += c["ingress_overflow"]
+                if "drops_switch_failed" in c:
+                    failed += c["drops_switch_failed"]
+            elif scope[:5] == "host." and "queue_drops" in c:
+                host_nic += c["queue_drops"]
         return {
-            "overflow": self.total("drops_overflow", "switch."),
-            "ttl_expired": self.total("drops_ttl", "switch."),
-            "no_route": self.total("drops_no_route", "switch."),
-            "no_detour_port": self.total("drops_no_detour", "switch."),
-            "host_nic": self.total("queue_drops", "host."),
-            "pfabric_evictions": self.total("pfabric_evictions", "switch."),
-            "ingress_overflow": self.total("ingress_overflow", "switch."),
-            "switch_failed": self.total("drops_switch_failed", "switch."),
-            "link_down": self.total("link_down"),
-            "corrupt": self.total("corrupt"),
+            "overflow": overflow,
+            "ttl_expired": ttl,
+            "no_route": no_route,
+            "no_detour_port": no_detour,
+            "host_nic": host_nic,
+            "pfabric_evictions": evictions,
+            "ingress_overflow": ingress,
+            "switch_failed": failed,
+            "link_down": link_down,
+            "corrupt": corrupt,
         }
 
     def total_drops(self) -> int:

@@ -45,9 +45,11 @@ Design notes
   whose handle never escapes the scheduler/port machinery are recycled,
   so a stale external handle can never cancel a recycled (reused) event.
 * A busy port's transmit inserts its tx-done and the packet's delivery
-  with one call, :meth:`schedule_tx`, which places both events exactly
-  as two :meth:`schedule_once` calls would.  Whenever one of those calls
-  would fail, or ``schedule_once`` has been replaced on the class (an
+  with one call, :meth:`schedule_tx`, whether the link's delay is fixed
+  or jittered: it places both events exactly as ``schedule_once`` for
+  the tx-done and ``schedule_reserved`` at the delivery's absolute time
+  (under a fresh sequence number) would.  Whenever one of those calls
+  would fail, or either method has been replaced on the class (an
   instrumenting wrapper that must see every callback), it makes the two
   calls instead.
 
@@ -500,25 +502,31 @@ class Scheduler:
             self._park_far(idx, time, seq, ev)
         return ev
 
-    def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], delay: float,
+    def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], at: float,
                     fn: Callable[..., Any], *args: Any) -> Event:
-        """``schedule_once(tx, tx_fn)`` then ``schedule_once(delay, fn,
-        *args)`` in one call, returning the second event.  A busy port
-        inserts its tx-done and the delivery of the packet it starts this
-        way (``Port._tx_next``): one scheduler call per hop, not two.  Both
-        events get the ``(time, seq)`` and the free-list events the two
-        calls would give them.  When either call would fail (a bad delay,
-        or the pending cap), or ``schedule_once`` has been replaced on the
-        class (a subclass, or a wrapper that must see every callback
-        scheduled), this makes the two calls, so they fail or are seen
-        exactly as before."""
+        """A busy port's transmit in one call: ``schedule_once(tx, tx_fn)``
+        for the tx-done, then ``fn(*args)`` at the absolute time ``at``
+        under the next fresh sequence number (the packet's delivery),
+        returning the delivery's event.  ``Port._tx_next`` computes ``at``
+        as ``now + (tx + delay_s)`` on a fixed-delay link and as the
+        clamped jitter draw on a jittered one, so either link pays one
+        scheduler call per busy hop.  Both events get the ``(time, seq)``
+        and the free-list events that ``schedule_once(tx, tx_fn)``
+        followed by ``schedule_reserved(at, fresh seq, fn, *args)`` would
+        give them.  When either insert would fail (a bad ``tx`` or ``at``,
+        or the pending cap), or ``schedule_once`` or ``schedule_reserved``
+        has been replaced on the class (a subclass, or a wrapper that must
+        see every callback scheduled), this makes those two calls, so they
+        fail or are seen exactly as they would be on their own; a rejected
+        delivery takes no sequence number."""
         count = self._count + 2
-        if (count > self._cap or not 0.0 <= tx < _INF or not 0.0 <= delay < _INF
-                or self.__class__.schedule_once is not _SCHEDULE_ONCE):
-            self.schedule_once(tx, tx_fn)
-            return self.schedule_once(delay, fn, *args)
-        self._count = count
         now = self.now
+        cls = self.__class__
+        if (count > self._cap or not 0.0 <= tx < _INF or not now <= at < _INF
+                or cls.schedule_once is not _SCHEDULE_ONCE
+                or cls.schedule_reserved is not _SCHEDULE_RESERVED):
+            return schedule_tx_calls(self, tx, tx_fn, at, fn, args)
+        self._count = count
         seq = self._seq
         self._seq = seq + 2
         cur = self._cur
@@ -542,27 +550,28 @@ class Scheduler:
             insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
             self._park_far(idx, time, seq, ev)
-        # ... then the delivery, at the next sequence number.
-        time = now + delay
+        # ... then the delivery at ``at``, under the next sequence number
+        # (fresh, so the time-keyed bisect places it as schedule_reserved's
+        # full-key one would).
         seq += 1
         ev = self._free
         if ev is not None:
             self._free = ev.free_next
-            ev.time = time
+            ev.time = at
             ev.seq = seq
             ev.fn = fn
             ev.args = args
             ev.cancelled = False
         else:
-            ev = Event(time, seq, fn, args, self)
+            ev = Event(at, seq, fn, args, self)
             ev.recyclable = True
-        idx = int((time - self._wstart) * self._inv_width)
+        idx = int((at - self._wstart) * self._inv_width)
         if 0 < idx - cur < _NBUCKETS:
             self._buckets[idx & _MASK].append(ev)
         elif idx <= cur:
             insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
-            self._park_far(idx, time, seq, ev)
+            self._park_far(idx, at, seq, ev)
         return ev
 
     @staticmethod
@@ -1145,8 +1154,25 @@ class Scheduler:
         self._reset_calendar()
 
 
-# What Scheduler.schedule_tx compares the class's schedule_once against.
+# What Scheduler.schedule_tx compares the class's insert methods against.
 _SCHEDULE_ONCE = Scheduler.schedule_once
+_SCHEDULE_RESERVED = Scheduler.schedule_reserved
+
+
+def schedule_tx_calls(sched, tx: float, tx_fn: Callable[..., Any], at: float,
+                      fn: Callable[..., Any], args: tuple) -> Event:
+    """``schedule_tx`` as method calls: ``schedule_once(tx, tx_fn)``, then
+    ``schedule_reserved(at, seq, fn, *args)`` under a fresh ``seq`` taken
+    only once ``at`` has passed the same check ``schedule_reserved``
+    makes.  The calendar engine's fallback and the heap engine's whole
+    ``schedule_tx``."""
+    sched.schedule_once(tx, tx_fn)
+    now = sched.now
+    if not now <= at < _INF:
+        raise invalid_schedule(fn, at, now, "time")
+    seq = sched._seq
+    sched._seq = seq + 1
+    return sched.schedule_reserved(at, seq, fn, *args)
 
 
 def make_scheduler(max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS,

@@ -31,6 +31,7 @@ from repro.sim.engine import (
     ResourceError,
     SimulationError,
     invalid_schedule,
+    schedule_tx_calls,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,13 +104,12 @@ class HeapScheduler:
         ev.recyclable = True
         return ev
 
-    def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], delay: float,
+    def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], at: float,
                     fn: Callable[..., Any], *args: Any) -> Event:
-        """``schedule_once(tx, tx_fn)`` then ``schedule_once(delay, fn,
-        *args)``, returning the second event (see the calendar engine's
-        docstring; here it is just the two calls)."""
-        self.schedule_once(tx, tx_fn)
-        return self.schedule_once(delay, fn, *args)
+        """``schedule_once(tx, tx_fn)`` then ``schedule_reserved(at, fresh
+        seq, fn, *args)``, returning the second event (see the calendar
+        engine's docstring; here it is just the two calls)."""
+        return schedule_tx_calls(self, tx, tx_fn, at, fn, args)
 
     def reserve_seq(self) -> int:
         """Claim the next sequence number without inserting an event (the

@@ -1,5 +1,6 @@
 """Fault injection, livelock watchdog, and runtime invariant guards."""
 
+import copy
 import dataclasses
 import json
 import random
@@ -34,6 +35,7 @@ from repro.faults import (
 from repro.net.audit import assert_conserved, conservation_report
 from repro.net.network import Network, SwitchQueueConfig
 from repro.net.packet import Packet
+from repro.routing.fib import compute_fibs
 from repro.sim.engine import Scheduler
 from repro.topo import fat_tree
 
@@ -229,6 +231,125 @@ class TestLinkFaults:
         assert injector.applied[LINK_DOWN] == 2
         assert all(f.completed for f in flows)
         assert_conserved(net)
+
+
+# ----------------------------------------------------------------------
+# route memo (Network.recompute_routes)
+# ----------------------------------------------------------------------
+def fresh_tables(net):
+    """Every switch's port table from a fresh ``compute_fibs`` run on the
+    live topology, translated independently of the network's own code."""
+    fibs = compute_fibs(net.live_topology())
+    return [
+        {
+            net.node(dst).node_id: [net.port_between(sw.name, hop).index for hop in hops]
+            for dst, hops in fibs[sw.name].items()
+        }
+        for sw in net.switches
+    ]
+
+
+def installed(net):
+    return [sw._fib_full for sw in net.switches]
+
+
+class TestRouteMemo:
+    def test_flap_cycle_installs_fresh_tables(self):
+        net = incast_net(seed=31)
+        sched = FaultSchedule.from_tuples(
+            [(0.001, LINK_DOWN, "agg_0_0", "core_0"),
+             (0.002, LINK_UP, "agg_0_0", "core_0"),
+             (0.003, LINK_DOWN, "agg_0_0", "core_0")]
+        )
+        FaultInjector(net, sched).arm()
+        start_incast(net, n=4)
+        tables = []
+        for until in (0.0015, 0.0025, 0.0035):
+            net.run(until=until)
+            assert installed(net) == fresh_tables(net)
+            tables.append(installed(net))
+        # The cut really changed routes, and healing restored them.
+        assert tables[0] != tables[1]
+        # The second visit to the down set reinstalled the stored tables.
+        assert all(a is b for a, b in zip(tables[0], tables[2]))
+        assert len(net._route_memo) == 2
+
+    def test_all_up_install_reuses_build_time_tables(self):
+        net = incast_net(seed=32)
+        build = installed(net)
+        assert build == fresh_tables(net)
+        for tx, rx in (("agg_0_0", "core_0"), ("core_0", "agg_0_0")):
+            net.port_between(tx, rx).set_down()
+        net.recompute_routes()
+        assert installed(net) != build
+        for tx, rx in (("agg_0_0", "core_0"), ("core_0", "agg_0_0")):
+            net.port_between(tx, rx).set_up()
+        net.recompute_routes()
+        assert all(a is b for a, b in zip(installed(net), build))
+
+    def test_refresh_never_mutates_memoized_tables(self):
+        net = incast_net(seed=33)
+        sched = FaultSchedule.from_tuples(
+            [(0.001, LINK_DOWN, "edge_0_0", "agg_0_0"),
+             (0.002, LINK_UP, "edge_0_0", "agg_0_0"),
+             (0.003, LINK_DOWN, "agg_1_0", "core_1")]
+        )
+        FaultInjector(net, sched).arm()
+        start_incast(net, n=8)
+        net.run(until=0.004)
+        memo = copy.deepcopy(net._route_memo)
+        # Port faults outside the reroute path, filtered locally by every
+        # switch over the installed (memoized) tables; then the breaker's
+        # toggle, which refreshes too.
+        net.port_between("edge_0_0", "agg_0_1").set_down()
+        net.port_between("agg_0_0", "core_0").set_down()
+        for sw in net.switches:
+            sw.refresh_fault_state()
+            sw.set_detour_enabled(False)
+            sw.set_detour_enabled(True)
+        net.run(until=0.02)
+        edge = net.switch("edge_0_0")
+        assert edge._fib is not edge._fib_full
+        assert net._route_memo == memo
+
+    def test_every_recompute_bumps_generation_and_clears_route_memos(self):
+        net = incast_net(seed=34)
+        down = [net.port_between("agg_0_0", "core_0"), net.port_between("core_0", "agg_0_0")]
+        # A miss (the link down), then hits only: all up (the build-time
+        # entry), down again, all up again.
+        for step, is_down in enumerate([True, False, True, False]):
+            for port in down:
+                if is_down:
+                    port.set_down()
+                else:
+                    port.set_up()
+            for sw in net.switches:
+                sw._route[10_000 + step] = down[0]
+                sw._ecmp_cache[(10_000, step)] = down[0]
+            generation = net.topology_generation
+            net.recompute_routes()
+            assert net.topology_generation == generation + 1
+            assert len(net._route_memo) == 2
+            for sw in net.switches:
+                assert sw._route == {} and sw._ecmp_cache == {}
+
+    def test_switch_fail_and_recover_reuse_the_memo(self):
+        net = incast_net(seed=35)
+        build = installed(net)
+        sched = FaultSchedule.from_tuples(
+            [(0.001, SWITCH_FAIL, "core_0"), (0.002, SWITCH_RECOVER, "core_0"),
+             (0.003, SWITCH_FAIL, "core_0")]
+        )
+        FaultInjector(net, sched).arm()
+        start_incast(net, n=4)
+        net.run(until=0.0015)
+        failed = installed(net)
+        assert failed == fresh_tables(net) and failed != build
+        net.run(until=0.0025)
+        assert all(a is b for a, b in zip(installed(net), build))
+        net.run(until=0.0035)
+        assert all(a is b for a, b in zip(installed(net), failed))
+        assert len(net._route_memo) == 2
 
 
 # ----------------------------------------------------------------------

@@ -802,17 +802,28 @@ class TestInsertSites:
     idle send's delivery (``schedule_once``, or ``schedule_reserved`` when
     jittered), a busy send's materialized tx-done (``schedule_reserved``)
     and a busy ``_tx_next``'s tx-done plus delivery in one
-    ``schedule_tx`` call.  The calendar and heap engines must dispatch the
-    same events at the same ``(time, seq)`` and fail the same way."""
+    ``schedule_tx`` call, on a fixed or a jittered link.  The calendar and
+    heap engines must dispatch the same events at the same ``(time, seq)``
+    and fail the same way."""
 
     @pytest.fixture
     def traced(self, monkeypatch):
-        """Record ``(now, now_seq, name)`` at every port entry point, and
-        the callback of every event the calendar inserts into the bucket
-        being consumed (``insort``) or into the overflow heap."""
+        """Record ``(now, now_seq, name)`` at every port entry point, the
+        callback of every event the calendar inserts into the bucket
+        being consumed (``insort``) or into the overflow heap, and where
+        each calendar ``schedule_tx`` delivery lands (``tx_places``:
+        ``"cursor"``, ``"ring"`` or ``"far"``)."""
         import repro.sim.engine as engine
 
-        trace, places = [], []
+        trace, places, tx_places = [], [], []
+        schedule_tx = Scheduler.schedule_tx
+
+        def schedule_tx_spy(sched, tx, tx_fn, at, fn, *args):
+            ahead = int((at - sched._wstart) * sched._inv_width) - sched._cur
+            tx_places.append("cursor" if ahead <= 0 else "ring" if ahead < 1024 else "far")
+            return schedule_tx(sched, tx, tx_fn, at, fn, *args)
+
+        monkeypatch.setattr(Scheduler, "schedule_tx", schedule_tx_spy)
         for name in ("send", "_tx_next", "_deliver"):
             def recorder(port, *args, _fn=getattr(Port, name), _name=name):
                 trace.append((port.scheduler.now, port.scheduler._now_seq, _name))
@@ -831,13 +842,19 @@ class TestInsertSites:
 
         monkeypatch.setattr(engine, "insort", insort_spy)
         monkeypatch.setattr(Scheduler, "_park_far", park_far_spy)
-        return trace, places
+        return trace, places, tx_places
 
-    # name -> (rate_bps, delay_s, jitter_s, send times); the later sends
-    # find parked events on the free list.
+    # name -> (rate_bps, delay_s, jitter, send times); the later sends
+    # find parked events on the free list.  ``jitter`` is a jitter_s, or
+    # ``(time, jitter_s)`` steps applied with set_jitter on one stream.
     CASES = {
         "fixed": (1e9, 10e-6, 0.0, [0.0, 50e-6, 100e-6]),
         "jitter": (1e9, 10e-6, 30e-6, [0.0] * 6 + [200e-6, 250e-6]),
+        # Busy jittered hops in three bursts: a ~1 ns jitter on 12 ns
+        # serializations (deliveries into the bucket being consumed), a
+        # 100 us one (ring), then 20 ms (overflow).
+        "jitter-busy": (1e12, 0.0, ((0.0, 1e-9), (1e-4, 1e-4), (1e-3, 0.02)),
+                        [0.0] * 5 + [1e-4] * 5 + [1e-3] * 5),
         # A backlog: tx-dones dispatched, and an elided one materialized.
         "busy": (1e9, 10e-6, 0.0, [0.0] * 8 + [200e-6] * 3),
         # 12 ns serializations, no propagation: every insert lands in the
@@ -853,7 +870,13 @@ class TestInsertSites:
         del trace[:]
         _s, _a, b, pa, pb = make_pair(rate_bps=rate, delay_s=delay, sched=sched)
         if jitter:
-            pa.set_jitter(jitter, random.Random(7))
+            rng = random.Random(7)
+            steps = jitter if isinstance(jitter, tuple) else ((0.0, jitter),)
+            for t, jitter_s in steps:
+                if t == 0.0:
+                    pa.set_jitter(jitter_s, rng)
+                else:
+                    sched.schedule_at(t, pa.set_jitter, jitter_s, rng)
         for t in times:
             if t == 0.0:
                 pa.send(pkt())
@@ -866,7 +889,7 @@ class TestInsertSites:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_calendar_matches_heap(self, case, traced):
-        trace, places = traced
+        trace, places, tx_places = traced
         calendar = self._run(Scheduler(), case, trace)
         cal_places = list(places)
         heap = self._run(HeapScheduler(), case, trace)
@@ -887,24 +910,36 @@ class TestInsertSites:
             assert tx_done[0] == first[0] and tx_done[1] < first[1]
         if case == "overflow":
             assert ("far", "Port._deliver") in cal_places
+        if case == "jitter-busy":
+            # Every burst's busy hops went through schedule_tx, and its
+            # deliveries landed in each part of the calendar.
+            assert tx_places == ["cursor"] * 3 + ["ring"] * 3 + ["far"] * 3
 
-    @pytest.mark.parametrize("tx, delay", [
+    @pytest.mark.parametrize("tx, at", [
         (float("inf"), 1e-6), (float("nan"), 1e-6), (-1e-6, 1e-6),
-        (1e-6, float("inf")), (1e-6, -1e-6),
+        (1e-6, float("inf")), (1e-6, -1e-6), (1e-6, float("nan")), (1e-6, 5e-6),
     ])
-    def test_schedule_tx_rejects_like_two_schedule_once(self, tx, delay):
+    def test_schedule_tx_rejects_like_two_schedule_once(self, tx, at):
         """A bad tx-done delay fails before anything is inserted; a bad
-        delivery delay fails with the tx-done already in — on both
-        engines, with the same message and sequence numbers."""
+        delivery time (before ``now`` = 10 us, or not finite) fails with
+        the tx-done already in and no sequence number taken for the
+        delivery — on both engines, with the same message, ``pending``
+        and sequence numbers as ``schedule_once`` then
+        ``schedule_reserved`` give."""
 
         def attempt(sched):
+            sched.schedule_at(10e-6, lambda: None)
+            sched.run()
+            pending, seq = sched.pending, sched._seq
             with pytest.raises(SimulationError) as info:
-                sched.schedule_tx(tx, lambda: None, delay, lambda pkt: None, "pkt")
-            return str(info.value), sched.pending, sched._seq
+                sched.schedule_tx(tx, lambda: None, at, lambda pkt: None, "pkt")
+            return str(info.value), sched.pending - pending, sched._seq - seq
 
         calendar = attempt(Scheduler())
         assert calendar == attempt(HeapScheduler())
         assert calendar[1:] == ((0, 0) if tx != 1e-6 else (1, 1))
+        if tx == 1e-6:
+            assert ("into the past" if at < 10e-6 else "non-finite time") in calendar[0]
 
     def test_schedule_tx_events_are_parked_after_firing(self):
         sched = Scheduler()
@@ -916,13 +951,17 @@ class TestInsertSites:
         tx_done = ev.free_next
         assert sched._free is ev and tx_done is not None and tx_done.free_next is None
 
-    def test_replaced_schedule_once_sees_both_tx_inserts(self, monkeypatch):
-        """With ``schedule_once`` replaced on the class (an instrumenting
-        wrapper), ``schedule_tx`` goes through it for the tx-done and the
-        delivery alike, and the run is unchanged."""
+    @pytest.mark.parametrize("jitter", [0.0, 30e-6], ids=["fixed", "jitter"])
+    def test_replaced_insert_methods_see_every_port_callback(self, jitter, monkeypatch):
+        """With ``schedule_once`` and ``schedule_reserved`` replaced on the
+        class (what the traced ledger wraps), ``schedule_tx`` goes through
+        them for the tx-done and the delivery alike, on a fixed and on a
+        jittered port, and the run is unchanged."""
 
         def run():
             sched, _a, b, pa, _pb = make_pair(rate_bps=1e9, delay_s=10e-6)
+            if jitter:
+                pa.set_jitter(jitter, random.Random(3))
             for _ in range(4):
                 pa.send(pkt())
             sched.run()
@@ -930,19 +969,47 @@ class TestInsertSites:
 
         direct = run()
         seen = []
-        once = Scheduler.schedule_once
+        once, reserved = Scheduler.schedule_once, Scheduler.schedule_reserved
 
-        def wrapper(sched, delay, fn, *args):
-            seen.append(fn.__qualname__)
+        def once_wrapper(sched, delay, fn, *args):
+            seen.append(("once", fn.__qualname__))
             return once(sched, delay, fn, *args)
 
-        monkeypatch.setattr(Scheduler, "schedule_once", wrapper)
+        def reserved_wrapper(sched, time, seq, fn, *args):
+            seen.append(("reserved", fn.__qualname__))
+            return reserved(sched, time, seq, fn, *args)
+
+        monkeypatch.setattr(Scheduler, "schedule_once", once_wrapper)
+        monkeypatch.setattr(Scheduler, "schedule_reserved", reserved_wrapper)
         assert run() == direct
-        # Idle send's delivery; then the first busy _tx_next's pair (the
-        # materialized tx-done went through schedule_reserved), the
-        # second's, and the last packet's delivery with its tx-done elided.
-        assert seen == ["Port._deliver", "Port._tx_next", "Port._deliver",
-                        "Port._tx_next", "Port._deliver", "Port._deliver"]
+        # A jittered delivery is a schedule_reserved at its drawn time.
+        deliver = ("reserved" if jitter else "once", "Port._deliver")
+        tx_done = ("once", "Port._tx_next")
+        # The idle send's delivery; the second send's materialized tx-done;
+        # the first busy _tx_next's pair, the second's; and the last
+        # packet's delivery with its tx-done elided.
+        assert seen == [deliver, ("reserved", "Port._tx_next"), tx_done,
+                        ("reserved", "Port._deliver"), tx_done,
+                        ("reserved", "Port._deliver"), deliver]
+
+    def test_replaced_schedule_reserved_alone_sees_busy_deliveries(self, monkeypatch):
+        """Replacing only ``schedule_reserved`` is enough for
+        ``schedule_tx`` to make the two calls."""
+        seen = []
+        reserved = Scheduler.schedule_reserved
+
+        def wrapper(sched, time, seq, fn, *args):
+            seen.append(fn.__qualname__)
+            return reserved(sched, time, seq, fn, *args)
+
+        monkeypatch.setattr(Scheduler, "schedule_reserved", wrapper)
+        sched, _a, b, pa, _pb = make_pair(rate_bps=1e9, delay_s=10e-6)
+        for _ in range(4):
+            pa.send(pkt())
+        sched.run()
+        assert len(b.arrivals) == 4
+        # The materialized tx-done, then the two busy hops' deliveries.
+        assert seen == ["Port._tx_next", "Port._deliver", "Port._deliver"]
 
     @staticmethod
     def _pressure(sched, site):

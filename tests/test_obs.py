@@ -122,6 +122,113 @@ class TestCounters:
         assert snap.get("a", "y") == 2
 
 
+def _prefix_drop_report(snap):
+    """``drop_report`` as ten ``total()`` prefix sums, one per cause: the
+    oracle the one-pass report must equal, key order included."""
+    total = snap.total
+    return {
+        "overflow": total("drops_overflow", "switch."),
+        "ttl_expired": total("drops_ttl", "switch."),
+        "no_route": total("drops_no_route", "switch."),
+        "no_detour_port": total("drops_no_detour", "switch."),
+        "host_nic": total("queue_drops", "host."),
+        "pfabric_evictions": total("pfabric_evictions", "switch."),
+        "ingress_overflow": total("ingress_overflow", "switch."),
+        "switch_failed": total("drops_switch_failed", "switch."),
+        "link_down": total("link_down"),
+        "corrupt": total("corrupt"),
+    }
+
+
+def _assert_drop_report_matches_oracle(snap):
+    report = snap.drop_report()
+    oracle = _prefix_drop_report(snap)
+    assert report == oracle
+    assert list(report) == list(oracle)
+    assert snap.total_drops() == sum(oracle.values())
+    return report
+
+
+class TestDropReport:
+    def test_every_cause_and_lookalike_scopes(self):
+        registry = CounterRegistry()
+        scopes = {
+            "switch.agg_0": {"forwards": 50, "drops_overflow": 1, "drops_ttl": 2,
+                             "drops_no_route": 3, "drops_no_detour": 4,
+                             "drops_switch_failed": 5, "ingress_overflow": 6},
+            "switch.agg_0.port1": {"queue_drops": 70, "pfabric_evictions": 7,
+                                   "link_down": 8, "corrupt": 9},
+            "switch.core_0": {"drops_overflow": 20, "drops_ttl": 21},
+            "host.host_0": {"misdelivered": 1, "unclaimed": 2},
+            "host.host_0.nic": {"queue_drops": 10, "link_down": 11, "corrupt": 12},
+            # Look-alikes: only link_down and corrupt count outside the
+            # switch./host. prefixes, and a prefix needs its dot.
+            "pfc.agg_0": {"drops_overflow": 100, "queue_drops": 200, "link_down": 13,
+                          "corrupt": 14, "pfabric_evictions": 300},
+            "controller": {"drops_ttl": 400, "ingress_overflow": 500,
+                           "drops_switch_failed": 550, "link_down": 15, "corrupt": 16},
+            "switchboard": {"drops_overflow": 600, "drops_no_route": 650},
+            "hosts.host_1": {"queue_drops": 700},
+            "hostile": {"queue_drops": 800},
+        }
+        for scope, counters in scopes.items():
+            registry.register(scope, lambda counters=counters: counters)
+        report = _assert_drop_report_matches_oracle(registry.snapshot())
+        assert all(report.values())
+        assert report["overflow"] == 21 and report["host_nic"] == 10
+        assert report["link_down"] == 8 + 11 + 13 + 15
+
+    def test_cioq_run(self):
+        from repro.net.network import Network, SwitchQueueConfig
+        from repro.topo import fat_tree
+
+        network = Network(
+            fat_tree(k=4),
+            switch_queues=SwitchQueueConfig(
+                buffer_pkts=100, ecn_threshold_pkts=8, architecture="cioq",
+                cioq_speedup=0.5, cioq_ingress_pkts=2),
+            seed=1,
+        )
+        for i in range(1, 13):
+            network.start_flow(f"host_{i}", "host_0", 20_000, transport="dctcp", kind="query")
+        network.run(until=0.5)
+        report = _assert_drop_report_matches_oracle(network.counters())
+        assert report["ingress_overflow"] > 0
+
+    def test_pfabric_run(self):
+        scenario = TINY.with_overrides(scheme="pfabric", incast_degree=12)
+        network = scenario.build_network()
+        _start_queries(network, scenario)
+        network.run(until=0.3)
+        report = _assert_drop_report_matches_oracle(network.counters())
+        assert report["pfabric_evictions"] > 0
+
+    def test_fault_run_at_every_audit(self, monkeypatch):
+        """A flap storm with the controller (its own counter scope),
+        corruption and mid-run audits: every report the run takes, the
+        invariant checker's included, equals the oracle."""
+        from repro.experiments.scenarios import flap_storm
+        from repro.obs.counters import CounterSnapshot
+
+        reports = []
+        one_pass = CounterSnapshot.drop_report
+
+        def checked(snap):
+            report = one_pass(snap)
+            assert report == _prefix_drop_report(snap)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(CounterSnapshot, "drop_report", checked)
+        result = run_scenario(flap_storm(
+            duration_s=0.5, drain_s=0.2, controller=True, corrupt_rate=200.0,
+            invariant_check_interval_s=0.02, seed=1))
+        assert len(reports) > 30
+        assert result.drops == reports[-1]
+        for cause in ("link_down", "corrupt", "no_route", "no_detour_port"):
+            assert result.drops[cause] > 0
+
+
 # ----------------------------------------------------------------------
 # determinism under instrumentation (the ISSUE's acceptance property)
 # ----------------------------------------------------------------------
