@@ -77,7 +77,7 @@ from pathlib import Path
 
 from repro.experiments import PAPER_DEFAULTS, SCALED_DEFAULTS
 from repro.experiments.report import format_table
-from repro.experiments.runner import result_to_dict, run_pooled, run_scenario
+from repro.experiments.runner import fingerprint, run_pooled, run_scenario
 from repro.sim.engine import Scheduler
 from repro.sim.engine_heap import HeapScheduler
 
@@ -248,28 +248,20 @@ def measure(rounds: int = 3) -> dict:
     return out
 
 
-def _canonical_metrics(result) -> str:
-    """Everything measured, minus wall time and instrumentation payloads."""
-    payload = result_to_dict(result, include_scenario=False)
-    for name in ("wall_seconds", "run_loop_seconds", "profile", "collector"):
-        payload.pop(name, None)
-    return json.dumps(payload, sort_keys=True, default=str)
-
-
 def _determinism_failures() -> list[str]:
     """A/A and serial-vs-parallel identity checks on the scaled cell."""
     failures = []
     with _engine_env("calendar"):
-        cal = _canonical_metrics(run_scenario(FIG07_CELL))
+        cal = fingerprint(run_scenario(FIG07_CELL))
     with _engine_env("heap"):
-        heap = _canonical_metrics(run_scenario(FIG07_CELL))
+        heap = fingerprint(run_scenario(FIG07_CELL))
     if cal != heap:
         failures.append("fig07 metrics differ between calendar and heap engines (seed fixed)")
     with _engine_env("calendar"):
-        serial = _canonical_metrics(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
-        parallel = _canonical_metrics(run_pooled(FIG07_CELL, seeds=(0, 1), workers=2))
+        serial = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
+        parallel = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=2))
     with _engine_env("heap"):
-        heap_serial = _canonical_metrics(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
+        heap_serial = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
     if serial != parallel:
         failures.append("pooled fig07 metrics differ between workers=1 and workers=2 (calendar)")
     if serial != heap_serial:
@@ -283,9 +275,9 @@ def _full_smoke() -> tuple[dict, list[str]]:
     failures = []
     with _engine_env("calendar"):
         result = run_scenario(FIG07_FULL)
-        cal = _canonical_metrics(result)
+        cal = fingerprint(result)
     with _engine_env("heap"):
-        heap = _canonical_metrics(run_scenario(FIG07_FULL))
+        heap = fingerprint(run_scenario(FIG07_FULL))
     if cal != heap:
         failures.append(
             "K=8 fig07 metrics differ between calendar and heap engines (seed fixed)")

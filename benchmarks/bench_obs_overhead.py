@@ -58,7 +58,6 @@ from __future__ import annotations
 import argparse
 import gc
 import heapq
-import json
 import random
 import sys
 import tempfile
@@ -67,7 +66,7 @@ from pathlib import Path
 
 from repro.core.config import DibsConfig
 from repro.experiments.report import format_table
-from repro.experiments.runner import result_to_dict, run_scenario
+from repro.experiments.runner import canonical_payload, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.net.network import Network, SwitchQueueConfig
 from repro.obs.profiler import SchedulerProfiler
@@ -245,17 +244,6 @@ def _interleaved_best(arms: dict, rounds: int, shuffle: bool = False) -> dict:
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
-def _canonical_metrics(result) -> str:
-    # include_scenario=False: the two arms run *different scenarios by
-    # construction* (one has the obs knobs set), so the scenario echo is
-    # excluded; everything measured must still match byte for byte.
-    payload = result_to_dict(result, include_scenario=False)
-    for name in ("wall_seconds", "run_loop_seconds", "profile", "collector",
-                 "timeseries"):
-        payload.pop(name, None)
-    return json.dumps(payload, sort_keys=True, default=str)
-
-
 def _determinism_identical() -> bool:
     with tempfile.TemporaryDirectory(prefix="obs-overhead-") as tmp:
         tmp = Path(tmp)
@@ -270,8 +258,9 @@ def _determinism_identical() -> bool:
             flight_recorder_dir=str(tmp / "flight"),
         )
         on = run_scenario(instrumented)
+        on.timeseries = None  # the recorded series is the one thing this arm adds
         off = run_scenario(DETERMINISM_SCENARIO)
-        return _canonical_metrics(on) == _canonical_metrics(off)
+        return canonical_payload(on) == canonical_payload(off)
 
 
 # ----------------------------------------------------------------------

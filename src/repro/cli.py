@@ -256,11 +256,6 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         metavar="SPEC.json",
                         help="JSON ControllerSpec overrides (see "
                              "repro.control.spec); implies --controller")
-    parser.add_argument("--engine", default=None, choices=["calendar", "heap"],
-                        help="event-scheduler implementation (default: calendar, or "
-                             "$REPRO_ENGINE); both engines give bit-identical results "
-                             "-- 'heap' keeps the reference binary-heap engine for "
-                             "A/A checks and benchmarking")
     # Observability (repro.obs).  None of these changes simulated behaviour.
     parser.add_argument("--profile", action="store_true",
                         help="profile scheduler wall time per callback category "
@@ -595,6 +590,7 @@ def _cmd_jobs(args: argparse.Namespace) -> tuple[str, int]:
                 "attempts": len(entry.get("attempts") or ()) + 1,
                 "wall_s": f"{float(result.get('wall_seconds') or 0.0):.2f}",
                 "events": result.get("events"),
+                "fingerprint": (entry.get("fingerprint") or "-")[:12],
                 "_mtime": entry.get("_mtime", 0.0),
             })
         if entries:
@@ -660,13 +656,6 @@ def _cmd_topo(args: argparse.Namespace) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine", None):
-        # The engine is an environment knob, not a Scenario field (see
-        # repro.sim.engine.make_scheduler); exporting it here also reaches
-        # --workers subprocesses, which inherit the environment.
-        import os
-
-        os.environ["REPRO_ENGINE"] = args.engine
     code = 0
     if args.command == "run":
         text, code = _cmd_run(args)

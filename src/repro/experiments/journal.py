@@ -63,7 +63,12 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
-from repro.experiments.runner import ExperimentResult, result_from_dict, result_to_dict
+from repro.experiments.runner import (
+    ExperimentResult,
+    fingerprint,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.experiments.scenarios import Scenario
 
 __all__ = [
@@ -308,7 +313,10 @@ class RunJournal:
 
         Defensive on every axis: a missing file, undecodable JSON (cannot
         happen through the atomic writer, but the directory is user-owned),
-        a schema mismatch, or a hash mismatch all read as "not journaled".
+        a schema mismatch, a hash mismatch, or a stored result whose
+        fingerprint no longer matches the one recorded with it all read as
+        "not journaled".  Entries written before fingerprints were recorded
+        carry none and load unchecked.
         """
         path = self.entry_path(request)
         try:
@@ -318,6 +326,9 @@ class RunJournal:
         if not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION:
             return None
         if entry.get("hash") != self._hash(request) or "result" not in entry:
+            return None
+        stored = entry.get("fingerprint")
+        if stored is not None and fingerprint(entry["result"]) != stored:
             return None
         return result_from_dict(entry["result"], scenario=request.scenario)
 
@@ -340,6 +351,7 @@ class RunJournal:
         (e.g. a timeout that passed on retry): the stale bundle is removed
         so ``failures/`` only lists cells that are still failed.
         """
+        payload = result_to_dict(result, include_scenario=False)
         entry = {
             "schema": SCHEMA_VERSION,
             "kind": "result",
@@ -348,7 +360,8 @@ class RunJournal:
             "scenario": asdict(request.scenario),
             "trace_paths": request.trace_paths,
             "attempts": list(attempts or ()),
-            "result": result_to_dict(result, include_scenario=False),
+            "fingerprint": fingerprint(payload),
+            "result": payload,
         }
         path = _atomic_write_json(self.entry_path(request), entry)
         stale_bundle = self.bundle_path(request)

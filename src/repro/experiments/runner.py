@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.experiments.scenarios import Scenario
 from repro.faults.guards import InvariantChecker
@@ -23,6 +25,9 @@ __all__ = [
     "merge_results",
     "result_to_dict",
     "result_from_dict",
+    "canonical_payload",
+    "fingerprint",
+    "UNMEASURED_FIELDS",
 ]
 
 
@@ -112,6 +117,11 @@ class ExperimentResult:
     @property
     def total_drops(self) -> int:
         return sum(self.drops.values())
+
+    @property
+    def fingerprint(self) -> str:
+        """SHA-256 of what this run measured (see :func:`fingerprint`)."""
+        return fingerprint(self)
 
     def row(self) -> dict[str, object]:
         """Flat summary row for report tables."""
@@ -479,6 +489,37 @@ def result_to_dict(result: ExperimentResult, include_scenario: bool = True) -> d
     if include_scenario:
         payload["scenario"] = asdict(result.scenario)
     return payload
+
+
+# The fields a run's fingerprint leaves out.  ``scenario`` is the input,
+# not the output; the collector and span records are in-memory handles
+# that never reach a payload; the wall times and the scheduler profile
+# (itself wall time) say how long the run took, not what it measured.
+UNMEASURED_FIELDS = ("scenario", "collector", "span_records",
+                     "wall_seconds", "run_loop_seconds", "profile")
+
+
+def canonical_payload(result: Union[ExperimentResult, dict]) -> dict:
+    """Everything a run measured, as plain builtins.
+
+    This is the one definition of "the same run": serial and
+    ``--workers``, calendar and heap, elision on and off, fresh and
+    ``--resume`` must all agree on it.  ``result`` is an
+    :class:`ExperimentResult` or a :func:`result_to_dict` payload (with
+    or without its scenario), so journal entries and job results need no
+    rehydration.  ``timeseries`` stays in: it is simulated behaviour, and
+    a run that records it differs from one that does not.
+    """
+    if not isinstance(result, dict):
+        result = result_to_dict(result, include_scenario=False)
+    return {name: value for name, value in result.items()
+            if name not in UNMEASURED_FIELDS}
+
+
+def fingerprint(result: Union[ExperimentResult, dict]) -> str:
+    """SHA-256 hex digest of :func:`canonical_payload` as sorted-key JSON."""
+    text = json.dumps(canonical_payload(result), sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def result_from_dict(payload: dict, scenario: Optional[Scenario] = None) -> ExperimentResult:

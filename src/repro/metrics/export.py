@@ -124,6 +124,8 @@ def export_result_json(result: "ExperimentResult", path: PathLike) -> Path:
     """
     from dataclasses import asdict
 
+    from repro.experiments.runner import fingerprint
+
     scenario = asdict(result.scenario)
     # The detour policy object isn't JSON-serializable; its name is.
     payload = {
@@ -147,6 +149,7 @@ def export_result_json(result: "ExperimentResult", path: PathLike) -> Path:
         "invariant_checks": result.invariant_checks,
         "controller": result.controller_stats,
         "profile": result.profile,
+        "fingerprint": fingerprint(result),
     }
     out = Path(path)
     out.write_text(json.dumps(payload, indent=2, default=str))

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.experiments.journal import scenario_class, scenario_from_json_dict, scenario_hash
+from repro.experiments.runner import fingerprint
 from repro.experiments.scenarios import Scenario
 
 __all__ = [
@@ -110,6 +111,7 @@ class Job:
                              "queries_completed")
             }
             summary["drops_total"] = sum((self.result.get("drops") or {}).values())
+            summary["fingerprint"] = fingerprint(self.result)
             view["result"] = summary
             if full_result:
                 view["result_full"] = self.result

@@ -15,7 +15,6 @@ Covers the repro.control package plus its hostile-regime companions:
   generator.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -24,11 +23,7 @@ from repro.control import Actuators, ControllerSpec, RuntimeController
 from repro.core.config import DibsConfig
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import RunRequest, execute_runs
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_pooled,
-    run_scenario,
-)
+from repro.experiments.runner import canonical_payload, run_pooled, run_scenario
 from repro.experiments.scenarios import SPACE_DC_DEFAULTS, Scenario, flap_storm, space_dc
 from repro.faults import LINK_DOWN, LINK_UP, FaultEvent, FaultInjector, FaultSchedule
 from repro.net.network import Network, SwitchQueueConfig
@@ -36,17 +31,6 @@ from repro.net.queues import DynamicBufferQueue, EcnQueue, PFabricQueue, SharedB
 from repro.topo import fat_tree, leaf_spine
 from repro.workload.background import DiurnalBackgroundTraffic
 from repro.workload.distributions import web_search_background
-
-_COMPARE_FIELDS = [
-    f.name
-    for f in dataclasses.fields(ExperimentResult)
-    if f.name not in ("scenario", "wall_seconds", "run_loop_seconds", "collector")
-]
-
-
-def _comparable(result):
-    return {name: getattr(result, name) for name in _COMPARE_FIELDS}
-
 
 # A controlled hostile point small enough for unit tests: the full storm
 # grid lives in bench_controller_resilience.
@@ -474,13 +458,13 @@ class TestControlledDeterminism:
     def test_controlled_run_repeats_bit_identically(self):
         a = run_scenario(CONTROLLED)
         b = run_scenario(CONTROLLED)
-        assert _comparable(a) == _comparable(b)
+        assert canonical_payload(a) == canonical_payload(b)
         assert a.controller_stats["ticks"] > 0
 
     def test_serial_vs_two_workers(self):
         serial = run_pooled(CONTROLLED, seeds=(0, 1))
         parallel = run_pooled(CONTROLLED, seeds=(0, 1), workers=2)
-        assert _comparable(serial) == _comparable(parallel)
+        assert canonical_payload(serial) == canonical_payload(parallel)
         assert serial.controller_stats == parallel.controller_stats
         assert serial.controller_stats["ticks"] > 0
 
@@ -489,7 +473,7 @@ class TestControlledDeterminism:
         calendar = run_scenario(CONTROLLED)
         monkeypatch.setenv("REPRO_ENGINE", "heap")
         heap = run_scenario(CONTROLLED)
-        assert _comparable(calendar) == _comparable(heap)
+        assert canonical_payload(calendar) == canonical_payload(heap)
 
     def test_resume_replay_identical(self, tmp_path):
         requests = [
@@ -504,7 +488,7 @@ class TestControlledDeterminism:
         )
         assert set(first) == set(second) == {"s0", "s1"}
         for key in first:
-            assert _comparable(first[key]) == _comparable(second[key])
+            assert canonical_payload(first[key]) == canonical_payload(second[key])
         assert all(r.controller_stats["ticks"] > 0 for r in second.values())
 
     def test_controller_off_leaves_run_untouched(self):
@@ -513,7 +497,7 @@ class TestControlledDeterminism:
         base = CONTROLLED.with_overrides(controller=False)
         a = run_scenario(base)
         b = run_scenario(base)
-        assert _comparable(a) == _comparable(b)
+        assert canonical_payload(a) == canonical_payload(b)
         assert a.controller_stats == {}
 
 
@@ -527,15 +511,15 @@ class TestLinkJitter:
         )
         a = run_scenario(plain)
         b = run_scenario(plain)
-        assert _comparable(a) == _comparable(b)
+        assert canonical_payload(a) == canonical_payload(b)
 
     def test_jitter_is_deterministic_and_changes_trajectory(self):
         jittered = SPACE_DC_DEFAULTS.with_overrides(duration_s=0.2, drain_s=0.4)
         plain = jittered.with_overrides(link_jitter_s=0.0)
         j1, j2 = run_scenario(jittered), run_scenario(jittered)
-        assert _comparable(j1) == _comparable(j2)
+        assert canonical_payload(j1) == canonical_payload(j2)
         p = run_scenario(plain)
-        assert _comparable(j1) != _comparable(p)
+        assert canonical_payload(j1) != canonical_payload(p)
 
     def test_jitter_never_reorders_a_link(self):
         """FIFO clamp: per-link arrival times are monotone even when the

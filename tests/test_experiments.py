@@ -1,9 +1,21 @@
 """Unit tests for the experiment harness (scenarios, runner, sweeps, report)."""
 
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.report import format_cdf, format_sweep, format_table
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import (
+    UNMEASURED_FIELDS,
+    ExperimentResult,
+    canonical_payload,
+    fingerprint,
+    result_to_dict,
+    run_scenario,
+)
 from repro.experiments.scenarios import PAPER_DEFAULTS, SCALED_DEFAULTS, SCHEMES, Scenario
 from repro.experiments.sweep import PAPER_RANGES, SCALED_RANGES, compare_schemes, sweep
 from repro.net.queues import DynamicBufferQueue, EcnQueue, PFabricQueue
@@ -123,6 +135,42 @@ class TestRunner:
         b = run_scenario(TINY)
         assert a.qct_values == b.qct_values
         assert a.detours == b.detours
+
+
+PERF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+
+
+def _perf_workloads():
+    spec = importlib.util.spec_from_file_location("perf_workloads", PERF_DIR / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize("workload", ["flapstorm_ctl", "incast_k8_dibs"])
+    def test_reproduces_the_benchmark_pins(self, monkeypatch, workload):
+        # The benchmark's children hash with their own copy of the canonical
+        # form; these pins hold the two definitions together.
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
+        pins = json.loads((PERF_DIR / "pins.json").read_text())
+        result = run_scenario(_perf_workloads().scenario(workload, smoke=True))
+        assert fingerprint(result) == pins[f"smoke/{workload}"]["fingerprint"]
+        assert result.events == pins[f"smoke/{workload}"]["events"]
+
+    def test_every_field_is_measured_or_named_unmeasured(self):
+        measured = set(canonical_payload(run_scenario(TINY)))
+        for f in dataclasses.fields(ExperimentResult):
+            assert (f.name in measured) != (f.name in UNMEASURED_FIELDS), f.name
+        assert "timeseries" in measured
+
+    def test_payload_forms_agree(self):
+        result = run_scenario(TINY)
+        wire = json.loads(json.dumps(result_to_dict(result), default=str))
+        assert canonical_payload(wire) == canonical_payload(result)
+        assert fingerprint(wire) == fingerprint(result) == result.fingerprint
+        assert "fingerprint" not in result_to_dict(result)
 
 
 class TestSweep:

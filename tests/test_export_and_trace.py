@@ -76,6 +76,7 @@ class TestExport:
         assert payload["scenario"]["scheme"] == "dibs"
         assert payload["queries_started"] >= 1
         assert isinstance(payload["qct_values"], list)
+        assert payload["fingerprint"] == result.fingerprint
 
 
 class TestTraceEntries:

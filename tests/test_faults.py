@@ -1,7 +1,6 @@
 """Fault injection, livelock watchdog, and runtime invariant guards."""
 
 import copy
-import dataclasses
 import json
 import random
 
@@ -10,12 +9,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.config import DibsConfig
 from repro.experiments.parallel import RunTelemetry, execute_runs, RunRequest
-from repro.experiments.runner import (
-    ExperimentResult,
-    result_to_dict,
-    run_pooled,
-    run_scenario,
-)
+from repro.experiments.runner import canonical_payload, run_pooled, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, flap_storm
 from repro.faults import (
     FaultEvent,
@@ -533,31 +527,15 @@ FAULTY = SCALED_DEFAULTS.with_overrides(
     invariant_check_interval_s=0.01,
 )
 
-# The collector is a live-object handle that never crosses a process
-# boundary (serial pools keep it, parallel ones cannot), so like
-# wall_seconds it is not part of the metrics contract being compared.
-_COMPARE_FIELDS = [
-    f.name
-    for f in dataclasses.fields(ExperimentResult)
-    if f.name not in ("scenario", "wall_seconds", "run_loop_seconds", "collector")
-]
 
-
-def _comparable(result):
-    return {name: getattr(result, name) for name in _COMPARE_FIELDS}
-
-
-def _canonical(monkeypatch, scenario, **env):
-    """The run's metrics payload minus wall-clock and live-object fields,
-    under exactly the transmit-path/engine variables in ``env``."""
+def _measured(monkeypatch, scenario, **env):
+    """The run's canonical payload under exactly the transmit-path/engine
+    variables in ``env``."""
     monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    payload = result_to_dict(run_scenario(scenario), include_scenario=False)
-    for name in ("wall_seconds", "run_loop_seconds", "profile", "collector"):
-        payload.pop(name, None)
-    return payload
+    return canonical_payload(run_scenario(scenario))
 
 
 class TestScenarioIntegration:
@@ -603,7 +581,7 @@ class TestScenarioIntegration:
     def test_serial_and_parallel_bit_identical_under_faults(self):
         serial = run_pooled(FAULTY, seeds=(0, 1))
         parallel = run_pooled(FAULTY, seeds=(0, 1), workers=2)
-        assert _comparable(serial) == _comparable(parallel)
+        assert canonical_payload(serial) == canonical_payload(parallel)
 
     def test_flap_storm_identical_across_transmit_paths(self, monkeypatch):
         # An uncontrolled flap storm exercises jittered deliveries, link
@@ -612,12 +590,12 @@ class TestScenarioIntegration:
         # logical event count.  (With the controller on, REPRO_ELIDE_TX=0
         # diverges: see docs/INTERNALS.md, "Known identity gap".)
         storm = flap_storm(duration_s=0.5, drain_s=0.5, invariant_check_interval_s=0.05)
-        default = _canonical(monkeypatch, storm)
+        default = _measured(monkeypatch, storm)
         assert default["faults_applied"].get(LINK_DOWN, 0) > 0
         assert default["fault_packets_killed"] > 0
         assert default["invariant_checks"] > 0
-        assert _canonical(monkeypatch, storm, REPRO_ELIDE_TX="0") == default
-        assert _canonical(monkeypatch, storm, REPRO_ENGINE="heap") == default
+        assert _measured(monkeypatch, storm, REPRO_ELIDE_TX="0") == default
+        assert _measured(monkeypatch, storm, REPRO_ENGINE="heap") == default
 
     @pytest.mark.parametrize("scheme", ["dibs-dba", "bshare"])
     def test_shared_pool_identical_across_transmit_paths(self, monkeypatch, scheme):
@@ -627,12 +605,12 @@ class TestScenarioIntegration:
         # heap engine must agree with them on every canonical metric and
         # on the logical event count.
         scenario = FAULTY.with_overrides(scheme=scheme)
-        default = _canonical(monkeypatch, scenario)
+        default = _measured(monkeypatch, scenario)
         assert default["faults_applied"].get(LINK_DOWN, 0) > 0
         assert default["invariant_checks"] > 0
         assert default["events"] > 0
-        assert _canonical(monkeypatch, scenario, REPRO_ELIDE_TX="0") == default
-        assert _canonical(monkeypatch, scenario, REPRO_ENGINE="heap") == default
+        assert _measured(monkeypatch, scenario, REPRO_ELIDE_TX="0") == default
+        assert _measured(monkeypatch, scenario, REPRO_ENGINE="heap") == default
 
     def test_livelock_failures_are_not_retried(self):
         telemetry = RunTelemetry()

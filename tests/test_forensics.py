@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.runner import result_to_dict, run_pooled, run_scenario
+from repro.experiments.runner import canonical_payload, run_pooled, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, flap_storm
 from repro.obs.forensics import (
     attribute_flows,
@@ -28,18 +28,6 @@ TINY = SCALED_DEFAULTS.with_overrides(
     incast_degree=6, bg_enabled=False,
 )
 SPANNED = TINY.with_overrides(span_sample_rate=0.25)
-
-# The comparison contract for "bit-identical metrics": everything except
-# measured wall time and the instrumentation payloads themselves.
-_EXCLUDED = ("wall_seconds", "run_loop_seconds", "profile", "collector",
-             "timeseries")
-
-
-def _metrics(result):
-    payload = result_to_dict(result, include_scenario=False)
-    for name in _EXCLUDED:
-        payload.pop(name, None)
-    return payload
 
 
 def _span_lines(result):
@@ -73,14 +61,14 @@ class TestSpanSampling:
 # ----------------------------------------------------------------------
 class TestSpanDeterminism:
     def test_metrics_identical_with_spans_on_or_off(self):
-        assert _metrics(run_scenario(TINY)) == _metrics(run_scenario(SPANNED))
+        assert canonical_payload(run_scenario(TINY)) == canonical_payload(run_scenario(SPANNED))
 
     def test_calendar_and_heap_engines_agree(self, monkeypatch):
         base = run_scenario(SPANNED)
         monkeypatch.setenv("REPRO_ENGINE", "heap")
         heap = run_scenario(SPANNED)
         assert _span_lines(heap) == _span_lines(base)
-        assert _metrics(heap) == _metrics(base)
+        assert canonical_payload(heap) == canonical_payload(base)
 
     def test_tx_done_elision_is_invisible(self, monkeypatch):
         base = run_scenario(SPANNED)
@@ -102,7 +90,7 @@ class TestSpanDeterminism:
         resumed = run_pooled(scn, seeds=(0, 1),
                              journal=RunJournal(tmp_path / "journal"), resume=True)
         assert _span_lines(resumed) == _span_lines(serial)
-        assert _metrics(resumed) == _metrics(serial)
+        assert canonical_payload(resumed) == canonical_payload(serial)
 
 
 # ----------------------------------------------------------------------
@@ -283,4 +271,5 @@ class TestTimeseriesWiring:
 
     def test_metrics_identical_with_timeseries_on_or_off(self):
         on = run_scenario(TINY.with_overrides(timeseries_interval_s=0.005))
-        assert _metrics(on) == _metrics(run_scenario(TINY))
+        on.timeseries = None  # the recorded series is the one thing this arm adds
+        assert canonical_payload(on) == canonical_payload(run_scenario(TINY))

@@ -40,7 +40,7 @@ from repro.experiments.parallel import (
     execute_runs,
     run_grid,
 )
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import canonical_payload, fingerprint, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, Scenario
 from repro.server import JobScheduler, JobStore
 from repro.sim.engine import ResourceError, Scheduler
@@ -55,19 +55,6 @@ RAISING = TINY.with_overrides(scheme="does-not-exist", name="raising")
 
 # Cannot finish inside a tight wall-clock timeout.
 SLOW = TINY.with_overrides(duration_s=5.0, drain_s=1.0, name="slow")
-
-# The collector is a live-object handle that never survives a journal or
-# process-boundary round trip, so like wall_seconds it is not part of the
-# metrics contract being compared.
-_COMPARE_FIELDS = [
-    f.name
-    for f in dataclasses.fields(ExperimentResult)
-    if f.name not in ("scenario", "wall_seconds", "run_loop_seconds", "collector")
-]
-
-
-def _comparable(result):
-    return {name: getattr(result, name) for name in _COMPARE_FIELDS}
 
 
 def _assert_journal_clean(directory: Path) -> None:
@@ -116,7 +103,7 @@ class TestJournalRoundTrip:
         _assert_journal_clean(tmp_path / "j")
         reloaded = journal.lookup(request)
         assert reloaded is not None
-        assert _comparable(reloaded) == _comparable(results["only"])
+        assert canonical_payload(reloaded) == canonical_payload(results["only"])
         # Bit-identical samples through the JSON round trip, not merely close.
         assert reloaded.qct_values == results["only"].qct_values
 
@@ -143,7 +130,7 @@ class TestJournalRoundTrip:
         assert telemetry.runs_completed == 2
         assert not telemetry.per_run_wall  # nothing actually executed
         for key in first:
-            assert _comparable(first[key]) == _comparable(second[key])
+            assert canonical_payload(first[key]) == canonical_payload(second[key])
 
     def test_resume_after_partial_journal_is_bit_identical(self, tmp_path):
         cells = {"a": TINY, "b": TINY.with_overrides(buffer_pkts=10)}
@@ -163,7 +150,41 @@ class TestJournalRoundTrip:
         assert telemetry.runs_total == 4
         assert clean.keys() == resumed.keys()
         for key in clean:
-            assert _comparable(clean[key]) == _comparable(resumed[key]), key
+            assert canonical_payload(clean[key]) == canonical_payload(resumed[key]), key
+
+    def test_edited_entry_reruns_exactly_that_cell(self, tmp_path):
+        cells = {"a": TINY, "b": TINY.with_overrides(buffer_pkts=10)}
+        seeds = (0, 1)
+        clean = run_grid(cells, seeds=seeds, workers=1)
+        journal = RunJournal(tmp_path / "j")
+        run_grid(cells, seeds=seeds, workers=1, journal=journal)
+        edited = RunRequest(key=("b", 1), scenario=cells["b"].with_overrides(seed=1))
+        path = journal.entry_path(edited)
+        entry = json.loads(path.read_text())
+        assert entry["fingerprint"] == fingerprint(entry["result"])
+        entry["result"]["qct_values"][0] += 1e-6
+        path.write_text(json.dumps(entry))
+        assert journal.lookup(edited) is None
+        telemetry = RunTelemetry()
+        resumed = run_grid(cells, seeds=seeds, workers=1, telemetry=telemetry,
+                           journal=RunJournal(tmp_path / "j"), resume=True)
+        assert telemetry.cells_resumed == 3
+        assert list(telemetry.per_run_wall) == [str(("b", 1))]
+        assert journal.lookup(edited) is not None  # re-journaled intact
+        for key in clean:
+            assert canonical_payload(clean[key]) == canonical_payload(resumed[key]), key
+
+    def test_entry_without_fingerprint_still_loads(self, tmp_path):
+        journal = RunJournal(tmp_path / "j")
+        request = RunRequest(key="only", scenario=TINY)
+        results = execute_runs([request], workers=1, journal=journal)
+        path = journal.entry_path(request)
+        entry = json.loads(path.read_text())
+        del entry["fingerprint"]
+        path.write_text(json.dumps(entry))
+        reloaded = journal.lookup(request)
+        assert reloaded is not None
+        assert reloaded.fingerprint == results["only"].fingerprint
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import result_to_dict, run_scenario
+from repro.experiments.runner import canonical_payload, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.obs.counters import CounterRegistry
 from repro.obs.heartbeat import ExecutorHeartbeat, HeartbeatWriter, SimHeartbeat
@@ -26,17 +26,6 @@ TINY = SCALED_DEFAULTS.with_overrides(
     name="obs-tiny", duration_s=0.02, drain_s=0.3, qps=100.0,
     incast_degree=6, bg_enabled=False,
 )
-
-# The comparison contract for "bit-identical metrics": everything except
-# measured wall time and the instrumentation payloads themselves.
-_EXCLUDED = ("wall_seconds", "run_loop_seconds", "profile", "collector")
-
-
-def _metrics(result):
-    payload = result_to_dict(result, include_scenario=False)
-    for name in _EXCLUDED:
-        payload.pop(name, None)
-    return payload
 
 
 def _start_queries(network, scenario):
@@ -243,7 +232,7 @@ class TestDeterminismUnderInstrumentation:
         )
         plain = run_scenario(_strip_obs(instrumented))
         traced = run_scenario(instrumented)
-        assert _metrics(plain) == _metrics(traced)
+        assert canonical_payload(plain) == canonical_payload(traced)
         assert traced.profile is not None
         assert (tmp_path / "hb.jsonl").exists()
         assert (tmp_path / "run.trace.jsonl").exists()

@@ -1,6 +1,5 @@
 """Parallel sweep executor: equivalence, fallback, crash/timeout containment."""
 
-import dataclasses
 
 import pytest
 
@@ -10,7 +9,7 @@ from repro.experiments.parallel import (
     execute_runs,
     run_grid,
 )
-from repro.experiments.runner import ExperimentResult, run_pooled
+from repro.experiments.runner import canonical_payload, run_pooled
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.experiments.sweep import sweep
 from repro.metrics.stats import percentile
@@ -19,21 +18,6 @@ TINY = SCALED_DEFAULTS.with_overrides(
     name="tiny-parallel", duration_s=0.03, drain_s=0.3, qps=100.0,
     incast_degree=6, bg_enabled=False,
 )
-
-# Everything an equivalence check should compare: samples and counters, but
-# not wall_seconds (measured time differs between processes by definition)
-# and not the collector (a live-object handle that never crosses a process
-# boundary, so serial pools have one and parallel pools cannot).
-_COMPARE_FIELDS = [
-    f.name
-    for f in dataclasses.fields(ExperimentResult)
-    if f.name not in ("scenario", "wall_seconds", "run_loop_seconds", "collector")
-]
-
-
-def _comparable(result):
-    return {name: getattr(result, name) for name in _COMPARE_FIELDS}
-
 
 # A scenario whose worker raises immediately: validate() rejects the scheme
 # inside build_network, in the child process.
@@ -48,7 +32,7 @@ class TestSerialParallelEquivalence:
     def test_run_pooled_workers_match_serial(self):
         serial = run_pooled(TINY, seeds=(0, 1))
         parallel = run_pooled(TINY, seeds=(0, 1), workers=2)
-        assert _comparable(serial) == _comparable(parallel)
+        assert canonical_payload(serial) == canonical_payload(parallel)
         # Pooled percentiles are bit-identical, not merely close.
         assert percentile(serial.qct_values, 99) == percentile(parallel.qct_values, 99)
         assert parallel.scenario == TINY
@@ -59,7 +43,7 @@ class TestSerialParallelEquivalence:
         parallel = sweep(TINY, **kwargs, workers=2)
         assert serial.keys() == parallel.keys()
         for key in serial:
-            assert _comparable(serial[key]) == _comparable(parallel[key]), key
+            assert canonical_payload(serial[key]) == canonical_payload(parallel[key]), key
 
     def test_merge_order_is_seed_order_not_completion_order(self):
         pooled = run_pooled(TINY, seeds=(1, 0), workers=2)

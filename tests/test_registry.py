@@ -34,12 +34,11 @@ class TestRegistryConsistency:
         on_disk = {
             p.stem
             for p in benchmarks_dir().glob("bench_*.py")
-            # Substrate-health benches (engine throughput/speed gates,
+            # Substrate-health benches (engine speed gates,
             # observability overhead gates, job-server service levels)
             # are not paper artifacts.
             if p.stem
             not in {
-                "bench_engine_throughput",
                 "bench_engine_speed",
                 "bench_obs_overhead",
                 "bench_server",

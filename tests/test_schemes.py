@@ -14,13 +14,12 @@ Three contracts under test:
   and BShare keeps the shared pool's conservation invariants.
 """
 
-import dataclasses
 
 import pytest
 
 from repro.experiments.journal import RunJournal, scenario_hash
 from repro.experiments.parallel import RunRequest, RunTelemetry, execute_runs
-from repro.experiments.runner import ExperimentResult, run_pooled, run_scenario
+from repro.experiments.runner import canonical_payload, run_pooled, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, SCHEMES, Scenario
 from repro.experiments.schemes import (
     SchemeSpec,
@@ -48,16 +47,6 @@ TINY = SCALED_DEFAULTS.with_overrides(
     name="tiny-schemes", duration_s=0.03, drain_s=0.3, qps=100.0,
     incast_degree=6, bg_enabled=False,
 )
-
-_COMPARE_FIELDS = [
-    f.name
-    for f in dataclasses.fields(ExperimentResult)
-    if f.name not in ("scenario", "wall_seconds", "run_loop_seconds", "collector")
-]
-
-
-def _comparable(result):
-    return {name: getattr(result, name) for name in _COMPARE_FIELDS}
 
 
 class TestRegistryApi:
@@ -231,7 +220,7 @@ class TestCompetitorSchemes:
         scenario = TINY.with_overrides(scheme=scheme)
         serial = run_pooled(scenario, seeds=(0, 1))
         parallel = run_pooled(scenario, seeds=(0, 1), workers=2)
-        assert _comparable(serial) == _comparable(parallel)
+        assert canonical_payload(serial) == canonical_payload(parallel)
 
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
     def test_calendar_matches_heap_engine(self, scheme, monkeypatch):
@@ -240,7 +229,7 @@ class TestCompetitorSchemes:
         calendar = run_scenario(scenario)
         monkeypatch.setenv("REPRO_ENGINE", "heap")
         heap = run_scenario(scenario)
-        assert _comparable(calendar) == _comparable(heap)
+        assert canonical_payload(calendar) == canonical_payload(heap)
 
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
     def test_resume_is_bit_identical(self, scheme, tmp_path):
@@ -255,7 +244,7 @@ class TestCompetitorSchemes:
                                resume=True, telemetry=telemetry)
         assert telemetry.cells_resumed == 2
         for key in ("s0", "s1"):
-            assert _comparable(first[key]) == _comparable(resumed[key])
+            assert canonical_payload(first[key]) == canonical_payload(resumed[key])
 
     def test_compare_schemes_covers_the_shootout_pack(self):
         results = compare_schemes(

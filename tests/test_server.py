@@ -16,7 +16,6 @@ Covers the acceptance criteria of the server PR:
 """
 
 import asyncio
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -32,7 +31,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import RunRequest, Settlement
-from repro.experiments.runner import ExperimentResult, run_scenario
+from repro.experiments.runner import canonical_payload, fingerprint, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.experiments.settle import Cell
 from repro.server import (
@@ -55,16 +54,6 @@ TINY = SCALED_DEFAULTS.with_overrides(
 # Aborts deterministically with ResourceError on the first event: the
 # cheapest way to manufacture a permanent (non-retryable) failure.
 BROKEN = TINY.with_overrides(max_pending_events=1, name="broken-server")
-
-_COMPARE_FIELDS = [
-    f.name
-    for f in dataclasses.fields(ExperimentResult)
-    if f.name not in ("scenario", "wall_seconds", "run_loop_seconds", "collector")
-]
-
-
-def _comparable(result):
-    return {name: getattr(result, name) for name in _COMPARE_FIELDS}
 
 
 def _scheduler(tmp_path, **kwargs) -> JobScheduler:
@@ -414,7 +403,7 @@ class TestChaos:
             scenario = TINY.with_overrides(seed=seed)
             journaled = journal.lookup(RunRequest(key="x", scenario=scenario))
             assert journaled is not None
-            assert _comparable(journaled) == _comparable(run_scenario(scenario))
+            assert canonical_payload(journaled) == canonical_payload(run_scenario(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +433,7 @@ class TestDrainAndSpool:
                 scenario = TINY.with_overrides(seed=40 + i)
                 journaled = journal.lookup(RunRequest(key="x", scenario=scenario))
                 assert journaled is not None
-                assert _comparable(journaled) == _comparable(run_scenario(scenario))
+                assert canonical_payload(journaled) == canonical_payload(run_scenario(scenario))
         finally:
             sched2.drain(timeout_s=10)
 
@@ -534,9 +523,11 @@ class TestHttpApi:
                 # Cache hit on identical content.
                 st, _, body = await _http(port, "POST", "/jobs", self._tiny_body())
                 assert st == 200 and body["cached"] is True
-                # Full result behind /result.
+                # Full result behind /result; its fingerprint is the summary's.
                 st, _, body = await _http(port, "GET", f"/jobs/{jid}/result")
                 assert st == 200 and "result_full" in body["job"]
+                assert body["job"]["result"]["fingerprint"] == fingerprint(
+                    body["job"]["result_full"])
                 # Listing + counts.
                 st, _, body = await _http(port, "GET", "/jobs?tenant=a")
                 assert st == 200 and len(body["jobs"]) >= 1
@@ -658,7 +649,7 @@ class TestSigtermDrain:
             scenario = TINY.with_overrides(seed=seed)
             journaled = journal.lookup(RunRequest(key="x", scenario=scenario))
             assert journaled is not None
-            assert _comparable(journaled) == _comparable(run_scenario(scenario))
+            assert canonical_payload(journaled) == canonical_payload(run_scenario(scenario))
         if spool:
             # Restart on the same state dir: the spool replays and the
             # remaining jobs complete.
@@ -685,7 +676,8 @@ class TestJobsCli:
     def test_lists_entries_and_bundles(self, tmp_path, capsys):
         journal = RunJournal(tmp_path)
         request = RunRequest(key="ok", scenario=TINY)
-        journal.record_success(request, run_scenario(TINY))
+        result = run_scenario(TINY)
+        journal.record_success(request, result)
         journal.record_failure(RunRequest(key="bad", scenario=BROKEN),
                                "ResourceError: too many events",
                                [{"attempt": 1, "reason": "ResourceError: x",
@@ -696,6 +688,7 @@ class TestJobsCli:
         assert "tiny-server:dibs" in out
         assert "broken-server:dibs" in out
         assert "ResourceError" in out
+        assert result.fingerprint[:12] in out
         assert "1 journaled, 1 failed, 0 claimed" in out
 
     def test_failures_only_and_missing_dir(self, tmp_path, capsys):
