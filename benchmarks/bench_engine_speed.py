@@ -57,6 +57,9 @@ ratios rather than absolute events/s keeps the gate meaningful across
 machines — absolute throughput is hardware weather, the speedup is the
 property this PR claims.  See BENCH_engine.md for methodology.
 
+A ``--check`` run prints its table without rewriting
+``benchmarks/results/bench_engine_speed.txt``.
+
 Usage::
 
     python benchmarks/bench_engine_speed.py [--rounds N] [--full]
@@ -372,7 +375,8 @@ def main() -> int:
     parser.add_argument("--full", action="store_true",
                         help="also run the paper-scale K=8 / 128-host smoke")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 on determinism or speed-gate failure (CI mode)")
+                        help="exit 1 on determinism or speed-gate failure (CI mode); "
+                             "print the table without saving it")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite BENCH_engine.json from this run's measurements")
     parser.add_argument("--worker", choices=("raw", "fig07"),
@@ -401,7 +405,10 @@ def main() -> int:
         return 0
 
     text, failures = run(full=args.full, rounds=args.rounds)
-    common.save_table("bench_engine_speed", text)
+    if not args.check:
+        # A gate run prints its table; only a measurement run rewrites
+        # the committed benchmarks/results/bench_engine_speed.txt.
+        common.save_table("bench_engine_speed", text)
     print(text)
     if failures:
         for failure in failures:

@@ -466,7 +466,7 @@ def _cmd_replay(args: argparse.Namespace) -> tuple[str, int]:
         f"recorded failure: {bundle['reason']} after {len(bundle.get('attempts', []))} attempt(s)",
     ]
     try:
-        result = run_scenario(scenario, trace_paths=bool(bundle.get("trace_paths")))
+        result = run_scenario(scenario)
     except Exception as exc:  # noqa: BLE001 - replay reports, never propagates
         got = type(exc).__name__
         if expect and got == expect:

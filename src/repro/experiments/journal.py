@@ -100,16 +100,18 @@ _REASON_CLASS_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):")
 PathLike = Union[str, Path]
 
 
-def scenario_hash(scenario: Scenario, trace_paths: bool = False) -> str:
+def scenario_hash(scenario: Scenario) -> str:
     """Stable content hash of a fully-specified scenario point.
 
     Canonical JSON (sorted keys, tight separators) over ``asdict`` output,
-    plus the ``trace_paths`` execution flag, hashed with SHA-256.  Every
-    scenario field participates, so any override — seed included — yields
-    a different journal key.
+    hashed with SHA-256.  Every scenario field participates, so any
+    override — seed included — yields a different journal key.  The blob
+    keeps a constant ``"trace_paths": false`` member (a retired execution
+    flag), so every key stays byte-identical to the journals written
+    while it existed.
     """
     blob = json.dumps(
-        {"scenario": asdict(scenario), "trace_paths": bool(trace_paths)},
+        {"scenario": asdict(scenario), "trace_paths": False},
         sort_keys=True,
         separators=(",", ":"),
         default=str,
@@ -182,7 +184,7 @@ class RunJournal:
 
     @staticmethod
     def _hash(request) -> str:
-        return scenario_hash(request.scenario, trace_paths=request.trace_paths)
+        return scenario_hash(request.scenario)
 
     # ------------------------------------------------------------------
     # execution claims
@@ -358,7 +360,6 @@ class RunJournal:
             "hash": self._hash(request),
             "key": str(request.key),
             "scenario": asdict(request.scenario),
-            "trace_paths": request.trace_paths,
             "attempts": list(attempts or ()),
             "fingerprint": fingerprint(payload),
             "result": payload,
@@ -395,7 +396,6 @@ class RunJournal:
             "key": str(request.key),
             "scenario": asdict(request.scenario),
             "scenario_class": scenario_class(request.scenario),
-            "trace_paths": request.trace_paths,
             "seed": request.scenario.seed,
             "faults": request.scenario.faults,
             "reason": reason,

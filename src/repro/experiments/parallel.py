@@ -101,7 +101,6 @@ class RunRequest:
 
     key: Hashable
     scenario: Scenario
-    trace_paths: bool = False
 
 
 @dataclass
@@ -253,14 +252,14 @@ class RunTelemetry:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _run_request(scenario: Scenario, trace_paths: bool) -> Tuple[str, object]:
+def _run_request(scenario: Scenario) -> Tuple[str, object]:
     """Run one scenario: ``("ok", result)`` or ``("error", reason payload)``.
 
     Shared by the worker process and :class:`InlinePool`.  ``run_scenario``
     is looked up on this module at call time.
     """
     try:
-        return "ok", run_scenario(scenario, trace_paths=trace_paths)
+        return "ok", run_scenario(scenario)
     except Exception as exc:  # noqa: BLE001 - settled by the caller's policy
         return "error", _error_payload(exc)
 
@@ -269,7 +268,7 @@ def _error_payload(exc: BaseException) -> dict:
     return {"reason": f"{type(exc).__name__}: {exc}", "traceback": traceback_mod.format_exc()}
 
 
-def _worker_entry(out_queue, launch_id: int, scenario_dict: dict, trace_paths: bool) -> None:
+def _worker_entry(out_queue, launch_id: int, scenario_dict: dict) -> None:
     """Executed inside the worker process: rehydrate, simulate, report.
 
     Every outcome — success or any exception — is reported through the
@@ -283,7 +282,7 @@ def _worker_entry(out_queue, launch_id: int, scenario_dict: dict, trace_paths: b
     except (ValueError, OSError):  # pragma: no cover - non-main thread / exotic platform
         pass
     try:
-        status, payload = _run_request(Scenario(**scenario_dict), trace_paths)
+        status, payload = _run_request(Scenario(**scenario_dict))
         if status == "ok":
             payload = result_to_dict(payload, include_scenario=False)
     except BaseException as exc:  # noqa: BLE001 - the whole point is containment
@@ -428,7 +427,7 @@ class WorkerPool:
         self._next_launch_id += 1
         proc = self.ctx.Process(
             target=_worker_entry,
-            args=(self._out_queue, launch_id, asdict(request.scenario), request.trace_paths),
+            args=(self._out_queue, launch_id, asdict(request.scenario)),
             daemon=True,
         )
         proc.start()
@@ -584,7 +583,7 @@ class InlinePool:
             return []
         (launch_id, request, attempt), self._queued = self._queued, None
         started = time.perf_counter()
-        status, payload = _run_request(request.scenario, request.trace_paths)
+        status, payload = _run_request(request.scenario)
         return [Settlement(launch_id, request, attempt, status, payload,
                            time.perf_counter() - started, None)]
 
@@ -778,7 +777,6 @@ def run_grid(
     workers: int = 1,
     timeout_s: Optional[float] = None,
     max_retries: int = 1,
-    trace_paths: bool = False,
     progress: Optional[ProgressHook] = None,
     telemetry: Optional[RunTelemetry] = None,
     journal: Optional["RunJournal"] = None,
@@ -805,7 +803,6 @@ def run_grid(
         RunRequest(
             key=(cell_key, seed),
             scenario=scenario.with_overrides(seed=seed),
-            trace_paths=trace_paths,
         )
         for cell_key, scenario in cells.items()
         for seed in seeds
@@ -835,7 +832,6 @@ def pooled_parallel(
     workers: int,
     timeout_s: Optional[float] = None,
     max_retries: int = 1,
-    trace_paths: bool = False,
     progress: Optional[ProgressHook] = None,
     telemetry: Optional[RunTelemetry] = None,
     journal: Optional["RunJournal"] = None,
@@ -855,7 +851,6 @@ def pooled_parallel(
         workers=workers,
         timeout_s=timeout_s,
         max_retries=max_retries,
-        trace_paths=trace_paths,
         progress=progress,
         telemetry=telemetry,
         journal=journal,

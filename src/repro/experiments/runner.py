@@ -178,7 +178,7 @@ def _expand_seed(path: Optional[str], seed: int) -> Optional[str]:
     return path.replace("{seed}", str(seed))
 
 
-def run_scenario(scenario: Scenario, trace_paths: bool = False) -> ExperimentResult:
+def run_scenario(scenario: Scenario) -> ExperimentResult:
     """Build the network, attach workloads, run to drain, return metrics.
 
     Workload arrivals stop at ``scenario.duration_s``; the simulator then
@@ -187,7 +187,7 @@ def run_scenario(scenario: Scenario, trace_paths: bool = False) -> ExperimentRes
     *completed* queries; we additionally report how many never finished).
     """
     started = time.perf_counter()
-    network = scenario.build_network(trace_paths=trace_paths)
+    network = scenario.build_network()
     transport = scenario.transport_config()
 
     # Observability attachments (repro.obs).  All ride run-loop hooks or
@@ -540,7 +540,6 @@ def result_from_dict(payload: dict, scenario: Optional[Scenario] = None) -> Expe
 def run_pooled(
     scenario: Scenario,
     seeds=(0,),
-    trace_paths: bool = False,
     workers: int = 1,
     run_timeout_s: Optional[float] = None,
     max_retries: int = 1,
@@ -581,7 +580,6 @@ def run_pooled(
             workers=workers,
             timeout_s=run_timeout_s,
             max_retries=max_retries,
-            trace_paths=trace_paths,
             telemetry=telemetry,
             journal=journal,
             resume=resume,
@@ -591,7 +589,7 @@ def run_pooled(
             merged.span_records = _recover_spans(scenario, seeds)
         return merged
     results = [
-        run_scenario(scenario.with_overrides(seed=seed), trace_paths=trace_paths)
+        run_scenario(scenario.with_overrides(seed=seed))
         for seed in seeds
     ]
     return merge_results(scenario, results)

@@ -239,14 +239,13 @@ class Scenario:
         """The host transport matching the scheme, with scenario overrides."""
         return get_scheme(self.scheme).transport_config(self)
 
-    def build_network(self, trace_paths: bool = False) -> Network:
+    def build_network(self) -> Network:
         self.validate()
         return Network(
             self.build_topology(),
             switch_queues=self.switch_queue_config(),
             dibs=self.dibs_config(),
             seed=self.seed,
-            trace_paths=trace_paths,
             scheduler=make_scheduler(max_pending_events=self.max_pending_events),
             link_jitter_s=self.link_jitter_s,
         )

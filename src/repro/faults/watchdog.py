@@ -9,9 +9,10 @@ an unattended parameter sweep.
 
 The watchdog catches both:
 
-* **Stalled clock** — it hooks the scheduler's run loop (NOT a scheduled
-  event: a livelock freezes simulated time, so a time-scheduled check would
-  never fire) and is called every ``check_every_events`` processed events.
+* **Stalled clock** — it hooks the scheduler's run loop
+  (:meth:`~repro.sim.engine.Scheduler.add_hook`, NOT a scheduled event: a
+  livelock freezes simulated time, so a time-scheduled check would never
+  fire) and is called every ``check_every_events`` processed events.
   If the clock has not moved across ``stall_checks`` consecutive calls, the
   run aborts with :class:`~repro.sim.engine.LivelockError`.
 * **Hop explosion** — installing the watchdog tightens every switch's
@@ -60,20 +61,24 @@ class Watchdog:
         self.checks_run = 0
         self._last_now: Optional[float] = None
         self._stalled_for = 0
+        self._hook: Optional[tuple] = None
 
     def install(self, network: Optional["Network"] = None) -> "Watchdog":
-        """Attach to the scheduler's run loop; optionally arm the hop guard
-        on every switch of ``network``."""
-        self.scheduler.watchdog = self._tick
-        self.scheduler.watchdog_interval_events = self.check_every_events
+        """Attach to the scheduler's run loop as a hook (firing in install
+        order with the other hooks); optionally arm the hop guard on every
+        switch of ``network``."""
+        if self._hook is None:
+            self._hook = self.scheduler.add_hook(self._tick, self.check_every_events)
         if network is not None and self.max_hops is not None:
             for switch in network.switches:
                 switch.hop_limit = self.max_hops
         return self
 
     def uninstall(self) -> None:
-        if self.scheduler.watchdog is self._tick:
-            self.scheduler.watchdog = None
+        """Detach this watchdog's hook (other hooks stay installed)."""
+        if self._hook is not None:
+            self.scheduler.remove_hook(self._hook)
+            self._hook = None
 
     def _tick(self, scheduler: Scheduler) -> None:
         self.checks_run += 1

@@ -89,7 +89,8 @@ class CioqSwitch(Switch):
         line_rate = self.ports[in_port].rate_bps
         service = pkt.size * 8.0 / (line_rate * self.fabric_speedup)
         self.in_fabric += 1
-        self.scheduler.schedule(service, self._forward_after_fabric, pkt, in_port)
+        sched = self.scheduler
+        sched.schedule_at(sched.now + service, self._forward_after_fabric, pkt, in_port)
 
     def _forward_after_fabric(self, pkt: Packet, in_port: int) -> None:
         # The standard pipeline (TTL, FIB, ECMP, DIBS) runs at the

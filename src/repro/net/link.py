@@ -32,7 +32,11 @@ number (:meth:`Scheduler.reserve_seq`) so every later event keeps the exact
   pause/fault transition needs the event's heap-identical side effects).
 
 A tx-done that is not elided goes on the calendar together with its
-packet's delivery, in one :meth:`Scheduler.schedule_tx` call.
+packet's delivery, in one :meth:`Scheduler.schedule_tx` call.  Every
+other delivery (an idle send's, or one whose tx-done is elided) is one
+:meth:`Scheduler.schedule_reserved` call at its absolute arrival time,
+under the fresh sequence number taken next to the tx-done's reservation,
+on a fixed and on a jittered link alike.
 
 Either way the observable simulation — every queue occupancy, ECN mark,
 delivery time and event count — is bit-identical to the engine that
@@ -216,12 +220,9 @@ class Port:
         monotone per port — a link delivers in FIFO order no matter the
         draw — which both models real links (no single-link reordering)
         and keeps the in-flight FIFO's head the next packet to arrive.
-        Jittered deliveries keep their absolute arrival time under a fresh
-        sequence number: an idle send or an elided tx-done inserts the
-        event with :meth:`Scheduler.schedule_reserved`, and a busy
-        ``_tx_next`` passes it to :meth:`Scheduler.schedule_tx` with its
-        tx-done, as a fixed-delay link does.  Both go through the
-        scheduler's event free list like the fixed-delay ``schedule_once``.
+        Jittered deliveries keep their absolute arrival time, and take
+        the same insert path as fixed-delay ones (see the module
+        docstring).
         """
         if jitter_s < 0:
             raise ValueError("jitter cannot be negative")
@@ -361,24 +362,23 @@ class Port:
                 hop["q_s"] = 0.0
                 hop["tx_s"] = tx
                 hop["prop_s"] = self.delay_s
-            # Inlined Scheduler.reserve_seq (hot path; this whole branch is
-            # gated on elide_tx, so the tx-done is always elided here).
-            seq = sched._seq
-            sched._seq = seq + 1
-            self._txdone_seq = seq
+            # The delivery's arrival: fixed, or the jittered draw (see
+            # set_jitter), FIFO-clamped.
             rng = self._jitter_rng
             if rng is None:
-                pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
+                arrival = sched.now + (tx + self.delay_s)
             else:
-                # Jittered delivery (see set_jitter), FIFO-clamped; a fresh
-                # sequence number keeps the arrival time absolute.
                 arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
                 if arrival < self._last_arrival:
                     arrival = self._last_arrival
                 self._last_arrival = arrival
-                seq = sched._seq
-                sched._seq = seq + 1
-                pkt.flight_event = sched.schedule_reserved(arrival, seq, self._deliver, pkt)
+            # Inlined Scheduler.reserve_seq (hot path; this whole branch is
+            # gated on elide_tx, so the tx-done is always elided here),
+            # then the delivery under the next, fresh, sequence number.
+            seq = sched._seq
+            sched._seq = seq + 2
+            self._txdone_seq = seq
+            pkt.flight_event = sched.schedule_reserved(arrival, seq + 1, self._deliver, pkt)
             # Link onto the in-flight FIFO (pkt.flight_next is None: a
             # packet off the wire never keeps a link).
             if self._flight_count:
@@ -509,41 +509,33 @@ class Port:
             hop["q_s"] = now_t - hop.get("t_q", now_t)
             hop["tx_s"] = tx
             hop["prop_s"] = self.delay_s
-        elided = self.elide_tx and not queue._q
-        if elided:
-            # Nothing left to transmit when serialization ends: elide the
-            # tx-done (reserve its sequence number so the total order is
-            # unchanged) instead of dispatching a no-op event.  Inlined
-            # Scheduler.reserve_seq (hot path).
-            seq = sched._seq
-            sched._seq = seq + 1
-            self._txdone_seq = seq
-        # Otherwise the tx-done is scheduled with the delivery below, in
-        # one schedule_tx call taking the delivery's absolute time, on a
-        # fixed or a jittered link.  Its callback IS _tx_next: the
-        # transmitter frees up when the last bit leaves and immediately
-        # starts the next packet; propagation of the in-flight packet
-        # continues independently.
+        # The delivery's arrival: same computation as send()'s fast path.
         rng = self._jitter_rng
         if rng is None:
-            if elided:
-                pkt.flight_event = sched.schedule_once(tx + self.delay_s, self._deliver, pkt)
-            else:
-                pkt.flight_event = sched.schedule_tx(
-                    tx, self._tx_next, sched.now + (tx + self.delay_s), self._deliver, pkt)
+            arrival = sched.now + (tx + self.delay_s)
         else:
-            # Jittered delivery: same draw and clamp as send()'s fast path.
             arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-            if elided:
-                seq = sched._seq
-                sched._seq = seq + 1
-                pkt.flight_event = sched.schedule_reserved(arrival, seq, self._deliver, pkt)
-            else:
-                pkt.flight_event = sched.schedule_tx(
-                    tx, self._tx_next, arrival, self._deliver, pkt)
+        if self.elide_tx and not queue._q:
+            # Nothing left to transmit when serialization ends: elide the
+            # tx-done (reserve its sequence number so the total order is
+            # unchanged) instead of dispatching a no-op event.  Inlined
+            # Scheduler.reserve_seq (hot path), then the delivery under
+            # the next, fresh, sequence number.
+            seq = sched._seq
+            sched._seq = seq + 2
+            self._txdone_seq = seq
+            pkt.flight_event = sched.schedule_reserved(arrival, seq + 1, self._deliver, pkt)
+        else:
+            # The tx-done goes on the calendar with the delivery, in one
+            # call.  Its callback IS _tx_next: the transmitter frees up
+            # when the last bit leaves and immediately starts the next
+            # packet; propagation of the in-flight packet continues
+            # independently.
+            pkt.flight_event = sched.schedule_tx(
+                tx, self._tx_next, arrival, self._deliver, pkt)
         if self._flight_count:
             self._flight_tail.flight_next = pkt
         else:

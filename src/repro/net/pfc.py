@@ -92,21 +92,21 @@ class PfcController:
     def _pause_all(self, now: float) -> None:
         self.paused_upstream = True
         self._last_pause_at = now
+        sched = self.switch.scheduler
         for port in self.switch.ports:
             peer = self._peer_port(port)
             if peer is not None:
                 self.pause_frames_sent += 1
-                self.switch.scheduler.schedule(
-                    port.delay_s, peer.pause, self.pause_duration_s
-                )
+                sched.schedule_at(now + port.delay_s, peer.pause, self.pause_duration_s)
 
     def _resume_all(self) -> None:
         self.paused_upstream = False
+        sched = self.switch.scheduler
         for port in self.switch.ports:
             peer = self._peer_port(port)
             if peer is not None:
                 self.resume_frames_sent += 1
-                self.switch.scheduler.schedule(port.delay_s, peer.resume)
+                sched.schedule_at(sched.now + port.delay_s, peer.resume)
 
     @staticmethod
     def _peer_port(port: Port) -> Port | None:

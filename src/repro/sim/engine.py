@@ -33,23 +33,28 @@ Design notes
 * Observability hooks (:meth:`add_hook`, :attr:`profiler`) are structured
   so that the *disabled* state costs nothing beyond the pre-existing loop:
   the profiled run loop is a separate code path selected once per
-  :meth:`run`, never a per-event branch.
-* Settled fire-and-forget events (scheduled via :meth:`schedule_once` or
-  :meth:`schedule_reserved`) are recycled through a LIFO free list
-  threaded through :attr:`Event.free_next`: the run loop parks each one
-  it settles, and the next such schedule pops it instead of allocating.
-  A link callback typically schedules two of these per event it settles,
-  so a single spare would miss half of them; the list catches them all
-  with a few attribute stores and no Python call.  A parked event drops
-  its ``args`` so it does not keep a delivered packet alive.  Only events
+  :meth:`run`, never a per-event branch.  :meth:`step` is a one-event
+  :meth:`run`, so it fires hooks and feeds the profiler too.
+* Two methods hold the single-event insert: :meth:`schedule_at` (a
+  plain event) and :meth:`schedule_reserved` (a recyclable one, at a
+  reserved or fresh sequence number).  :meth:`schedule` and
+  :meth:`schedule_once` validate a relative delay and delegate to them,
+  and every port delivery is a ``schedule_reserved`` call, so a wrapper
+  on that one method sees all of them.
+* Recyclable events go through a LIFO free list threaded through
+  :attr:`Event.free_next`: the run loop parks each one it settles, and
+  the next ``schedule_reserved`` pops it instead of allocating.  A link
+  callback typically schedules two of these per event it settles, so a
+  single spare would miss half of them; the list catches them all with a
+  few attribute stores and no Python call.  A parked event drops its
+  ``args`` so it does not keep a delivered packet alive.  Only events
   whose handle never escapes the scheduler/port machinery are recycled,
   so a stale external handle can never cancel a recycled (reused) event.
 * A busy port's transmit inserts its tx-done and the packet's delivery
   with one call, :meth:`schedule_tx`, whether the link's delay is fixed
-  or jittered: it places both events exactly as ``schedule_once`` for
-  the tx-done and ``schedule_reserved`` at the delivery's absolute time
-  (under a fresh sequence number) would.  Whenever one of those calls
-  would fail, or either method has been replaced on the class (an
+  or jittered: it places both events exactly as two ``schedule_reserved``
+  calls under fresh sequence numbers would.  Whenever one of those calls
+  would fail, or ``schedule_reserved`` has been replaced on the class (an
   instrumenting wrapper that must see every callback), it makes the two
   calls instead.
 
@@ -209,12 +214,12 @@ class Event:
     it when the event fires, so cancelling an event that already executed
     is a no-op and the scheduler's live pending count stays exact.
 
-    ``recyclable`` marks events created by :meth:`Scheduler.schedule_once`
-    or :meth:`Scheduler.schedule_reserved` (fire-and-forget paths whose
-    handle never escapes): once settled — after its callback returns, or
-    when consumed cancelled — the run loop parks the event on the
-    scheduler's free list (linked through ``free_next``), and the next of
-    those two calls reuses it instead of allocating a fresh object.
+    ``recyclable`` marks events created by :meth:`Scheduler.schedule_reserved`
+    (directly, or through :meth:`Scheduler.schedule_once`: fire-and-forget
+    paths whose handle never escapes): once settled — after its callback
+    returns, or when consumed cancelled — the run loop parks the event on
+    the scheduler's free list (linked through ``free_next``), and the next
+    ``schedule_reserved`` reuses it instead of allocating a fresh object.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sched", "recyclable",
@@ -260,8 +265,7 @@ class Scheduler:
     """
 
     __slots__ = ("now", "_seq", "_now_seq", "_events_processed", "_events_elided",
-                 "_running", "watchdog", "watchdog_interval_events",
-                 "_cap", "profiler", "_hooks", "_cancelled_pending",
+                 "_running", "_cap", "profiler", "_hooks", "_cancelled_pending",
                  "_buckets", "_cur", "_pos", "_wstart", "_width", "_inv_width",
                  "_overflow", "_ocount", "_odue", "_slow_at", "_count", "_free",
                  "_rev_next", "_rev_base", "_rev_t")
@@ -287,16 +291,11 @@ class Scheduler:
         # Stored as the ``_cap`` sentinel (see max_pending_events property)
         # so the hot schedule paths test it with a single comparison.
         self.max_pending_events = max_pending_events
-        # Optional progress guard: ``watchdog(self)`` is invoked from the
-        # run loop every ``watchdog_interval_events`` processed events.  It
-        # must run *inside* the loop (not as a scheduled event) because a
-        # livelocked simulation never reaches a later timestamp, so a
-        # scheduled check would never fire.
-        self.watchdog: Optional[Callable[["Scheduler"], None]] = None
-        self.watchdog_interval_events: int = 100_000
-        # Generic run-loop hooks (see add_hook): fired like the watchdog,
-        # every ``interval`` processed events, from inside the loop.  Used
-        # by the observability layer (heartbeats, occupancy sampling) so
+        # Run-loop hooks (see add_hook): fired every ``interval``
+        # processed events, from inside the loop, in install order.  Used
+        # by the livelock watchdog (a livelocked simulation never reaches
+        # a later timestamp, so a scheduled check would never fire) and by
+        # the observability layer (heartbeats, occupancy sampling), so
         # instrumentation never perturbs the event calendar itself.
         self._hooks: list[tuple[Callable[["Scheduler"], None], int]] = []
         # Opt-in per-callback wall-time profiling (repro.obs.profiler).
@@ -337,13 +336,16 @@ class Scheduler:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        # The calendar insert is inlined here (and in every schedule_*
-        # method) rather than shared through a helper: this is the
-        # hottest entry point in the simulator and each intermediate
-        # Python call costs a measurable fraction of the event budget.
         if not 0.0 <= delay < _INF:
             raise invalid_schedule(fn, delay, 0.0, "delay")
-        time = self.now + delay
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at absolute simulated ``time``.  Hot
+        relative-time callers pass ``now + delay`` themselves: the same
+        ``(time, seq)`` as :meth:`schedule`, one Python call fewer."""
+        if not self.now <= time < _INF:
+            raise invalid_schedule(fn, time, self.now, "time")
         count = self._count + 1
         if count > self._cap:
             self._overpressure(fn, time)
@@ -365,71 +367,19 @@ class Scheduler:
             self._park_far(idx, time, seq, ev)
         return ev
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if not self.now <= time < _INF:
-            raise invalid_schedule(fn, time, self.now, "time")
-        count = self._count + 1
-        if count > self._cap:
-            self._overpressure(fn, time)
-        self._count = count
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(time, seq, fn, args, self)
-        idx = int((time - self._wstart) * self._inv_width)
-        cur = self._cur
-        if 0 < idx - cur < _NBUCKETS:
-            self._buckets[idx & _MASK].append(ev)
-        elif idx <= cur:
-            # Bisect only the live suffix (see schedule).
-            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
-        else:
-            self._park_far(idx, time, seq, ev)
-        return ev
-
     def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Like :meth:`schedule`, but the returned handle must not outlive
-        the port/scheduler machinery that created it: once the event
-        settles (its callback returns, or it is consumed cancelled) the
-        run loop parks it on the free list, and a later ``schedule_once``
-        or :meth:`schedule_reserved` reuses the object (allocating only
-        when the list is empty).  Callers that keep the handle only until
-        they cancel it (and drop it at settle time) qualify; anything that
-        might cancel *after* the event fired must use :meth:`schedule`
-        instead, or a recycled (reused) event could be killed through the
-        stale handle."""
+        """Like :meth:`schedule`, but :meth:`schedule_reserved` under a fresh
+        sequence number, so the event is recycled once it settles: the
+        handle must not outlive the machinery that created it.  Callers
+        that keep it only until they cancel it (and drop it at settle
+        time) qualify; anything that might cancel *after* the event fired
+        must use :meth:`schedule`, or a recycled (reused) event could be
+        killed through the stale handle."""
         if not 0.0 <= delay < _INF:
             raise invalid_schedule(fn, delay, 0.0, "delay")
-        time = self.now + delay
-        count = self._count + 1
-        if count > self._cap:
-            self._overpressure(fn, time)
-        self._count = count
         seq = self._seq
         self._seq = seq + 1
-        ev = self._free
-        if ev is not None:
-            # The list only ever holds recyclable events (the run loops
-            # park nothing else), so ``recyclable`` is already True.
-            self._free = ev.free_next
-            ev.time = time
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, fn, args, self)
-            ev.recyclable = True
-        idx = int((time - self._wstart) * self._inv_width)
-        cur = self._cur
-        if 0 < idx - cur < _NBUCKETS:
-            self._buckets[idx & _MASK].append(ev)
-        elif idx <= cur:
-            # Bisect only the live suffix (see schedule).
-            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
-        else:
-            self._park_far(idx, time, seq, ev)
-        return ev
+        return self.schedule_reserved(self.now + delay, seq, fn, *args)
 
     def _park_far(self, idx: int, time: float, seq: int, ev: Event) -> None:
         """Insert an event a full revolution or more ahead of the cursor
@@ -466,14 +416,14 @@ class Scheduler:
 
     def schedule_reserved(self, time: float, seq: int, fn: Callable[..., Any],
                           *args: Any) -> Event:
-        """Materialize a previously :meth:`reserve_seq`-ed event at its
-        original ``(time, seq)`` position.  Used when the condition that
-        justified eliding the event stops holding (e.g. a packet arrives
-        behind an in-progress transmission), and by jittered link
-        deliveries, which draw an absolute arrival time and take a fresh
-        sequence number themselves.  Recycled like :meth:`schedule_once`,
-        and subject to ``max_pending_events`` like every other insert
-        path."""
+        """Insert ``fn(*args)`` at ``(time, seq)`` as a recyclable event
+        (see :meth:`schedule_once`): the second of the two single-event
+        insert bodies.  ``seq`` is either a :meth:`reserve_seq`-ed number,
+        when the condition that justified eliding an event stops holding
+        (e.g. a packet arrives behind an in-progress transmission), or a
+        fresh one the caller took itself — :meth:`schedule_once` and
+        every port delivery.  Subject to ``max_pending_events`` like every
+        other insert path."""
         if not self.now <= time < _INF:
             raise invalid_schedule(fn, time, self.now, "time")
         count = self._count + 1
@@ -496,7 +446,8 @@ class Scheduler:
         if 0 < idx - cur < _NBUCKETS:
             self._buckets[idx & _MASK].append(ev)
         elif idx <= cur:
-            # Bisect only the live suffix (see schedule).
+            # Bisect only the live suffix (see schedule_at), on the full
+            # key: a reserved seq may be older than resident entries.
             insort(self._buckets[cur & _MASK], ev, key=_ORDER, lo=self._pos)
         else:
             self._park_far(idx, time, seq, ev)
@@ -504,33 +455,28 @@ class Scheduler:
 
     def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], at: float,
                     fn: Callable[..., Any], *args: Any) -> Event:
-        """A busy port's transmit in one call: ``schedule_once(tx, tx_fn)``
-        for the tx-done, then ``fn(*args)`` at the absolute time ``at``
-        under the next fresh sequence number (the packet's delivery),
-        returning the delivery's event.  ``Port._tx_next`` computes ``at``
-        as ``now + (tx + delay_s)`` on a fixed-delay link and as the
-        clamped jitter draw on a jittered one, so either link pays one
-        scheduler call per busy hop.  Both events get the ``(time, seq)``
-        and the free-list events that ``schedule_once(tx, tx_fn)``
-        followed by ``schedule_reserved(at, fresh seq, fn, *args)`` would
-        give them.  When either insert would fail (a bad ``tx`` or ``at``,
-        or the pending cap), or ``schedule_once`` or ``schedule_reserved``
+        """A busy port's transmit in one call: the tx-done ``tx_fn`` at
+        ``now + tx``, then ``fn(*args)`` at the absolute time ``at`` (the
+        packet's delivery), each under the next fresh sequence number,
+        returning the delivery's event.  Both events get the ``(time,
+        seq)`` and the free-list events that two
+        :meth:`schedule_reserved` calls would give them
+        (:func:`schedule_tx_calls`).  When either insert would fail (a bad
+        ``tx`` or ``at``, or the pending cap), or ``schedule_reserved``
         has been replaced on the class (a subclass, or a wrapper that must
         see every callback scheduled), this makes those two calls, so they
-        fail or are seen exactly as they would be on their own; a rejected
-        delivery takes no sequence number."""
+        fail or are seen exactly as they would be on their own."""
         count = self._count + 2
         now = self.now
         cls = self.__class__
         if (count > self._cap or not 0.0 <= tx < _INF or not now <= at < _INF
-                or cls.schedule_once is not _SCHEDULE_ONCE
                 or cls.schedule_reserved is not _SCHEDULE_RESERVED):
             return schedule_tx_calls(self, tx, tx_fn, at, fn, args)
         self._count = count
         seq = self._seq
         self._seq = seq + 2
         cur = self._cur
-        # The tx-done, as schedule_once(tx, tx_fn) inserts it ...
+        # The tx-done ...
         time = now + tx
         ev = self._free
         if ev is not None:
@@ -550,9 +496,9 @@ class Scheduler:
             insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
         else:
             self._park_far(idx, time, seq, ev)
-        # ... then the delivery at ``at``, under the next sequence number
-        # (fresh, so the time-keyed bisect places it as schedule_reserved's
-        # full-key one would).
+        # ... then the delivery at ``at``, under the next sequence number.
+        # Both seqs are fresh, so the time-keyed bisects place them as
+        # schedule_reserved's full-key ones would.
         seq += 1
         ev = self._free
         if ev is not None:
@@ -607,18 +553,8 @@ class Scheduler:
             pass
 
     def _hook_states(self) -> list[list]:
-        """Per-run mutable countdown state: ``[countdown, interval, fn]``.
-
-        The legacy ``watchdog`` attribute participates as the first hook so
-        both mechanisms share one per-event branch.
-        """
-        states = []
-        if self.watchdog is not None:
-            states.append([self.watchdog_interval_events,
-                           self.watchdog_interval_events, self.watchdog])
-        for fn, interval in self._hooks:
-            states.append([interval, interval, fn])
-        return states
+        """Per-run mutable countdown state: ``[countdown, interval, fn]``."""
+        return [[interval, interval, fn] for fn, interval in self._hooks]
 
     # ------------------------------------------------------------------
     # calendar maintenance
@@ -801,9 +737,9 @@ class Scheduler:
     def _run_plain(self, until: Optional[float], max_events: Optional[int]) -> int:
         processed = 0
         hooks = self._hook_states()
-        # The overwhelmingly common cases — no hooks, or exactly one (the
-        # livelock watchdog) — get a local-countdown fast path; only
-        # multi-hook runs pay the per-event list walk.
+        # The overwhelmingly common cases — no hooks, or exactly one
+        # (typically the livelock watchdog) — get a local-countdown fast
+        # path; only multi-hook runs pay the per-event list walk.
         if len(hooks) == 1:
             hcd, hint, hfn = hooks[0]
             hooks = None
@@ -937,7 +873,7 @@ class Scheduler:
         are jittered by a deterministic LCG so a periodic event pattern
         (links alternating tx/deliver) cannot alias with the sampling
         grid and skew the split.  Per-event cost is a local countdown
-        decrement — this is what keeps profiled mode inside its 5%
+        decrement — this is what keeps profiled mode inside its 8%
         budget on microsecond-scale events.  Hook/watchdog time is
         excluded by advancing the window start past it.
 
@@ -1048,31 +984,7 @@ class Scheduler:
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when idle."""
-        while True:
-            bucket = self._buckets[self._cur & _MASK]
-            pos = self._pos
-            if pos < len(bucket):
-                ev = bucket[pos]
-            else:
-                ev = self._advance()
-                if ev is None:
-                    return False
-                pos = 0
-            self._pos = pos + 1
-            self._count -= 1
-            if ev.cancelled:
-                self._cancelled_pending -= 1
-                if ev.recyclable:
-                    self._park(ev)
-                continue
-            ev.cancelled = True
-            self.now = ev.time
-            self._now_seq = ev.seq
-            ev.fn(*ev.args)
-            self._events_processed += 1
-            if ev.recyclable:
-                self._park(ev)
-            return True
+        return self.run(max_events=1) > 0
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
@@ -1093,14 +1005,9 @@ class Scheduler:
             self._count -= 1
             self._cancelled_pending -= 1
             if ev.recyclable:
-                self._park(ev)
-
-    def _park(self, ev: Event) -> None:
-        """Push a settled recyclable event on the free list (the plain run
-        loop inlines this)."""
-        ev.args = ()
-        ev.free_next = self._free
-        self._free = ev
+                ev.args = ()
+                ev.free_next = self._free
+                self._free = ev
 
     @property
     def max_pending_events(self) -> Optional[int]:
@@ -1154,20 +1061,23 @@ class Scheduler:
         self._reset_calendar()
 
 
-# What Scheduler.schedule_tx compares the class's insert methods against.
-_SCHEDULE_ONCE = Scheduler.schedule_once
+# What Scheduler.schedule_tx compares the class's insert method against.
 _SCHEDULE_RESERVED = Scheduler.schedule_reserved
 
 
 def schedule_tx_calls(sched, tx: float, tx_fn: Callable[..., Any], at: float,
                       fn: Callable[..., Any], args: tuple) -> Event:
-    """``schedule_tx`` as method calls: ``schedule_once(tx, tx_fn)``, then
-    ``schedule_reserved(at, seq, fn, *args)`` under a fresh ``seq`` taken
-    only once ``at`` has passed the same check ``schedule_reserved``
-    makes.  The calendar engine's fallback and the heap engine's whole
-    ``schedule_tx``."""
-    sched.schedule_once(tx, tx_fn)
+    """``schedule_tx`` as two ``schedule_reserved`` calls, each under a
+    fresh sequence number taken only once its time has passed the check
+    ``schedule_reserved`` makes (a bad ``tx`` fails with its "delay"
+    message, before anything is inserted).  The calendar engine's
+    fallback and the heap engine's whole ``schedule_tx``."""
+    if not 0.0 <= tx < _INF:
+        raise invalid_schedule(tx_fn, tx, 0.0, "delay")
     now = sched.now
+    seq = sched._seq
+    sched._seq = seq + 1
+    sched.schedule_reserved(now + tx, seq, tx_fn)
     if not now <= at < _INF:
         raise invalid_schedule(fn, at, now, "time")
     seq = sched._seq

@@ -49,8 +49,7 @@ class HeapScheduler:
     """
 
     __slots__ = ("now", "_heap", "_seq", "_now_seq", "_events_processed",
-                 "_events_elided", "_running", "watchdog",
-                 "watchdog_interval_events", "max_pending_events",
+                 "_events_elided", "_running", "max_pending_events",
                  "profiler", "_hooks", "_cancelled_pending")
 
     def __init__(self, max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS) -> None:
@@ -63,8 +62,6 @@ class HeapScheduler:
         self._running: bool = False
         self._cancelled_pending: int = 0
         self.max_pending_events: Optional[int] = max_pending_events or None
-        self.watchdog: Optional[Callable[["HeapScheduler"], None]] = None
-        self.watchdog_interval_events: int = 100_000
         self._hooks: list[tuple[Callable[["HeapScheduler"], None], int]] = []
         self.profiler: Optional["SchedulerProfiler"] = None
 
@@ -97,18 +94,21 @@ class HeapScheduler:
             )
 
     def schedule_once(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Fire-and-forget schedule (see the calendar engine's docstring).
-        The heap engine recycles nothing, so this is plain :meth:`schedule`
-        apart from the marker flag."""
-        ev = self.schedule(delay, fn, *args)
-        ev.recyclable = True
-        return ev
+        """Fire-and-forget schedule: :meth:`schedule_reserved` at ``now +
+        delay`` under a fresh sequence number (see the calendar engine's
+        docstring; the heap engine recycles nothing)."""
+        if not 0.0 <= delay < _INF:
+            raise invalid_schedule(fn, delay, 0.0, "delay")
+        seq = self._seq
+        self._seq = seq + 1
+        return self.schedule_reserved(self.now + delay, seq, fn, *args)
 
     def schedule_tx(self, tx: float, tx_fn: Callable[..., Any], at: float,
                     fn: Callable[..., Any], *args: Any) -> Event:
-        """``schedule_once(tx, tx_fn)`` then ``schedule_reserved(at, fresh
-        seq, fn, *args)``, returning the second event (see the calendar
-        engine's docstring; here it is just the two calls)."""
+        """The tx-done at ``now + tx``, then ``fn(*args)`` at ``at``, each
+        a :meth:`schedule_reserved` under a fresh sequence number,
+        returning the second event (see the calendar engine's docstring;
+        here it is just the two calls)."""
         return schedule_tx_calls(self, tx, tx_fn, at, fn, args)
 
     def reserve_seq(self) -> int:
@@ -157,13 +157,7 @@ class HeapScheduler:
             pass
 
     def _hook_states(self) -> list[list]:
-        states = []
-        if self.watchdog is not None:
-            states.append([self.watchdog_interval_events,
-                           self.watchdog_interval_events, self.watchdog])
-        for fn, interval in self._hooks:
-            states.append([interval, interval, fn])
-        return states
+        return [[interval, interval, fn] for fn, interval in self._hooks]
 
     # ------------------------------------------------------------------
     # execution
@@ -304,19 +298,7 @@ class HeapScheduler:
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when the heap is empty."""
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)
-            if ev.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            ev.cancelled = True
-            self.now = ev.time
-            self._now_seq = ev.seq
-            ev.fn(*ev.args)
-            self._events_processed += 1
-            return True
-        return False
+        return self.run(max_events=1) > 0
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""

@@ -351,7 +351,8 @@ class TcpSender:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
         self._armed_rto = self.rto
-        self._rto_timer = self.scheduler.schedule(self.rto, self._on_timeout)
+        sched = self.scheduler
+        self._rto_timer = sched.schedule_at(sched.now + self.rto, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._rto_timer is not None:
@@ -494,8 +495,9 @@ class TcpReceiver:
     # ------------------------------------------------------------------
     def _arm_delack(self) -> None:
         if self._delack_timer is None:
-            self._delack_timer = self.scheduler.schedule(
-                self.config.delayed_ack_timeout, self._on_delack_timeout
+            sched = self.scheduler
+            self._delack_timer = sched.schedule_at(
+                sched.now + self.config.delayed_ack_timeout, self._on_delack_timeout
             )
 
     def _on_delack_timeout(self) -> None:

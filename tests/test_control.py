@@ -24,7 +24,7 @@ from repro.core.config import DibsConfig
 from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import RunRequest, execute_runs
 from repro.experiments.runner import canonical_payload, run_pooled, run_scenario
-from repro.experiments.scenarios import SPACE_DC_DEFAULTS, Scenario, flap_storm, space_dc
+from repro.experiments.scenarios import SPACE_DC_DEFAULTS, Scenario, flap_storm
 from repro.faults import LINK_DOWN, LINK_UP, FaultEvent, FaultInjector, FaultSchedule
 from repro.net.network import Network, SwitchQueueConfig
 from repro.net.queues import DynamicBufferQueue, EcnQueue, PFabricQueue, SharedBufferPool

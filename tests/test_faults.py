@@ -31,6 +31,7 @@ from repro.net.network import Network, SwitchQueueConfig
 from repro.net.packet import Packet
 from repro.routing.fib import compute_fibs
 from repro.sim.engine import Scheduler
+from repro.sim.engine_heap import HeapScheduler
 from repro.topo import fat_tree
 
 
@@ -428,6 +429,26 @@ class TestWatchdog:
         net = incast_net(seed=33)
         Watchdog(net.scheduler, max_hops=64).install(net)
         assert all(sw.hop_limit == 64 for sw in net.switches)
+
+    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
+    def test_watchdog_is_a_plain_hook(self, engine):
+        """The watchdog rides ``add_hook`` (schedulers carry no watchdog
+        slot), and uninstalling it leaves every other hook firing."""
+        sched = engine()
+        assert not hasattr(sched, "watchdog")
+        ticks = []
+        sched.add_hook(lambda s: ticks.append(s.now), 2)
+        watchdog = Watchdog(sched, check_every_events=1).install()
+        watchdog.install()  # idempotent: still one hook
+        assert len(sched._hooks) == 2
+        for i in range(4):
+            sched.schedule(float(i + 1), lambda: None)
+        sched.run(until=2.0)
+        assert watchdog.checks_run == 2 and ticks == [2.0]
+        watchdog.uninstall()
+        assert len(sched._hooks) == 1
+        sched.run()
+        assert watchdog.checks_run == 2 and ticks == [2.0, 4.0]
 
 
 class TestDetourLoopTermination:

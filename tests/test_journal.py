@@ -77,7 +77,13 @@ class TestScenarioHash:
         base = scenario_hash(TINY)
         assert scenario_hash(TINY.with_overrides(seed=1)) != base
         assert scenario_hash(TINY.with_overrides(buffer_pkts=31)) != base
-        assert scenario_hash(TINY, trace_paths=True) != base
+
+    def test_key_is_pinned(self):
+        # Journal keys are content addresses: a change to the hashed blob
+        # orphans every journal on disk.  This digest predates the retired
+        # trace_paths execution flag's removal and must never move.
+        assert scenario_hash(TINY) == (
+            "b94e45c4e87903d6014fe8b76268649e7fcccfadba9b290a1f2a15beed6cb626")
 
     def test_json_roundtrip_preserves_hash(self):
         scen = TINY.with_overrides(faults=((0.0, "link_down", "a", "b", 1),))
@@ -281,11 +287,11 @@ class TestGracefulShutdown:
         calls = {"n": 0}
         real = parallel_mod.run_scenario
 
-        def flaky(scenario, trace_paths=False):
+        def flaky(scenario):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt
-            return real(scenario, trace_paths=trace_paths)
+            return real(scenario)
 
         monkeypatch.setattr(parallel_mod, "run_scenario", flaky)
         telemetry = RunTelemetry()

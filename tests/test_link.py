@@ -799,10 +799,10 @@ class TestJitterPressure:
 
 class TestInsertSites:
     """The transmit sites put their events on the calendar three ways: an
-    idle send's delivery (``schedule_once``, or ``schedule_reserved`` when
-    jittered), a busy send's materialized tx-done (``schedule_reserved``)
-    and a busy ``_tx_next``'s tx-done plus delivery in one
-    ``schedule_tx`` call, on a fixed or a jittered link.  The calendar and
+    idle send's or elided ``_tx_next``'s delivery (``schedule_reserved``
+    under a fresh seq), a busy send's materialized tx-done
+    (``schedule_reserved``) and a busy ``_tx_next``'s tx-done plus
+    delivery in one ``schedule_tx`` call, on a fixed or a jittered link.  The calendar and
     heap engines must dispatch the same events at the same ``(time, seq)``
     and fail the same way."""
 
@@ -924,8 +924,8 @@ class TestInsertSites:
         delivery time (before ``now`` = 10 us, or not finite) fails with
         the tx-done already in and no sequence number taken for the
         delivery — on both engines, with the same message, ``pending``
-        and sequence numbers as ``schedule_once`` then
-        ``schedule_reserved`` give."""
+        and sequence numbers as the fallback's two ``schedule_reserved``
+        calls give."""
 
         def attempt(sched):
             sched.schedule_at(10e-6, lambda: None)
@@ -954,9 +954,10 @@ class TestInsertSites:
     @pytest.mark.parametrize("jitter", [0.0, 30e-6], ids=["fixed", "jitter"])
     def test_replaced_insert_methods_see_every_port_callback(self, jitter, monkeypatch):
         """With ``schedule_once`` and ``schedule_reserved`` replaced on the
-        class (what the traced ledger wraps), ``schedule_tx`` goes through
-        them for the tx-done and the delivery alike, on a fixed and on a
-        jittered port, and the run is unchanged."""
+        class (what the traced ledger wraps), every port callback reaches
+        the ``schedule_reserved`` wrapper — ``schedule_tx`` makes its two
+        calls there — on a fixed and on a jittered port, and the run is
+        unchanged."""
 
         def run():
             sched, _a, b, pa, _pb = make_pair(rate_bps=1e9, delay_s=10e-6)
@@ -982,19 +983,17 @@ class TestInsertSites:
         monkeypatch.setattr(Scheduler, "schedule_once", once_wrapper)
         monkeypatch.setattr(Scheduler, "schedule_reserved", reserved_wrapper)
         assert run() == direct
-        # A jittered delivery is a schedule_reserved at its drawn time.
-        deliver = ("reserved" if jitter else "once", "Port._deliver")
-        tx_done = ("once", "Port._tx_next")
+        deliver = ("reserved", "Port._deliver")
+        tx_done = ("reserved", "Port._tx_next")
         # The idle send's delivery; the second send's materialized tx-done;
         # the first busy _tx_next's pair, the second's; and the last
         # packet's delivery with its tx-done elided.
-        assert seen == [deliver, ("reserved", "Port._tx_next"), tx_done,
-                        ("reserved", "Port._deliver"), tx_done,
-                        ("reserved", "Port._deliver"), deliver]
+        assert seen == [deliver, tx_done, tx_done, deliver, tx_done, deliver, deliver]
 
     def test_replaced_schedule_reserved_alone_sees_busy_deliveries(self, monkeypatch):
         """Replacing only ``schedule_reserved`` is enough for
-        ``schedule_tx`` to make the two calls."""
+        ``schedule_tx`` to make the two calls, so the wrapper sees every
+        port callback."""
         seen = []
         reserved = Scheduler.schedule_reserved
 
@@ -1008,8 +1007,9 @@ class TestInsertSites:
             pa.send(pkt())
         sched.run()
         assert len(b.arrivals) == 4
-        # The materialized tx-done, then the two busy hops' deliveries.
-        assert seen == ["Port._tx_next", "Port._deliver", "Port._deliver"]
+        # As in the test above: every port callback, idle and busy.
+        assert seen == ["Port._deliver", "Port._tx_next", "Port._tx_next", "Port._deliver",
+                        "Port._tx_next", "Port._deliver", "Port._deliver"]
 
     @staticmethod
     def _pressure(sched, site):
@@ -1069,7 +1069,7 @@ class TestInsertSites:
         calendar = self._infinite_tx(Scheduler())
         assert calendar == self._infinite_tx(HeapScheduler())
         assert calendar[0] == [
-            "non-finite delay: inf (scheduling Port._deliver)",
+            "non-finite time: inf (scheduling Port._deliver)",
             "non-finite time: inf (scheduling Port._tx_next)",
         ]
 

@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.runner import canonical_payload, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.obs.counters import CounterRegistry
-from repro.obs.heartbeat import ExecutorHeartbeat, HeartbeatWriter, SimHeartbeat
+from repro.obs.heartbeat import ExecutorHeartbeat, HeartbeatWriter
 from repro.obs.profiler import format_profile, merge_profiles
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,

@@ -136,6 +136,25 @@ class TestRunControl:
         sched.run()
         assert sched.events_processed == 5
 
+    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
+    def test_step_feeds_profiler_and_hooks(self, engine):
+        """``step`` is a one-event ``run``: the profiler sees every stepped
+        event and a one-event hook fires once per step."""
+        from repro.obs.profiler import SchedulerProfiler
+
+        sched = engine()
+        profiler = SchedulerProfiler().install(sched)
+        ticks = []
+        sched.add_hook(lambda s: ticks.append(s.now), 1)
+        for i in range(5):
+            sched.schedule(float(i + 1), lambda: None)
+        sched.run(max_events=2)
+        while sched.step():
+            pass
+        assert sched.events_processed == 5
+        assert profiler.total_events == sched.events_processed
+        assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_reentrant_run_rejected(self):
         sched = Scheduler()
 
@@ -817,9 +836,15 @@ class TestInvalidTimes:
         def victim():
             fired.append("victim")
 
-        with pytest.raises(SimulationError, match="victim"):
+        seq = sched._seq
+        with pytest.raises(SimulationError, match="victim") as info:
             self._insert(sched, path, value, victim)
         assert sched.pending == pending
+        # schedule/schedule_once check the delay before delegating to an
+        # absolute-time insert, and take no sequence number when they fail.
+        relative = path in ("schedule", "schedule_once")
+        assert ("delay" in str(info.value)) == relative
+        assert sched._seq == seq + (path == "schedule_reserved")  # its reserve_seq
         sched.schedule(2e-6, fired.append, "after")
         assert sched.run() == 2
         assert fired == ["before", "after"]
