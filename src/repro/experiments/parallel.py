@@ -9,8 +9,11 @@ semantics of the serial path:
   order by :func:`repro.experiments.runner.merge_results`, the same pooling
   the serial ``run_pooled`` uses.  Same seeds ⇒ bit-identical pooled
   percentiles and counters, independent of worker count or completion order.
-* **Isolation** — one process per run, so a crashing or wedged simulation
-  cannot take the sweep down.  Crashed, raising, and timed-out runs are
+* **Isolation** — runs execute in worker processes, so a crashing or
+  wedged simulation cannot take the sweep down.  Up to ``workers``
+  long-lived processes each run one cell at a time; a worker serves
+  again only after a clean result, and one whose run raised, timed out
+  or crashed is replaced.  Crashed, raising, and timed-out runs are
   settled by the shared policy in :mod:`repro.experiments.settle`
   (retries with deterministic backoff and ×1.5 timeout escalation) and
   recorded in :class:`RunTelemetry` instead of raising.
@@ -22,20 +25,21 @@ semantics of the serial path:
   them to the journal, terminates and joins every worker (no orphans), and
   returns the partial results with ``telemetry.interrupted`` set so
   callers can distinguish "interrupted" from "failed".
-* **One loop, two pools** — :class:`WorkerPool` launches one process per
-  run and reports settlements (ok / error / timeout / crash) from
-  :meth:`WorkerPool.poll`; :class:`InlinePool` is a pool of one
-  in-process worker with the same surface.  ``workers=1``, or a platform
-  whose multiprocessing offers neither ``fork`` nor ``spawn``, drives the
-  inline pool through the same loop, with identical results and the same
-  telemetry shape.  ``repro serve`` (:mod:`repro.server.scheduler`)
+* **One loop, two pools** — :class:`WorkerPool` hands runs to its
+  worker processes one at a time and reports settlements (ok / error /
+  timeout / crash) from :meth:`WorkerPool.poll`; :class:`InlinePool` is
+  a pool of one in-process worker with the same surface.  ``workers=1``,
+  or a platform whose multiprocessing offers neither ``fork`` nor
+  ``spawn``, drives the inline pool through the same loop, with identical
+  results and the same telemetry shape.  ``repro serve`` (:mod:`repro.server.scheduler`)
   drives a :class:`WorkerPool` indefinitely as a job server.
 
 Scenarios cross the process boundary as plain dicts (``dataclasses.asdict``
 of the frozen :class:`~repro.experiments.scenarios.Scenario` built via
-``with_overrides``) and results come back as plain dicts
-(:func:`~repro.experiments.runner.result_to_dict`), rehydrated by the
-parent, so the wire protocol works under both start methods.
+``with_overrides``) down the serving worker's pipe, and results come back
+as plain dicts (:func:`~repro.experiments.runner.result_to_dict`),
+rehydrated by the parent, so the wire protocol works under both start
+methods.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ ProgressHook = Callable[["RunProgress"], None]
 # before its (possibly buffered) message surfaced.
 _CRASH_DRAIN_S = 0.25
 _POLL_S = 0.05
+# How often an idle worker checks that its parent is still alive.
+_PARENT_CHECK_S = 1.0
 
 
 def default_workers() -> int:
@@ -268,31 +274,58 @@ def _error_payload(exc: BaseException) -> dict:
     return {"reason": f"{type(exc).__name__}: {exc}", "traceback": traceback_mod.format_exc()}
 
 
-def _worker_entry(out_queue, launch_id: int, scenario_dict: dict) -> None:
-    """Executed inside the worker process: rehydrate, simulate, report.
+def _serve_launches(inbox, out_queue) -> None:
+    """The body of a worker process: run launches until told to stop.
 
-    Every outcome — success or any exception — is reported through the
-    queue; an unreported death is how the parent recognizes a crash.
+    Each message on ``inbox`` is ``(launch_id, scenario_dict)``; every
+    outcome — success or any exception — is reported through the shared
+    queue as ``(launch_id, status, payload)``, and an unreported death is
+    how the parent recognizes a crash.  ``None`` on the inbox, or a parent
+    that went away, ends the loop.
+
     Workers ignore SIGINT: a Ctrl-C in the parent's terminal reaches the
-    whole foreground process group, and shutdown is the parent's job —
-    it drains finished results, then terminates the rest.
+    whole foreground process group, and shutdown is the parent's job — it
+    drains finished results, then stops the workers.  SIGTERM is reset to
+    its default: the parent forks workers while its own handler turns
+    SIGTERM into ``KeyboardInterrupt`` (or, under ``repro serve``, into a
+    wake-up of its event loop), and a worker that inherited it would
+    survive ``terminate()``.
     """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread / exotic platform
-        pass
-    try:
-        status, payload = _run_request(Scenario(**scenario_dict))
-        if status == "ok":
-            payload = result_to_dict(payload, include_scenario=False)
-    except BaseException as exc:  # noqa: BLE001 - the whole point is containment
-        status, payload = "error", _error_payload(exc)
-    out_queue.put((launch_id, status, payload))
+    for signum, action in ((signal.SIGINT, signal.SIG_IGN), (signal.SIGTERM, signal.SIG_DFL)):
+        try:
+            signal.signal(signum, action)
+        except (ValueError, OSError):  # pragma: no cover - exotic platform
+            pass
+    parent = os.getppid()
+    while True:
+        while not inbox.poll(_PARENT_CHECK_S):
+            if os.getppid() != parent:
+                return  # orphaned: nobody will read a result
+        try:
+            message = inbox.recv()
+        except EOFError:  # the parent closed our pipe
+            return
+        if message is None:
+            return
+        launch_id, scenario_dict = message
+        try:
+            status, payload = _run_request(Scenario(**scenario_dict))
+            if status == "ok":
+                payload = result_to_dict(payload, include_scenario=False)
+        except BaseException as exc:  # noqa: BLE001 - the whole point is containment
+            status, payload = "error", _error_payload(exc)
+        out_queue.put((launch_id, status, payload))
+
+
+@dataclass
+class _Worker:
+    proc: object
+    inbox: object  # the parent's sending end of the worker's pipe
 
 
 @dataclass
 class _Launch:
-    proc: object
+    worker: _Worker
     request: RunRequest
     attempt: int
     started: float
@@ -321,8 +354,9 @@ class Settlement:
       or the live result from :class:`InlinePool` (see :attr:`result`);
     * ``"error"``   — the worker raised; ``payload`` carries ``reason`` and
       ``traceback``;
-    * ``"timeout"`` — the launch exceeded its ``timeout_s`` and was killed;
-    * ``"crash"``   — the process died without reporting (``exitcode`` set).
+    * ``"timeout"`` — the launch exceeded its ``timeout_s`` and its worker
+      was terminated (``exitcode`` set);
+    * ``"crash"``   — the worker died without reporting (``exitcode`` set).
     """
 
     launch_id: int
@@ -362,19 +396,33 @@ class Settlement:
 
 
 class WorkerPool:
-    """A persistent pool of one-process-per-run simulation workers.
+    """A pool of up to ``workers`` long-lived simulation worker processes.
 
-    The pool owns the multiprocessing context, the result queue, and the
-    table of in-flight launches.  Callers :meth:`launch` requests while
-    :attr:`has_slot` and harvest :class:`Settlement` records from
-    :meth:`poll`; the settlement policy lives in
-    :mod:`repro.experiments.settle` and launch order in the caller (the
-    batch executor below, or the ``repro serve`` scheduler).
+    The pool owns the multiprocessing context, the result queue, the
+    worker processes, and the table of in-flight launches.  Callers
+    :meth:`launch` requests while :attr:`has_slot` and harvest
+    :class:`Settlement` records from :meth:`poll`; the settlement policy
+    lives in :mod:`repro.experiments.settle` and launch order in the caller
+    (the batch executor below, or the ``repro serve`` scheduler).
+
+    A worker is forked when a launch finds none idle, so the pool holds no
+    more processes than it has had launches in flight at once, and what
+    this process changed before the pool's first launch (a monkeypatch, an
+    environment variable) reaches every worker.  Each worker takes one
+    launch at a time on its own pipe and answers on the shared result
+    queue; results do not depend on which worker ran a cell, or on what
+    it ran before (:class:`InlinePool` runs every cell in one process).
+    A worker goes back to the idle set only after an ``ok`` settlement: one
+    whose run raised is stopped with a sentinel and joined, one that timed
+    out is terminated, one that died is joined, and the next launch forks
+    a replacement.  An idle worker that died is replaced at the next
+    launch without a settlement.
 
     Crash detection and per-launch timeouts are handled inside ``poll``:
-    a launch past its deadline is terminated and settles as ``timeout``; a
-    process that exits without reporting settles as ``crash`` after a
-    short drain window for its possibly-buffered message.
+    a launch past its deadline has its worker terminated and settles as
+    ``timeout``; a worker that exits without reporting settles its launch
+    as ``crash`` after a short drain window for its possibly-buffered
+    message.
     """
 
     def __init__(self, workers: int, ctx=None) -> None:
@@ -384,6 +432,7 @@ class WorkerPool:
             raise RuntimeError("multiprocessing is unavailable on this platform")
         self._out_queue = self.ctx.Queue()
         self._running: Dict[int, _Launch] = {}
+        self._idle: List[_Worker] = []
         self._next_launch_id = 0
         self._closed = False
 
@@ -397,7 +446,8 @@ class WorkerPool:
         return len(self._running) < self.workers
 
     def running_info(self) -> List[dict]:
-        """Status rows for heartbeats / ``/readyz``: key, attempt, wall, pid."""
+        """Status rows for heartbeats / ``/readyz``: key, attempt, wall, and
+        the pid of the worker serving the launch."""
         now = time.perf_counter()
         return [
             {
@@ -405,42 +455,73 @@ class WorkerPool:
                 "key": str(entry.request.key),
                 "attempt": entry.attempt,
                 "wall_s": round(now - entry.started, 2),
-                "pid": entry.proc.pid,
+                "pid": entry.worker.proc.pid,
             }
             for launch_id, entry in self._running.items()
         ]
 
     def pids(self) -> List[int]:
-        return [entry.proc.pid for entry in self._running.values()]
+        """Pids of the workers serving in-flight launches."""
+        return [entry.worker.proc.pid for entry in self._running.values()]
 
     def pid_of(self, launch_id: int) -> Optional[int]:
         entry = self._running.get(launch_id)
-        return entry.proc.pid if entry is not None else None
+        return entry.worker.proc.pid if entry is not None else None
 
     # ------------------------------------------------------------------
+    def _start_worker(self) -> _Worker:
+        inbox, sender = self.ctx.Pipe(duplex=False)
+        proc = self.ctx.Process(target=_serve_launches, args=(inbox, self._out_queue),
+                                daemon=True)
+        proc.start()
+        inbox.close()  # the worker holds its own end
+        return _Worker(proc, sender)
+
+    @staticmethod
+    def _send(worker: _Worker, message) -> bool:
+        try:
+            worker.inbox.send(message)
+            return True
+        except OSError:  # the worker is gone
+            return False
+
+    @staticmethod
+    def _reap(worker: _Worker, join_timeout_s: float = 5.0) -> None:
+        """Join a worker that was told to stop or has died, killing it if it
+        is still alive after ``join_timeout_s``."""
+        worker.proc.join(join_timeout_s)
+        if worker.proc.is_alive():
+            worker.proc.kill()
+            worker.proc.join()
+        worker.inbox.close()
+
     def launch(self, request: RunRequest, attempt: int = 1,
                timeout_s: Optional[float] = None) -> int:
-        """Start one worker process for ``request``; returns the launch id."""
+        """Hand ``request`` to an idle worker, starting one if none is idle;
+        returns the launch id."""
         if self._closed:
             raise RuntimeError("pool is shut down")
         launch_id = self._next_launch_id
         self._next_launch_id += 1
-        proc = self.ctx.Process(
-            target=_worker_entry,
-            args=(self._out_queue, launch_id, asdict(request.scenario)),
-            daemon=True,
-        )
-        proc.start()
-        self._running[launch_id] = _Launch(proc, request, attempt,
+        message = (launch_id, asdict(request.scenario))
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.proc.is_alive() and self._send(worker, message):
+                break
+            self._reap(worker)  # died while idle: replaced, not settled
+        else:
+            worker = self._start_worker()
+            self._send(worker, message)  # if it died already, poll settles a crash
+        self._running[launch_id] = _Launch(worker, request, attempt,
                                            time.perf_counter(), timeout_s)
         return launch_id
 
     def kill(self, launch_id: int) -> bool:
-        """Forcibly terminate a running launch (it settles as a crash)."""
+        """Forcibly terminate a running launch's worker (it settles as a crash)."""
         entry = self._running.get(launch_id)
-        if entry is None or not entry.proc.is_alive():
+        if entry is None or not entry.worker.proc.is_alive():
             return False
-        entry.proc.terminate()
+        entry.worker.proc.terminate()
         return True
 
     # ------------------------------------------------------------------
@@ -449,8 +530,12 @@ class WorkerPool:
         entry = self._running.pop(launch_id, None)
         if entry is None:
             return  # stale message from a launch already settled (e.g. timed out)
-        entry.proc.join()
         wall = time.perf_counter() - entry.started
+        if status == "ok":
+            self._idle.append(entry.worker)
+        else:  # retire it: its sentinel, then a join
+            self._send(entry.worker, None)
+            self._reap(entry.worker)
         settled.append(Settlement(launch_id, entry.request, entry.attempt,
                                   "ok" if status == "ok" else "error",
                                   payload, wall, entry.timeout_s))
@@ -498,38 +583,44 @@ class WorkerPool:
             entry = self._running.get(launch_id)
             if entry is None:
                 continue
+            worker = entry.worker
             if entry.timeout_s is not None and now - entry.started > entry.timeout_s:
-                entry.proc.terminate()
-                entry.proc.join()
+                worker.proc.terminate()
+                self._reap(worker)
                 self._running.pop(launch_id, None)
                 settled.append(Settlement(launch_id, entry.request, entry.attempt,
                                           "timeout", None, now - entry.started,
-                                          entry.timeout_s))
-            elif not entry.proc.is_alive():
+                                          entry.timeout_s, worker.proc.exitcode))
+            elif not worker.proc.is_alive():
                 # The worker exited; its message may still be buffered in the
                 # queue's feeder pipe, so give it a moment to surface before
                 # declaring an unreported death (i.e. a crash).
                 self._drain_window(_CRASH_DRAIN_S, settled)
                 if launch_id in self._running:
-                    entry.proc.join()
+                    self._reap(worker)
                     self._running.pop(launch_id, None)
                     settled.append(Settlement(launch_id, entry.request, entry.attempt,
                                               "crash", None,
                                               time.perf_counter() - entry.started,
-                                              entry.timeout_s, entry.proc.exitcode))
+                                              entry.timeout_s, worker.proc.exitcode))
         return settled
 
     # ------------------------------------------------------------------
     def shutdown(self, join_timeout_s: float = 5.0) -> None:
-        """Terminate and join every in-flight worker; close the queue."""
+        """Stop every worker — terminate the busy ones, send the idle ones
+        their sentinel — and join them all; close the queue."""
         if self._closed:
             return
-        for entry in list(self._running.values()):
-            if entry.proc.is_alive():
-                entry.proc.terminate()
-        for entry in list(self._running.values()):
-            entry.proc.join(timeout=join_timeout_s)
+        busy = [entry.worker for entry in self._running.values()]
+        for worker in busy:
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+        for worker in self._idle:
+            self._send(worker, None)
+        for worker in busy + self._idle:
+            self._reap(worker, join_timeout_s)
         self._running.clear()
+        self._idle.clear()
         self._out_queue.close()
         self._closed = True
 
@@ -608,9 +699,11 @@ def execute_runs(
     """Execute every request, serially or across worker processes.
 
     ``heartbeat`` (an :class:`repro.obs.heartbeat.ExecutorHeartbeat`)
-    emits periodic JSONL progress records — completed/total counts and the
-    per-worker in-flight table — from the executor's poll loop, making a
-    long ``--workers N`` sweep legible while it runs.
+    emits periodic JSONL progress records — completed/total counts, the
+    per-worker in-flight table, and ``finished``, the fingerprint of each
+    cell that settled ``ok`` since the previous record — from the
+    executor's poll loop, plus one last record when the batch ends, making
+    a long ``--workers N`` sweep legible while it runs.
 
     Returns results keyed by ``request.key``; permanently failed runs are
     *absent* from the mapping and recorded in ``telemetry.failures``.  A run
@@ -698,6 +791,19 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
                 return cell
         return None
 
+    # Fingerprints of the cells that settled ok since the last heartbeat
+    # record, by key; kept only when a heartbeat is attached.
+    finished: Dict[str, str] = {}
+
+    def beat(emit) -> None:
+        beats = heartbeat.beats
+        emit(completed=len(results), total=total,
+             running=[{"key": row["key"], "attempt": row["attempt"],
+                       "wall_s": row["wall_s"]} for row in pool.running_info()],
+             pending=len(pending), extra={"finished": finished})
+        if heartbeat.beats != beats:
+            finished.clear()
+
     def report(key, status, attempt, wall, events) -> None:
         _notify(progress, RunProgress(key, status, attempt, len(results), total, wall, events))
 
@@ -710,6 +816,8 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
             telemetry.record_success(key, wall, verdict.result.events)
             if settler.journal is not None:
                 telemetry.cells_journaled += 1
+            if heartbeat is not None:
+                finished[str(key)] = verdict.result.fingerprint
             report(key, "ok", settlement.attempt, wall, verdict.result.events)
         elif verdict.action == "retry":
             telemetry.record_retry(verdict.reason, wall, verdict.backoff_s)
@@ -738,15 +846,7 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
                 else:  # parked behind a peer's claim
                     pending.append(cell)
             if heartbeat is not None:
-                heartbeat.maybe_emit(
-                    completed=len(results), total=total,
-                    running=[
-                        {"key": row["key"], "attempt": row["attempt"],
-                         "wall_s": row["wall_s"]}
-                        for row in pool.running_info()
-                    ],
-                    pending=len(pending),
-                )
+                beat(heartbeat.maybe_emit)
             for settlement in pool.poll(block_s=_POLL_S):
                 handle(settlement)
     except KeyboardInterrupt:
@@ -765,6 +865,8 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
         # Release claims for cells we never finished so a restart (ours or
         # a peer's) is not blocked until the claim goes stale.
         settler.release_all()
+    if heartbeat is not None:
+        beat(heartbeat.emit)  # the last record: every remaining fingerprint
     return results
 
 

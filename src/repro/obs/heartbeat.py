@@ -12,7 +12,9 @@ table.  Two emitters fix that, sharing one writer and one line format:
   bit-identical with heartbeats on or off.
 * :class:`ExecutorHeartbeat` is called from the sweep executor's poll loop
   and reports completed/total runs plus the status of every in-flight
-  worker.
+  worker; the batch executor adds ``finished``, the fingerprint of each
+  cell that settled ``ok`` since its previous record, and writes one last
+  record when the batch ends.
 
 Records are single JSON objects per line, appended (never truncated) so
 several worker processes can share one file — every record carries ``pid``.

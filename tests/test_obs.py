@@ -434,6 +434,26 @@ class TestHeartbeat:
         assert all(r["type"] == "executor" for r in records)
         assert records[-1]["total"] == 2
 
+    @pytest.mark.parametrize("interval_s", [1e-9, 3600.0], ids=["every-poll", "final-only"])
+    def test_executor_heartbeats_carry_each_finished_fingerprint_once(
+            self, tmp_path, interval_s):
+        from repro.experiments.parallel import RunRequest, execute_runs
+
+        path = tmp_path / "exec.jsonl"
+        hb = ExecutorHeartbeat(HeartbeatWriter(str(path)), interval_s=interval_s)
+        requests = [RunRequest(key=("c", seed), scenario=TINY.with_overrides(seed=seed))
+                    for seed in range(4)]
+        results = execute_runs(requests, workers=2, heartbeat=hb)
+        hb.writer.close()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        finished = [r["finished"] for r in records]
+        union = {key: fp for batch in finished for key, fp in batch.items()}
+        # Each fingerprint is reported once, in the first record after its
+        # cell settled; the last record is written when the batch ends.
+        assert sum(len(batch) for batch in finished) == len(union)
+        assert union == {str(key): result.fingerprint for key, result in results.items()}
+        assert records[-1]["completed"] == 4
+
 
 # ----------------------------------------------------------------------
 # structured trace

@@ -603,12 +603,12 @@ def _serve_proc(state_dir, *extra):
     return proc, announce
 
 
-def _post_job(port, seed):
+def _post_job(port, seed, duration_s=0.03):
     import urllib.request
 
     body = json.dumps({
         "tenant": "a",
-        "scenario": {"name": "tiny-server", "duration_s": 0.03, "drain_s": 0.3,
+        "scenario": {"name": "tiny-server", "duration_s": duration_s, "drain_s": 0.3,
                      "qps": 100.0, "incast_degree": 6, "bg_enabled": False,
                      "seed": seed},
     }).encode()
@@ -667,6 +667,37 @@ class TestSigtermDrain:
                 proc2.communicate(timeout=60)
             assert proc2.returncode == 0
             assert not (state / "spool.json").exists()
+
+
+    def test_run_timeout_fails_the_job_and_keeps_serving(self, tmp_path):
+        # Workers are forked after the server turned SIGTERM into a wake-up
+        # of its event loop.  A worker that kept that handler answered the
+        # timeout's terminate() by waking the server, which then drained.
+        import urllib.request
+
+        proc, announce = _serve_proc(tmp_path / "state", "--run-timeout", "0.5",
+                                     "--max-retries", "0")
+        port = announce["listening"]["port"]
+        try:
+            status, body = _post_job(port, 0, duration_s=3.0)
+            assert status == 202
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/jobs/{body['job']['id']}",
+                        timeout=10) as resp:
+                    job = json.loads(resp.read())["job"]
+                if job["state"] == "failed":
+                    break
+                time.sleep(0.1)
+            assert job["state"] == "failed"
+            assert job["error"] == "timeout after 0.5s"
+            assert proc.poll() is None, "the server drained on its worker's timeout"
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert json.loads(out.strip().splitlines()[-1])["drained"]["spooled"] == 0
 
 
 # ----------------------------------------------------------------------
