@@ -17,52 +17,32 @@ heartbeats, structured traces) lives in :mod:`repro.obs`, and
 :func:`repro.metrics.export.write_artifacts` bundles a run's outputs.
 """
 
-from repro.core import DibsConfig, make_policy
-from repro.experiments import (
-    PAPER_DEFAULTS,
-    SCALED_DEFAULTS,
-    Scenario,
-    run_scenario,
-)
-from repro.metrics.export import write_artifacts
-from repro.net import Network, SwitchQueueConfig
-from repro.obs import (
-    CounterRegistry,
-    CounterSnapshot,
-    ExecutorHeartbeat,
-    SchedulerProfiler,
-    SimHeartbeat,
-    TraceWriter,
-    read_trace,
-    summarize_trace,
-)
-from repro.topo import click_testbed, fat_tree, jellyfish, leaf_spine, linear
+from repro._exports import export_lazily
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DibsConfig",
-    "make_policy",
-    "Network",
-    "SwitchQueueConfig",
-    "fat_tree",
-    "click_testbed",
-    "leaf_spine",
-    "linear",
-    "jellyfish",
-    "Scenario",
-    "run_scenario",
-    "PAPER_DEFAULTS",
-    "SCALED_DEFAULTS",
+__all__ = [*export_lazily(__name__, {
+    "DibsConfig": "repro.core.config",
+    "make_policy": "repro.core.detour",
+    "Network": "repro.net.network",
+    "SwitchQueueConfig": "repro.net.network",
+    "fat_tree": "repro.topo.fattree",
+    "click_testbed": "repro.topo.testbed",
+    "leaf_spine": "repro.topo.misc",
+    "linear": "repro.topo.misc",
+    "jellyfish": "repro.topo.misc",
+    "Scenario": "repro.experiments.scenarios",
+    "run_scenario": "repro.experiments.runner",
+    "PAPER_DEFAULTS": "repro.experiments.scenarios",
+    "SCALED_DEFAULTS": "repro.experiments.scenarios",
     # Observability (repro.obs) + the unified exporter.
-    "CounterRegistry",
-    "CounterSnapshot",
-    "SchedulerProfiler",
-    "SimHeartbeat",
-    "ExecutorHeartbeat",
-    "TraceWriter",
-    "read_trace",
-    "summarize_trace",
-    "write_artifacts",
-    "__version__",
-]
+    "CounterRegistry": "repro.obs.counters",
+    "CounterSnapshot": "repro.obs.counters",
+    "SchedulerProfiler": "repro.obs.profiler",
+    "SimHeartbeat": "repro.obs.heartbeat",
+    "ExecutorHeartbeat": "repro.obs.heartbeat",
+    "TraceWriter": "repro.obs.trace",
+    "read_trace": "repro.obs.trace",
+    "summarize_trace": "repro.obs.trace",
+    "write_artifacts": "repro.metrics.export",
+}), "__version__"]

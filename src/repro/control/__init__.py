@@ -17,8 +17,10 @@ time — never wall clock — so controlled runs stay bit-identical across
 engines, worker processes, and ``--resume`` replays.
 """
 
-from repro.control.actuators import Actuators
-from repro.control.controller import RuntimeController
-from repro.control.spec import ControllerSpec
+from repro._exports import export_lazily
 
-__all__ = ["Actuators", "ControllerSpec", "RuntimeController"]
+__all__ = export_lazily(__name__, {
+    "Actuators": "repro.control.actuators",
+    "ControllerSpec": "repro.control.spec",
+    "RuntimeController": "repro.control.controller",
+})

@@ -1,21 +1,13 @@
 """DIBS core: detour policies and switch-side configuration."""
 
-from repro.core.config import DibsConfig
-from repro.core.detour import (
-    DetourPolicy,
-    FlowBasedDetourPolicy,
-    LoadAwareDetourPolicy,
-    ProbabilisticDetourPolicy,
-    RandomDetourPolicy,
-    make_policy,
-)
+from repro._exports import export_lazily
 
-__all__ = [
-    "DibsConfig",
-    "DetourPolicy",
-    "RandomDetourPolicy",
-    "LoadAwareDetourPolicy",
-    "FlowBasedDetourPolicy",
-    "ProbabilisticDetourPolicy",
-    "make_policy",
-]
+__all__ = export_lazily(__name__, {
+    "DibsConfig": "repro.core.config",
+    "DetourPolicy": "repro.core.detour",
+    "RandomDetourPolicy": "repro.core.detour",
+    "LoadAwareDetourPolicy": "repro.core.detour",
+    "FlowBasedDetourPolicy": "repro.core.detour",
+    "ProbabilisticDetourPolicy": "repro.core.detour",
+    "make_policy": "repro.core.detour",
+})

@@ -45,8 +45,8 @@ methods.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
@@ -85,9 +85,9 @@ __all__ = [
 
 ProgressHook = Callable[["RunProgress"], None]
 
-# How long to keep draining the result queue for a worker that exited
-# before its (possibly buffered) message surfaced.
-_CRASH_DRAIN_S = 0.25
+# How long an interrupted batch keeps collecting the results of the runs
+# still in flight before it stops their workers.
+_SHUTDOWN_DRAIN_S = 0.25
 _POLL_S = 0.05
 # How often an idle worker checks that its parent is still alive.
 _PARENT_CHECK_S = 1.0
@@ -274,14 +274,17 @@ def _error_payload(exc: BaseException) -> dict:
     return {"reason": f"{type(exc).__name__}: {exc}", "traceback": traceback_mod.format_exc()}
 
 
-def _serve_launches(inbox, out_queue) -> None:
+def _serve_launches(conn) -> None:
     """The body of a worker process: run launches until told to stop.
 
-    Each message on ``inbox`` is ``(launch_id, scenario_dict)``; every
-    outcome — success or any exception — is reported through the shared
-    queue as ``(launch_id, status, payload)``, and an unreported death is
-    how the parent recognizes a crash.  ``None`` on the inbox, or a parent
-    that went away, ends the loop.
+    Each message on ``conn``, the worker's own pipe to the parent, is
+    ``(launch_id, scenario_dict)``; every outcome — success or any
+    exception — is sent back on the same pipe as ``(launch_id, status,
+    payload)``, and an unreported death is how the parent recognizes a
+    crash.  ``None`` on the pipe, or a parent that went away, ends the
+    loop.  No pipe is shared: writers to a shared queue take turns under
+    one lock, and a worker killed while holding it would leave every
+    other worker unable to report.
 
     Workers ignore SIGINT: a Ctrl-C in the parent's terminal reaches the
     whole foreground process group, and shutdown is the parent's job — it
@@ -298,11 +301,11 @@ def _serve_launches(inbox, out_queue) -> None:
             pass
     parent = os.getppid()
     while True:
-        while not inbox.poll(_PARENT_CHECK_S):
+        while not conn.poll(_PARENT_CHECK_S):
             if os.getppid() != parent:
                 return  # orphaned: nobody will read a result
         try:
-            message = inbox.recv()
+            message = conn.recv()
         except EOFError:  # the parent closed our pipe
             return
         if message is None:
@@ -314,13 +317,16 @@ def _serve_launches(inbox, out_queue) -> None:
                 payload = result_to_dict(payload, include_scenario=False)
         except BaseException as exc:  # noqa: BLE001 - the whole point is containment
             status, payload = "error", _error_payload(exc)
-        out_queue.put((launch_id, status, payload))
+        try:
+            conn.send((launch_id, status, payload))
+        except OSError:  # the parent closed our pipe
+            return
 
 
 @dataclass
 class _Worker:
     proc: object
-    inbox: object  # the parent's sending end of the worker's pipe
+    conn: object  # the parent's end of the worker's pipe
 
 
 @dataclass
@@ -398,8 +404,8 @@ class Settlement:
 class WorkerPool:
     """A pool of up to ``workers`` long-lived simulation worker processes.
 
-    The pool owns the multiprocessing context, the result queue, the
-    worker processes, and the table of in-flight launches.  Callers
+    The pool owns the multiprocessing context, the worker processes and
+    their pipes, and the table of in-flight launches.  Callers
     :meth:`launch` requests while :attr:`has_slot` and harvest
     :class:`Settlement` records from :meth:`poll`; the settlement policy
     lives in :mod:`repro.experiments.settle` and launch order in the caller
@@ -409,9 +415,10 @@ class WorkerPool:
     more processes than it has had launches in flight at once, and what
     this process changed before the pool's first launch (a monkeypatch, an
     environment variable) reaches every worker.  Each worker takes one
-    launch at a time on its own pipe and answers on the shared result
-    queue; results do not depend on which worker ran a cell, or on what
-    it ran before (:class:`InlinePool` runs every cell in one process).
+    launch at a time on its own pipe and answers on the same pipe, so a
+    worker killed mid-answer loses only its own launch; results do not
+    depend on which worker ran a cell, or on what it ran before
+    (:class:`InlinePool` runs every cell in one process).
     A worker goes back to the idle set only after an ``ok`` settlement: one
     whose run raised is stopped with a sentinel and joined, one that timed
     out is terminated, one that died is joined, and the next launch forks
@@ -420,9 +427,8 @@ class WorkerPool:
 
     Crash detection and per-launch timeouts are handled inside ``poll``:
     a launch past its deadline has its worker terminated and settles as
-    ``timeout``; a worker that exits without reporting settles its launch
-    as ``crash`` after a short drain window for its possibly-buffered
-    message.
+    ``timeout``; a worker that exits without reporting (its pipe closes
+    with no answer in it) settles its launch as ``crash``.
     """
 
     def __init__(self, workers: int, ctx=None) -> None:
@@ -430,7 +436,6 @@ class WorkerPool:
         self.ctx = ctx if ctx is not None else _mp_context()
         if self.ctx is None:  # pragma: no cover - platform dependent
             raise RuntimeError("multiprocessing is unavailable on this platform")
-        self._out_queue = self.ctx.Queue()
         self._running: Dict[int, _Launch] = {}
         self._idle: List[_Worker] = []
         self._next_launch_id = 0
@@ -470,17 +475,16 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _start_worker(self) -> _Worker:
-        inbox, sender = self.ctx.Pipe(duplex=False)
-        proc = self.ctx.Process(target=_serve_launches, args=(inbox, self._out_queue),
-                                daemon=True)
+        conn, child_conn = self.ctx.Pipe()
+        proc = self.ctx.Process(target=_serve_launches, args=(child_conn,), daemon=True)
         proc.start()
-        inbox.close()  # the worker holds its own end
-        return _Worker(proc, sender)
+        child_conn.close()  # the worker holds its own end
+        return _Worker(proc, conn)
 
     @staticmethod
     def _send(worker: _Worker, message) -> bool:
         try:
-            worker.inbox.send(message)
+            worker.conn.send(message)
             return True
         except OSError:  # the worker is gone
             return False
@@ -493,7 +497,7 @@ class WorkerPool:
         if worker.proc.is_alive():
             worker.proc.kill()
             worker.proc.join()
-        worker.inbox.close()
+        worker.conn.close()
 
     def launch(self, request: RunRequest, attempt: int = 1,
                timeout_s: Optional[float] = None) -> int:
@@ -525,90 +529,69 @@ class WorkerPool:
         return True
 
     # ------------------------------------------------------------------
-    def _settle_message(self, message, settled: List[Settlement]) -> None:
-        launch_id, status, payload = message
-        entry = self._running.pop(launch_id, None)
-        if entry is None:
-            return  # stale message from a launch already settled (e.g. timed out)
+    def _receive(self, launch_id: int, settled: List[Settlement]) -> None:
+        """Settle a launch whose pipe is readable or whose worker died:
+        from the worker's answer, or as a crash when the pipe holds none."""
+        entry = self._running.pop(launch_id)
+        worker = entry.worker
+        try:
+            message = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):  # closed before (or while) answering
+            message = None
         wall = time.perf_counter() - entry.started
+        if message is None:
+            self._reap(worker)
+            settled.append(Settlement(launch_id, entry.request, entry.attempt, "crash", None,
+                                      wall, entry.timeout_s, worker.proc.exitcode))
+            return
+        _, status, payload = message
         if status == "ok":
-            self._idle.append(entry.worker)
+            self._idle.append(worker)
         else:  # retire it: its sentinel, then a join
-            self._send(entry.worker, None)
-            self._reap(entry.worker)
+            self._send(worker, None)
+            self._reap(worker)
         settled.append(Settlement(launch_id, entry.request, entry.attempt,
                                   "ok" if status == "ok" else "error",
                                   payload, wall, entry.timeout_s))
 
-    def _drain_window(self, block_s: float, settled: List[Settlement]) -> None:
-        """Keep draining messages until ``block_s`` elapses (not just until
-        the queue is momentarily empty): a just-killed worker's message may
-        still be in the feeder pipe."""
-        deadline = time.perf_counter() + block_s
-        while True:
-            try:
-                self._settle_message(self._out_queue.get_nowait(), settled)
-            except queue_mod.Empty:
-                if time.perf_counter() >= deadline:
-                    return
-                time.sleep(0.01)
-
     def poll(self, block_s: float = 0.0, window: bool = False) -> List[Settlement]:
         """Harvest settlements: completions, timeouts, and crashes.
 
-        Blocks up to ``block_s`` for the first message (``window=True``
-        instead keeps draining for the whole interval — used while
-        shutting down, when completeness beats latency), then sweeps the
-        in-flight table for expired timeouts and silent deaths.
+        Blocks up to ``block_s`` for the first answer or closed pipe
+        (``window=True`` instead keeps collecting for the whole interval —
+        used while shutting down, when completeness beats latency), then
+        sweeps the in-flight table for expired timeouts and dead workers.
         """
         settled: List[Settlement] = []
-        if window and block_s > 0:
-            self._drain_window(block_s, settled)
-        else:
-            try:
-                if block_s > 0:
-                    self._settle_message(self._out_queue.get(timeout=block_s), settled)
-                else:
-                    self._settle_message(self._out_queue.get_nowait(), settled)
-            except queue_mod.Empty:
-                pass
-        # Nothing else buffered right now?  Sweep for stragglers.
+        deadline = time.perf_counter() + block_s
         while True:
-            try:
-                self._settle_message(self._out_queue.get_nowait(), settled)
-            except queue_mod.Empty:
+            pipes = {entry.worker.conn: launch_id for launch_id, entry in self._running.items()}
+            remaining = max(0.0, deadline - time.perf_counter())
+            if not pipes:
+                time.sleep(remaining)
+                break
+            for conn in multiprocessing.connection.wait(list(pipes), timeout=remaining):
+                self._receive(pipes[conn], settled)
+            if time.perf_counter() >= deadline or (settled and not window):
                 break
         now = time.perf_counter()
-        for launch_id in list(self._running):
-            entry = self._running.get(launch_id)
-            if entry is None:
-                continue
+        for launch_id, entry in list(self._running.items()):
             worker = entry.worker
             if entry.timeout_s is not None and now - entry.started > entry.timeout_s:
                 worker.proc.terminate()
                 self._reap(worker)
-                self._running.pop(launch_id, None)
+                del self._running[launch_id]
                 settled.append(Settlement(launch_id, entry.request, entry.attempt,
                                           "timeout", None, now - entry.started,
                                           entry.timeout_s, worker.proc.exitcode))
             elif not worker.proc.is_alive():
-                # The worker exited; its message may still be buffered in the
-                # queue's feeder pipe, so give it a moment to surface before
-                # declaring an unreported death (i.e. a crash).
-                self._drain_window(_CRASH_DRAIN_S, settled)
-                if launch_id in self._running:
-                    self._reap(worker)
-                    self._running.pop(launch_id, None)
-                    settled.append(Settlement(launch_id, entry.request, entry.attempt,
-                                              "crash", None,
-                                              time.perf_counter() - entry.started,
-                                              entry.timeout_s, worker.proc.exitcode))
+                self._receive(launch_id, settled)
         return settled
 
     # ------------------------------------------------------------------
     def shutdown(self, join_timeout_s: float = 5.0) -> None:
         """Stop every worker — terminate the busy ones, send the idle ones
-        their sentinel — and join them all; close the queue."""
+        their sentinel — and join them all, closing their pipes."""
         if self._closed:
             return
         busy = [entry.worker for entry in self._running.values()]
@@ -621,7 +604,6 @@ class WorkerPool:
             self._reap(worker, join_timeout_s)
         self._running.clear()
         self._idle.clear()
-        self._out_queue.close()
         self._closed = True
 
 
@@ -829,37 +811,49 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
                                      verdict.bundle)
             report(key, "failed", settlement.attempt, wall, 0)
 
+    def fill() -> None:
+        now = time.monotonic()
+        while pool.has_slot:
+            cell = pop_ready(now)
+            if cell is None:
+                break
+            verdict = settler.acquire(cell)
+            if verdict.action == "launch":
+                launched[pool.launch(cell.request, cell.attempt, cell.timeout_s)] = cell
+            elif verdict.action == "resumed":
+                results[cell.request.key] = verdict.result
+                telemetry.record_resumed(cell.request.key)
+                report(cell.request.key, "resumed", 0, 0.0, verdict.result.events)
+            else:  # parked behind a peer's claim
+                pending.append(cell)
+
+    # Settlements taken from the pool and not yet handled.
+    settled: deque = deque()
     try:
         while pending or pool.active:
-            now = time.monotonic()
-            while pool.has_slot:
-                cell = pop_ready(now)
-                if cell is None:
-                    break
-                verdict = settler.acquire(cell)
-                if verdict.action == "launch":
-                    launched[pool.launch(cell.request, cell.attempt, cell.timeout_s)] = cell
-                elif verdict.action == "resumed":
-                    results[cell.request.key] = verdict.result
-                    telemetry.record_resumed(cell.request.key)
-                    report(cell.request.key, "resumed", 0, 0.0, verdict.result.events)
-                else:  # parked behind a peer's claim
-                    pending.append(cell)
+            fill()
             if heartbeat is not None:
                 beat(heartbeat.maybe_emit)
-            for settlement in pool.poll(block_s=_POLL_S):
-                handle(settlement)
+            settled.extend(pool.poll(block_s=_POLL_S))
+            if settled:
+                # Relaunch into the slots this poll freed before handling
+                # (and journaling) its settlements, so the workers that
+                # just finished do not wait on the journal writes.
+                fill()
+            while settled:
+                handle(settled.popleft())
     except KeyboardInterrupt:
         # Graceful shutdown: collect whatever already finished (journaling
         # it as usual), then terminate the stragglers below.  The partial
         # results are returned to the caller; exit-code policy is theirs.
         telemetry.interrupted = True
-        if pool.active:
-            try:
-                for settlement in pool.poll(block_s=_CRASH_DRAIN_S, window=True):
-                    handle(settlement)
-            except (KeyboardInterrupt, Exception):  # noqa: BLE001 - already shutting down
-                pass
+        try:
+            if pool.active:
+                settled.extend(pool.poll(block_s=_SHUTDOWN_DRAIN_S, window=True))
+            while settled:
+                handle(settled.popleft())
+        except (KeyboardInterrupt, Exception):  # noqa: BLE001 - already shutting down
+            pass
     finally:
         pool.shutdown()
         # Release claims for cells we never finished so a restart (ours or

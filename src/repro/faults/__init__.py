@@ -14,36 +14,22 @@ deterministic given the scenario seed, so faulty runs remain bit-identical
 across the serial and parallel executors.
 """
 
-from repro.faults.guards import InvariantChecker, InvariantError
-from repro.faults.injector import FaultInjector, install_faults
-from repro.faults.schedule import (
-    FAULT_KINDS,
-    LINK_DOWN,
-    LINK_UP,
-    PACKET_CORRUPT,
-    SWITCH_FAIL,
-    SWITCH_RECOVER,
-    FaultEvent,
-    FaultSchedule,
-    load_fault_spec,
-)
-from repro.faults.watchdog import Watchdog
-from repro.sim.engine import LivelockError
+from repro._exports import export_lazily
 
-__all__ = [
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultInjector",
-    "install_faults",
-    "load_fault_spec",
-    "Watchdog",
-    "InvariantChecker",
-    "InvariantError",
-    "LivelockError",
-    "LINK_DOWN",
-    "LINK_UP",
-    "SWITCH_FAIL",
-    "SWITCH_RECOVER",
-    "PACKET_CORRUPT",
-    "FAULT_KINDS",
-]
+__all__ = export_lazily(__name__, {
+    "FaultEvent": "repro.faults.schedule",
+    "FaultSchedule": "repro.faults.schedule",
+    "FaultInjector": "repro.faults.injector",
+    "install_faults": "repro.faults.injector",
+    "load_fault_spec": "repro.faults.schedule",
+    "Watchdog": "repro.faults.watchdog",
+    "InvariantChecker": "repro.faults.guards",
+    "InvariantError": "repro.faults.guards",
+    "LivelockError": "repro.sim.engine",
+    "LINK_DOWN": "repro.faults.schedule",
+    "LINK_UP": "repro.faults.schedule",
+    "SWITCH_FAIL": "repro.faults.schedule",
+    "SWITCH_RECOVER": "repro.faults.schedule",
+    "PACKET_CORRUPT": "repro.faults.schedule",
+    "FAULT_KINDS": "repro.faults.schedule",
+})

@@ -6,61 +6,35 @@ turns collected measurements into artifacts.  :func:`write_artifacts`
 bundles everything one run produced into a directory.
 """
 
-from repro.metrics.collector import (
-    KIND_BACKGROUND,
-    KIND_LONG,
-    KIND_QUERY,
-    MetricsCollector,
-    QueryRecord,
-)
-from repro.metrics.export import (
-    export_result_json,
-    export_telemetry_json,
-    flows_to_records,
-    queries_to_records,
-    write_artifacts,
-    write_flows_csv,
-    write_queries_csv,
-)
-from repro.metrics.hotlinks import FabricSampler
-from repro.metrics.stats import cdf_points, jain_index, mean, percentile, summarize
-from repro.metrics.trace import DetourTrace, QueueOccupancyTrace, arc_counts
-from repro.obs import (
-    CounterRegistry,
-    CounterSnapshot,
-    SchedulerProfiler,
-    TraceWriter,
-    read_trace,
-    summarize_trace,
-)
+from repro._exports import export_lazily
 
-__all__ = [
-    "MetricsCollector",
-    "QueryRecord",
-    "KIND_BACKGROUND",
-    "KIND_QUERY",
-    "KIND_LONG",
-    "FabricSampler",
-    "write_artifacts",
-    "export_result_json",
-    "export_telemetry_json",
-    "flows_to_records",
-    "queries_to_records",
-    "write_flows_csv",
-    "write_queries_csv",
-    "percentile",
-    "mean",
-    "summarize",
-    "jain_index",
-    "cdf_points",
-    "DetourTrace",
-    "QueueOccupancyTrace",
-    "arc_counts",
+__all__ = export_lazily(__name__, {
+    "MetricsCollector": "repro.metrics.collector",
+    "QueryRecord": "repro.metrics.collector",
+    "KIND_BACKGROUND": "repro.metrics.collector",
+    "KIND_QUERY": "repro.metrics.collector",
+    "KIND_LONG": "repro.metrics.collector",
+    "FabricSampler": "repro.metrics.hotlinks",
+    "write_artifacts": "repro.metrics.export",
+    "export_result_json": "repro.metrics.export",
+    "export_telemetry_json": "repro.metrics.export",
+    "flows_to_records": "repro.metrics.export",
+    "queries_to_records": "repro.metrics.export",
+    "write_flows_csv": "repro.metrics.export",
+    "write_queries_csv": "repro.metrics.export",
+    "percentile": "repro.metrics.stats",
+    "mean": "repro.metrics.stats",
+    "summarize": "repro.metrics.stats",
+    "jain_index": "repro.metrics.stats",
+    "cdf_points": "repro.metrics.stats",
+    "DetourTrace": "repro.metrics.trace",
+    "QueueOccupancyTrace": "repro.metrics.trace",
+    "arc_counts": "repro.metrics.trace",
     # Observability re-exports (repro.obs).
-    "CounterRegistry",
-    "CounterSnapshot",
-    "SchedulerProfiler",
-    "TraceWriter",
-    "read_trace",
-    "summarize_trace",
-]
+    "CounterRegistry": "repro.obs.counters",
+    "CounterSnapshot": "repro.obs.counters",
+    "SchedulerProfiler": "repro.obs.profiler",
+    "TraceWriter": "repro.obs.trace",
+    "read_trace": "repro.obs.trace",
+    "summarize_trace": "repro.obs.trace",
+})

@@ -1,48 +1,32 @@
 """Packet-level network substrate: packets, queues, links, switches, hosts."""
 
-from repro.net.audit import ConservationReport, assert_conserved, conservation_report
-from repro.net.cioq import CioqSwitch
-from repro.net.host import Host
-from repro.net.link import Port, connect
-from repro.net.network import Network, SwitchQueueConfig
-from repro.net.node import Node
-from repro.net.packet import ACK, DATA, DEFAULT_TTL, MSS_BYTES, MTU_BYTES, Packet
-from repro.net.queues import (
-    INFINITE_CAPACITY,
-    DropTailQueue,
-    DynamicBufferQueue,
-    EcnQueue,
-    PFabricQueue,
-    SharedBufferPool,
-)
-from repro.net.pfc import PfcController, enable_pfc
-from repro.net.switch import Switch, SwitchCounters
+from repro._exports import export_lazily
 
-__all__ = [
-    "Host",
-    "Port",
-    "connect",
-    "Network",
-    "SwitchQueueConfig",
-    "Node",
-    "Packet",
-    "ACK",
-    "DATA",
-    "DEFAULT_TTL",
-    "MSS_BYTES",
-    "MTU_BYTES",
-    "INFINITE_CAPACITY",
-    "DropTailQueue",
-    "DynamicBufferQueue",
-    "EcnQueue",
-    "PFabricQueue",
-    "SharedBufferPool",
-    "Switch",
-    "SwitchCounters",
-    "ConservationReport",
-    "assert_conserved",
-    "conservation_report",
-    "PfcController",
-    "enable_pfc",
-    "CioqSwitch",
-]
+__all__ = export_lazily(__name__, {
+    "Host": "repro.net.host",
+    "Port": "repro.net.link",
+    "connect": "repro.net.link",
+    "Network": "repro.net.network",
+    "SwitchQueueConfig": "repro.net.network",
+    "Node": "repro.net.node",
+    "Packet": "repro.net.packet",
+    "ACK": "repro.net.packet",
+    "DATA": "repro.net.packet",
+    "DEFAULT_TTL": "repro.net.packet",
+    "MSS_BYTES": "repro.net.packet",
+    "MTU_BYTES": "repro.net.packet",
+    "INFINITE_CAPACITY": "repro.net.queues",
+    "DropTailQueue": "repro.net.queues",
+    "DynamicBufferQueue": "repro.net.queues",
+    "EcnQueue": "repro.net.queues",
+    "PFabricQueue": "repro.net.queues",
+    "SharedBufferPool": "repro.net.queues",
+    "Switch": "repro.net.switch",
+    "SwitchCounters": "repro.net.switch",
+    "ConservationReport": "repro.net.audit",
+    "assert_conserved": "repro.net.audit",
+    "conservation_report": "repro.net.audit",
+    "PfcController": "repro.net.pfc",
+    "enable_pfc": "repro.net.pfc",
+    "CioqSwitch": "repro.net.cioq",
+})

@@ -34,6 +34,7 @@ from repro.net.queues import (
     SharedBufferPool,
 )
 from repro.net.switch import Switch
+from repro.obs.counters import CounterRegistry
 from repro.routing.fib import compute_fibs
 from repro.sim.engine import Scheduler, make_scheduler
 from repro.sim.rng import RngFactory
@@ -312,14 +313,24 @@ class Network:
 
     def _port_tables(self, fibs: dict[str, dict[str, list[str]]]) -> tuple[dict[int, list[int]], ...]:
         """Translate symbolic FIBs into one port table per switch, in
-        ``self.switches`` order."""
+        ``self.switches`` order.
+
+        Hosts behind one attachment switch share their next-hop lists
+        (see :func:`~repro.routing.fib.compute_fibs`) and every builder
+        numbers them consecutively, so a list is translated when it
+        differs from the previous host's and the hosts share the result.
+        """
+        nodes, port_index = self._nodes, self._port_index
         tables = []
         for switch in self.switches:
-            symbolic = fibs.get(switch.name, {})
+            name = switch.name
             table: dict[int, list[int]] = {}
-            for dst_name, next_hops in symbolic.items():
-                dst_id = self._nodes[dst_name].node_id
-                table[dst_id] = [self._port_index[(switch.name, hop)] for hop in next_hops]
+            last = None
+            for dst_name, next_hops in fibs.get(name, {}).items():
+                if next_hops is not last:
+                    last = next_hops
+                    ports = [port_index[(name, hop)] for hop in next_hops]
+                table[nodes[dst_name].node_id] = ports
             tables.append(table)
         return tuple(tables)
 
@@ -396,8 +407,6 @@ class Network:
         keep bumping their own attributes and pay nothing extra.  See
         :mod:`repro.obs.counters` for the scope layout.
         """
-        from repro.obs.counters import CounterRegistry
-
         registry = CounterRegistry()
         for switch in self.switches:
             registry.register(f"switch.{switch.name}", _switch_counter_source(switch))

@@ -26,58 +26,33 @@ scheduler's run-loop hooks (:meth:`repro.sim.engine.Scheduler.add_hook`),
 so identical seeds stay bit-identical with observability on or off.
 """
 
-from repro.obs.counters import CounterRegistry, CounterSnapshot
-from repro.obs.forensics import (
-    FlightRecorder,
-    attribute_flows,
-    format_attribution,
-    format_odyssey,
-    load_spans,
-    span_components,
-)
-from repro.obs.heartbeat import ExecutorHeartbeat, HeartbeatWriter, SimHeartbeat
-from repro.obs.profiler import (
-    SchedulerProfiler,
-    format_profile,
-    merge_profiles,
-    profile_category,
-    profile_table,
-)
-from repro.obs.spans import DEFAULT_SPAN_RATE, PacketSpan, SpanRecorder, span_sampled
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    TraceWriter,
-    format_trace_summary,
-    read_trace,
-    summarize_trace,
-    validate_record,
-)
+from repro._exports import export_lazily
 
-__all__ = [
-    "DEFAULT_SPAN_RATE",
-    "PacketSpan",
-    "SpanRecorder",
-    "span_sampled",
-    "FlightRecorder",
-    "attribute_flows",
-    "span_components",
-    "format_attribution",
-    "format_odyssey",
-    "load_spans",
-    "CounterRegistry",
-    "CounterSnapshot",
-    "SchedulerProfiler",
-    "profile_category",
-    "profile_table",
-    "format_profile",
-    "merge_profiles",
-    "HeartbeatWriter",
-    "SimHeartbeat",
-    "ExecutorHeartbeat",
-    "TraceWriter",
-    "TRACE_SCHEMA_VERSION",
-    "read_trace",
-    "validate_record",
-    "summarize_trace",
-    "format_trace_summary",
-]
+__all__ = export_lazily(__name__, {
+    "DEFAULT_SPAN_RATE": "repro.obs.spans",
+    "PacketSpan": "repro.obs.spans",
+    "SpanRecorder": "repro.obs.spans",
+    "span_sampled": "repro.obs.spans",
+    "FlightRecorder": "repro.obs.forensics",
+    "attribute_flows": "repro.obs.forensics",
+    "span_components": "repro.obs.forensics",
+    "format_attribution": "repro.obs.forensics",
+    "format_odyssey": "repro.obs.forensics",
+    "load_spans": "repro.obs.forensics",
+    "CounterRegistry": "repro.obs.counters",
+    "CounterSnapshot": "repro.obs.counters",
+    "SchedulerProfiler": "repro.obs.profiler",
+    "profile_category": "repro.obs.profiler",
+    "profile_table": "repro.obs.profiler",
+    "format_profile": "repro.obs.profiler",
+    "merge_profiles": "repro.obs.profiler",
+    "HeartbeatWriter": "repro.obs.heartbeat",
+    "SimHeartbeat": "repro.obs.heartbeat",
+    "ExecutorHeartbeat": "repro.obs.heartbeat",
+    "TraceWriter": "repro.obs.trace",
+    "TRACE_SCHEMA_VERSION": "repro.obs.trace",
+    "read_trace": "repro.obs.trace",
+    "validate_record": "repro.obs.trace",
+    "summarize_trace": "repro.obs.trace",
+    "format_trace_summary": "repro.obs.trace",
+})

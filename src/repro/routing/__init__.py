@@ -1,5 +1,8 @@
 """Shortest-path FIB computation with ECMP next-hop sets."""
 
-from repro.routing.fib import compute_fibs, shortest_path_lengths
+from repro._exports import export_lazily
 
-__all__ = ["compute_fibs", "shortest_path_lengths"]
+__all__ = export_lazily(__name__, {
+    "compute_fibs": "repro.routing.fib",
+    "shortest_path_lengths": "repro.routing.fib",
+})

@@ -13,23 +13,20 @@ from concurrent tenants and never fall over":
 * :mod:`repro.server.app` — the stdlib asyncio HTTP front end.
 """
 
-from repro.server.admission import AdmissionGate, ClassBreaker, retry_after_header
-from repro.server.app import ReproServer, build_server, scenario_from_submission, serve_main
-from repro.server.jobs import Job, JobStore, read_spool, write_spool
-from repro.server.scheduler import JobScheduler, SubmitOutcome
+from repro._exports import export_lazily
 
-__all__ = [
-    "AdmissionGate",
-    "ClassBreaker",
-    "Job",
-    "JobScheduler",
-    "JobStore",
-    "ReproServer",
-    "SubmitOutcome",
-    "build_server",
-    "read_spool",
-    "retry_after_header",
-    "scenario_from_submission",
-    "serve_main",
-    "write_spool",
-]
+__all__ = export_lazily(__name__, {
+    "AdmissionGate": "repro.server.admission",
+    "ClassBreaker": "repro.server.admission",
+    "Job": "repro.server.jobs",
+    "JobScheduler": "repro.server.scheduler",
+    "JobStore": "repro.server.jobs",
+    "ReproServer": "repro.server.app",
+    "SubmitOutcome": "repro.server.scheduler",
+    "build_server": "repro.server.app",
+    "read_spool": "repro.server.jobs",
+    "retry_after_header": "repro.server.admission",
+    "scenario_from_submission": "repro.server.app",
+    "serve_main": "repro.server.app",
+    "write_spool": "repro.server.jobs",
+})

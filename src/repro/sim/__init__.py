@@ -1,6 +1,11 @@
 """Discrete-event simulation substrate (scheduler + deterministic RNG)."""
 
-from repro.sim.engine import Event, Scheduler, SimulationError
-from repro.sim.rng import RngFactory, stable_hash
+from repro._exports import export_lazily
 
-__all__ = ["Event", "Scheduler", "SimulationError", "RngFactory", "stable_hash"]
+__all__ = export_lazily(__name__, {
+    "Event": "repro.sim.engine",
+    "Scheduler": "repro.sim.engine",
+    "SimulationError": "repro.sim.engine",
+    "RngFactory": "repro.sim.rng",
+    "stable_hash": "repro.sim.rng",
+})

@@ -1,19 +1,15 @@
 """Data center topologies."""
 
-from repro.topo.base import LinkSpec, Topology
-from repro.topo.fattree import fat_tree, fat_tree_stats
-from repro.topo.hyperx import hyperx
-from repro.topo.misc import jellyfish, leaf_spine, linear
-from repro.topo.testbed import click_testbed
+from repro._exports import export_lazily
 
-__all__ = [
-    "LinkSpec",
-    "Topology",
-    "fat_tree",
-    "fat_tree_stats",
-    "hyperx",
-    "click_testbed",
-    "leaf_spine",
-    "linear",
-    "jellyfish",
-]
+__all__ = export_lazily(__name__, {
+    "LinkSpec": "repro.topo.base",
+    "Topology": "repro.topo.base",
+    "fat_tree": "repro.topo.fattree",
+    "fat_tree_stats": "repro.topo.fattree",
+    "hyperx": "repro.topo.hyperx",
+    "click_testbed": "repro.topo.testbed",
+    "leaf_spine": "repro.topo.misc",
+    "linear": "repro.topo.misc",
+    "jellyfish": "repro.topo.misc",
+})

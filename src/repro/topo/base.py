@@ -87,16 +87,18 @@ class Topology:
         names = self.node_names()
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate node names in topology {self.name!r}")
-        known = set(names)
+        degree = dict.fromkeys(names, 0)
         for link in self.links:
             for end in link.endpoints():
-                if end not in known:
+                if end not in degree:
                     raise ValueError(f"link references unknown node {end!r}")
             if link.node_a == link.node_b:
                 raise ValueError(f"self-loop on {link.node_a!r}")
+            degree[link.node_a] += 1
+            degree[link.node_b] += 1
         for host in self.hosts:
-            if self.degree(host) != 1:
-                raise ValueError(f"host {host!r} must have exactly one link, has {self.degree(host)}")
+            if degree[host] != 1:
+                raise ValueError(f"host {host!r} must have exactly one link, has {degree[host]}")
         if self.hosts and len(self._reachable(self.hosts[0])) != len(names):
             raise ValueError(f"topology {self.name!r} is not connected")
 

@@ -1,30 +1,24 @@
 """Transport protocols: TCP/NewReno, DCTCP, pFabric, FairQ, Tiny-Buffer."""
 
-from repro.transport.base import FlowHandle, TcpConfig, dctcp_config, dibs_host_config
-from repro.transport.fairq import FairQConfig, FairQReceiver, FairQSender
-from repro.transport.mptcp import MptcpConfig, MptcpFlow, start_mptcp_flow
-from repro.transport.pacing import PacedSender
-from repro.transport.pfabric import PFabricConfig, PFabricReceiver, PFabricSender
-from repro.transport.tcp import TcpReceiver, TcpSender
-from repro.transport.tinybuf import TinyBufferConfig, TinyBufferSender
+from repro._exports import export_lazily
 
-__all__ = [
-    "FlowHandle",
-    "TcpConfig",
-    "dctcp_config",
-    "dibs_host_config",
-    "TcpSender",
-    "TcpReceiver",
-    "PacedSender",
-    "FairQConfig",
-    "FairQSender",
-    "FairQReceiver",
-    "TinyBufferConfig",
-    "TinyBufferSender",
-    "PFabricConfig",
-    "PFabricSender",
-    "PFabricReceiver",
-    "MptcpConfig",
-    "MptcpFlow",
-    "start_mptcp_flow",
-]
+__all__ = export_lazily(__name__, {
+    "FlowHandle": "repro.transport.base",
+    "TcpConfig": "repro.transport.base",
+    "dctcp_config": "repro.transport.base",
+    "dibs_host_config": "repro.transport.base",
+    "TcpSender": "repro.transport.tcp",
+    "TcpReceiver": "repro.transport.tcp",
+    "PacedSender": "repro.transport.pacing",
+    "FairQConfig": "repro.transport.fairq",
+    "FairQSender": "repro.transport.fairq",
+    "FairQReceiver": "repro.transport.fairq",
+    "TinyBufferConfig": "repro.transport.tinybuf",
+    "TinyBufferSender": "repro.transport.tinybuf",
+    "PFabricConfig": "repro.transport.pfabric",
+    "PFabricSender": "repro.transport.pfabric",
+    "PFabricReceiver": "repro.transport.pfabric",
+    "MptcpConfig": "repro.transport.mptcp",
+    "MptcpFlow": "repro.transport.mptcp",
+    "start_mptcp_flow": "repro.transport.mptcp",
+})

@@ -1,31 +1,21 @@
 """Workload generators: background, incast query, long-lived flows."""
 
-from repro.workload.admission import AdmissionController, AdmittedQueryTraffic
-from repro.workload.background import BackgroundTraffic, DiurnalBackgroundTraffic
-from repro.workload.distributions import (
-    EmpiricalDistribution,
-    fixed_size,
-    uniform_size,
-    web_search_background,
-)
-from repro.workload.longlived import LongLivedFlows
-from repro.workload.query import QueryTraffic
-from repro.workload.tracefile import TraceEntry, TraceReplay, load_trace, record_trace, save_trace
+from repro._exports import export_lazily
 
-__all__ = [
-    "AdmissionController",
-    "AdmittedQueryTraffic",
-    "BackgroundTraffic",
-    "DiurnalBackgroundTraffic",
-    "QueryTraffic",
-    "LongLivedFlows",
-    "EmpiricalDistribution",
-    "web_search_background",
-    "uniform_size",
-    "fixed_size",
-    "TraceEntry",
-    "TraceReplay",
-    "load_trace",
-    "save_trace",
-    "record_trace",
-]
+__all__ = export_lazily(__name__, {
+    "AdmissionController": "repro.workload.admission",
+    "AdmittedQueryTraffic": "repro.workload.admission",
+    "BackgroundTraffic": "repro.workload.background",
+    "DiurnalBackgroundTraffic": "repro.workload.background",
+    "QueryTraffic": "repro.workload.query",
+    "LongLivedFlows": "repro.workload.longlived",
+    "EmpiricalDistribution": "repro.workload.distributions",
+    "web_search_background": "repro.workload.distributions",
+    "uniform_size": "repro.workload.distributions",
+    "fixed_size": "repro.workload.distributions",
+    "TraceEntry": "repro.workload.tracefile",
+    "TraceReplay": "repro.workload.tracefile",
+    "load_trace": "repro.workload.tracefile",
+    "save_trace": "repro.workload.tracefile",
+    "record_trace": "repro.workload.tracefile",
+})

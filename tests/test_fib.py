@@ -1,10 +1,13 @@
 """Unit tests for FIB computation, cross-validated with networkx."""
 
+from collections import deque
+
 import networkx as nx
 import pytest
 
+from repro.net.network import Network
 from repro.routing.fib import compute_fibs, shortest_path_lengths
-from repro.topo import Topology, click_testbed, fat_tree, leaf_spine, linear
+from repro.topo import Topology, click_testbed, fat_tree, hyperx, jellyfish, leaf_spine, linear
 
 
 def to_networkx(topo):
@@ -99,3 +102,105 @@ class TestShortestPathLengths:
         mine = shortest_path_lengths(topo, "host_0")
         theirs = nx.shortest_path_length(g, "host_0")
         assert mine == dict(theirs)
+
+
+# ----------------------------------------------------------------------
+# equivalence with one BFS per destination host
+# ----------------------------------------------------------------------
+def per_host_fibs(topo):
+    """The reference: one BFS per destination host over every node."""
+    adj = topo.adjacency()
+    switch_names = set(topo.switches)
+    fibs = {name: {} for name in topo.switches}
+
+    for dst in topo.hosts:
+        dist = _bfs_distances(adj, dst)
+        for switch in topo.switches:
+            d = dist.get(switch)
+            if d is None:
+                continue
+            next_hops = [
+                nbr
+                for nbr in adj[switch]
+                if dist.get(nbr, -1) == d - 1 and (nbr in switch_names or nbr == dst)
+            ]
+            if next_hops:
+                fibs[switch][dst] = sorted(next_hops)
+    return fibs
+
+
+def _bfs_distances(adj, start):
+    dist = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        node = frontier.popleft()
+        base = dist[node]
+        for nbr in adj[node]:
+            if nbr not in dist:
+                dist[nbr] = base + 1
+                frontier.append(nbr)
+    return dist
+
+
+def ordered(fibs):
+    """Values and the key order of both dict levels, as nested lists."""
+    return [(switch, list(table.items())) for switch, table in fibs.items()]
+
+
+BUILDERS = {
+    "fat_tree-k4": lambda: fat_tree(k=4),
+    "fat_tree-k6": lambda: fat_tree(k=6),
+    "fat_tree-k8": lambda: fat_tree(k=8),
+    "leaf_spine": lambda: leaf_spine(4, 3, 3),
+    "linear": lambda: linear(switches=5, hosts_per_switch=2),
+    "click_testbed": click_testbed,
+    "hyperx": lambda: hyperx((3, 4), hosts_per_switch=2),
+    **{f"jellyfish-s{seed}": (lambda seed=seed: jellyfish(12, 4, 2, seed=seed))
+       for seed in range(5)},
+}
+
+
+def take_down(net, name_a, name_b):
+    net.port_between(name_a, name_b).set_down()
+    net.port_between(name_b, name_a).set_down()
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_builder_tables_match_per_host_bfs(self, name):
+        topo = BUILDERS[name]()
+        assert ordered(compute_fibs(topo)) == ordered(per_host_fibs(topo))
+
+    def test_link_down(self):
+        net = Network(fat_tree(k=4))
+        take_down(net, "agg_0_0", "core_0")
+        take_down(net, "edge_1_0", "agg_1_1")
+        live = net.live_topology()
+        fibs = compute_fibs(live)
+        assert ordered(fibs) == ordered(per_host_fibs(live))
+        assert fibs["edge_1_0"]["host_0"] == ["agg_1_0"]
+
+    def test_switch_failed(self):
+        net = Network(fat_tree(k=4))
+        for port in net.switch("agg_0_0").ports:
+            take_down(net, "agg_0_0", port.peer_node.name)
+        live = net.live_topology()
+        fibs = compute_fibs(live)
+        assert ordered(fibs) == ordered(per_host_fibs(live))
+        assert fibs["agg_0_0"] == {}
+
+    def test_host_cut_off(self):
+        net = Network(fat_tree(k=4))
+        take_down(net, "host_0", "edge_0_0")
+        live = net.live_topology()
+        fibs = compute_fibs(live)
+        assert ordered(fibs) == ordered(per_host_fibs(live))
+        assert all("host_0" not in table for table in fibs.values())
+        assert all("host_1" in table for table in fibs.values())
+
+    def test_multihomed_host_rejected(self):
+        topo = Topology("t", hosts=["h"], switches=["s1", "s2"])
+        topo.add_link("h", "s1", 1e9, 0.0)
+        topo.add_link("h", "s2", 1e9, 0.0)
+        with pytest.raises(ValueError, match="'h' must have exactly one link"):
+            compute_fibs(topo)

@@ -2,16 +2,20 @@
 and the lifecycle of the pool's long-lived workers."""
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue
+import pickle
 import signal
+import struct
 import subprocess
 import sys
 import time
 
 import pytest
 
+from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import (
+    InlinePool,
     RunRequest,
     RunTelemetry,
     WorkerPool,
@@ -245,10 +249,22 @@ class TestWorkerLifecycle:
         assert slow[0][1] == first[0][1]  # the idle worker was reused...
         assert after[0][1] != slow[0][1]  # ...and replaced after the timeout
 
-    def test_timed_out_worker_dies_of_sigterm_and_posts_nothing(self):
+    def test_timed_out_worker_dies_of_sigterm_and_posts_nothing(self, monkeypatch):
         # The executor forks workers while SIGTERM raises KeyboardInterrupt
         # in this process; a worker must not inherit that handler, or
         # terminate() becomes a caught exception and a stale error message.
+        posted = []
+        reap = WorkerPool._reap
+
+        def read_then_reap(worker, join_timeout_s=5.0):
+            worker.proc.join(join_timeout_s)
+            try:  # the worker's pipe: end of file unless it answered
+                posted.append(worker.conn.recv())
+            except EOFError:
+                pass
+            reap(worker, join_timeout_s)
+
+        monkeypatch.setattr(WorkerPool, "_reap", staticmethod(read_then_reap))
         pool = WorkerPool(1)
         try:
             with _interrupt_on_sigterm():
@@ -257,10 +273,37 @@ class TestWorkerLifecycle:
             (settlement,) = settled.values()
             assert settlement.status == "timeout"
             assert settlement.exitcode == -signal.SIGTERM
-            with pytest.raises(queue.Empty):
-                pool._out_queue.get(timeout=1.0)
+            assert posted == []
         finally:
             pool.shutdown()
+
+    def test_worker_dying_mid_answer_loses_only_its_own_launch(self, monkeypatch):
+        # Launch 0's worker writes half of its answer's frame and exits;
+        # each worker answers on its own pipe, so launch 1's answer still
+        # arrives and the pool keeps serving.
+        send = multiprocessing.connection.Connection.send
+
+        def send_half_then_die(conn, obj):
+            if isinstance(obj, tuple) and len(obj) == 3 and obj[0] == 0:
+                data = pickle.dumps(obj)
+                os.write(conn.fileno(), struct.pack("!i", len(data)) + data[:len(data) // 2])
+                os._exit(1)
+            send(conn, obj)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", send_half_then_die)
+        requests = [RunRequest(key=seed, scenario=TINY.with_overrides(seed=seed))
+                    for seed in range(3)]
+        pool = WorkerPool(2)
+        try:
+            settled, _ = _run_on_pool(pool, requests)
+        finally:
+            pool.shutdown()
+        assert settled[0].status == "crash"
+        assert settled[0].exitcode == 1
+        for seed in (1, 2):
+            assert settled[seed].status == "ok", settled[seed].reason
+            assert canonical_payload(settled[seed].result) == canonical_payload(
+                run_scenario(requests[seed].scenario))
 
     def test_idle_worker_killed_is_replaced_without_a_settlement(self):
         pool = WorkerPool(1)
@@ -316,6 +359,69 @@ class TestWorkerLifecycle:
         assert len(multiprocessing.active_children()) == 2
         pool.shutdown()
         assert multiprocessing.active_children() == []
+
+
+class TestLaunchBeforeJournal:
+    """A poll's freed slots are refilled before its settlements are
+    journaled, so finished workers do not wait on the journal writes."""
+
+    CELLS = {f"b{b}": TINY.with_overrides(buffer_pkts=b) for b in range(10, 16)}
+
+    @staticmethod
+    def _entries(directory):
+        return {entry["_path"].rsplit("/", 1)[1]: entry["fingerprint"]
+                for entry in RunJournal(directory).iter_entries()}
+
+    def test_third_cell_launches_before_first_entry_is_written(self, tmp_path, monkeypatch):
+        events = []
+        launch, record = WorkerPool.launch, RunJournal.record_success
+
+        def logged_launch(pool, request, *args, **kwargs):
+            events.append(("launch", request.key))
+            return launch(pool, request, *args, **kwargs)
+
+        def slow_record(journal, request, *args, **kwargs):
+            time.sleep(0.05)
+            events.append(("entry", request.key))
+            return record(journal, request, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "launch", logged_launch)
+        monkeypatch.setattr(RunJournal, "record_success", slow_record)
+        parallel = run_grid(self.CELLS, workers=2, journal=RunJournal(tmp_path / "parallel"))
+        launches = [i for i, (kind, _key) in enumerate(events) if kind == "launch"]
+        entries = [i for i, (kind, _key) in enumerate(events) if kind == "entry"]
+        assert len(launches) == len(entries) == 6
+        assert launches[2] < entries[0]
+
+        serial = run_grid(self.CELLS, workers=1, journal=RunJournal(tmp_path / "serial"))
+        assert parallel.keys() == serial.keys() == self.CELLS.keys()
+        for key in serial:
+            assert canonical_payload(parallel[key]) == canonical_payload(serial[key]), key
+        assert self._entries(tmp_path / "parallel") == self._entries(tmp_path / "serial")
+
+    @pytest.mark.parametrize("workers, pool_class", [(1, InlinePool), (2, WorkerPool)],
+                             ids=["serial", "workers-2"])
+    def test_interrupt_in_the_launch_pass_journals_taken_settlements(
+            self, tmp_path, monkeypatch, workers, pool_class):
+        launch = pool_class.launch
+        calls = {"n": 0}
+
+        def interrupted_launch(pool, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > workers:  # the first relaunch after a poll
+                raise KeyboardInterrupt
+            return launch(pool, *args, **kwargs)
+
+        monkeypatch.setattr(pool_class, "launch", interrupted_launch)
+        journal = RunJournal(tmp_path / "j")
+        telemetry = RunTelemetry()
+        requests = [RunRequest(key=("c", s), scenario=TINY.with_overrides(seed=s))
+                    for s in range(4)]
+        results = execute_runs(requests, workers=workers, telemetry=telemetry,
+                               journal=journal)
+        assert telemetry.interrupted
+        assert len(results) >= 1
+        assert journal.completed_count() == len(results)
 
 
 class TestPercentileRegression:

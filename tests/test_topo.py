@@ -197,6 +197,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             topo.validate()
 
+    def test_multihomed_host_error_gives_degree(self):
+        topo = Topology("t")
+        topo.add_switch("s")
+        topo.add_host("h0")
+        topo.add_host("h1")
+        topo.add_link("h0", "s", 1e9, 0.0)
+        for _ in range(3):
+            topo.add_link("h1", "s", 1e9, 0.0)
+        with pytest.raises(ValueError, match=r"^host 'h1' must have exactly one link, has 3$"):
+            topo.validate()
+
+    def test_host_without_link_rejected(self):
+        topo = Topology("t")
+        topo.add_switch("s")
+        topo.add_host("h0")
+        topo.add_host("h1")
+        topo.add_link("h0", "s", 1e9, 0.0)
+        with pytest.raises(ValueError, match=r"^host 'h1' must have exactly one link, has 0$"):
+            topo.validate()
+
     def test_disconnected_rejected(self):
         topo = Topology("t")
         topo.add_host("h")
