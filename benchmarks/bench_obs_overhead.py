@@ -67,7 +67,7 @@ from pathlib import Path
 
 from repro.core.config import DibsConfig
 from repro.experiments.report import format_table
-from repro.experiments.runner import canonical_payload, run_scenario
+from repro.experiments.runner import RunOptions, canonical_payload, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.net.network import Network, SwitchQueueConfig
 from repro.obs.profiler import SchedulerProfiler
@@ -177,9 +177,9 @@ def _experiment(profiled: bool) -> float:
     Timed end to end (build + run + aggregation), which is the wall time
     a user actually pays for turning ``--profile`` on.
     """
-    scenario = EXPERIMENT_SCENARIO.with_overrides(profile=profiled)
+    options = RunOptions(profile=profiled)
     started = time.perf_counter()
-    run_scenario(scenario)
+    run_scenario(EXPERIMENT_SCENARIO, options)
     return time.perf_counter() - started
 
 
@@ -208,7 +208,7 @@ def _pipeline(profiled: bool = False, span_rate: float = 0.0) -> float:
     elapsed = time.perf_counter() - started
     assert all(f.completed for f in flows)
     if spans is not None:
-        spans.close()
+        spans.finish()
         assert spans.records  # the sampled arm must actually sample
     return elapsed
 
@@ -240,17 +240,17 @@ def _interleaved_best(arms: dict, rounds: int, shuffle: bool = False) -> dict:
 def _determinism_identical() -> bool:
     with tempfile.TemporaryDirectory(prefix="obs-overhead-") as tmp:
         tmp = Path(tmp)
-        instrumented = DETERMINISM_SCENARIO.with_overrides(
+        instrumented = RunOptions(
             profile=True,
             heartbeat_interval_s=0.001,
             heartbeat_path=str(tmp / "hb.jsonl"),
             trace_file=str(tmp / "run.trace.jsonl"),
             trace_occupancy_interval_s=0.002,
             span_sample_rate=0.25,
-            timeseries_interval_s=0.002,
             flight_recorder_dir=str(tmp / "flight"),
         )
-        on = run_scenario(instrumented)
+        on = run_scenario(DETERMINISM_SCENARIO.with_overrides(timeseries_interval_s=0.002),
+                          instrumented)
         on.timeseries = None  # the recorded series is the one thing this arm adds
         off = run_scenario(DETERMINISM_SCENARIO)
         return canonical_payload(on) == canonical_payload(off)

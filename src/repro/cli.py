@@ -39,7 +39,11 @@ spans readable by ``repro explain``; ``--flight-recorder DIR`` dumps a
 ring of recent events on aborts/breaker trips; ``--timeseries-interval-s
 S`` samples goodput/utilization series into the artifact bundle.
 None of these perturbs the event calendar: metrics are bit-identical
-with instrumentation on or off.  ``run --out-dir DIR`` writes the full
+with instrumentation on or off.  All but ``--timeseries-interval-s``
+(whose series is part of the result) only watch the run: they form its
+RunOptions, so they leave its journal key alone, and a cell resumed
+from ``--journal-dir`` brings no trace, spans, profile or heartbeat of
+its own.  ``run --out-dir DIR`` writes the full
 artifact bundle (CSVs, JSON, profile, trace) via
 repro.metrics.export.write_artifacts.
 
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from repro.experiments.journal import (
@@ -65,17 +70,21 @@ from repro.experiments.journal import (
 )
 from repro.experiments.parallel import RunTelemetry
 from repro.experiments.report import format_sweep, format_table
-from repro.experiments.runner import run_pooled, run_scenario
+from repro.experiments.runner import RunOptions, run_pooled, run_scenario
 from repro.experiments.scenarios import PAPER_DEFAULTS, SCALED_DEFAULTS, Scenario
 from repro.experiments.schemes import available_schemes, get_scheme
 from repro.experiments.sweep import sweep as run_sweep
 
 __all__ = ["main", "build_parser"]
 
+_OPTION_FIELDS = tuple(field.name for field in fields(RunOptions))
+
 # Conventional "terminated by SIGINT" exit status, distinct from 1 (failed
 # runs) so supervisors/CI can tell an interrupted sweep from a broken one.
 EXIT_INTERRUPTED = 130
 
+# Scenario fields, plus the two numeric RunOptions fields (their flags are
+# made the same way).
 _NUMERIC_FIELDS = {
     "k": int,
     "buffer_pkts": int,
@@ -307,7 +316,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     overrides = {"scheme": args.scheme, "name": "cli"}
     for field in _NUMERIC_FIELDS:
         value = getattr(args, field, None)
-        if value is not None:
+        if value is not None and field not in _OPTION_FIELDS:
             overrides[field] = value
     if args.no_background:
         overrides["bg_enabled"] = False
@@ -332,21 +341,19 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         overrides["controller_spec"] = spec.to_json_text()
     if getattr(args, "controller", False):
         overrides["controller"] = True
-    if getattr(args, "profile", False):
-        overrides["profile"] = True
-    if getattr(args, "heartbeat_interval_s", None) is not None:
-        overrides["heartbeat_interval_s"] = args.heartbeat_interval_s
-    if getattr(args, "heartbeat_path", None) is not None:
-        overrides["heartbeat_path"] = args.heartbeat_path
-    if getattr(args, "trace_file", None) is not None:
-        overrides["trace_file"] = args.trace_file
-    if getattr(args, "spans", False) and "span_sample_rate" not in overrides:
+    return base.with_overrides(**overrides)
+
+
+def _options_from_args(args: argparse.Namespace) -> RunOptions:
+    """The run options the observability flags ask for (each flag's
+    ``dest`` is its RunOptions field)."""
+    values = {name: getattr(args, name) for name in _OPTION_FIELDS
+              if getattr(args, name, None) is not None}
+    if getattr(args, "spans", False) and "span_sample_rate" not in values:
         from repro.obs.spans import DEFAULT_SPAN_RATE
 
-        overrides["span_sample_rate"] = DEFAULT_SPAN_RATE
-    if getattr(args, "flight_recorder_dir", None) is not None:
-        overrides["flight_recorder_dir"] = args.flight_recorder_dir
-    return base.with_overrides(**overrides)
+        values["span_sample_rate"] = DEFAULT_SPAN_RATE
+    return RunOptions(**values)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -384,6 +391,7 @@ def _cmd_run(args: argparse.Namespace) -> tuple[str, int]:
     telemetry = RunTelemetry()
     journal = _journal_from_args(args)
     try:
+        options = _options_from_args(args)
         result = run_pooled(
             scenario,
             seeds=_parse_seeds(args.seeds),
@@ -393,7 +401,10 @@ def _cmd_run(args: argparse.Namespace) -> tuple[str, int]:
             telemetry=telemetry,
             journal=journal,
             resume=args.resume,
+            options=options,
         )
+    except ValueError as exc:  # options refused before any run started
+        return f"error: {exc}", 1
     except RuntimeError as exc:
         # Every seed failed (e.g. a watchdog or invariant abort), or the
         # run was interrupted before any seed completed.
@@ -413,7 +424,7 @@ def _cmd_run(args: argparse.Namespace) -> tuple[str, int]:
         from repro.metrics.export import write_artifacts
 
         written = write_artifacts(result, args.out_dir, telemetry=telemetry,
-                                  trace_file=scenario.trace_file)
+                                  options=options)
         names = ", ".join(sorted(path.name for path in written.values()))
         text += f"\n\nartifacts -> {args.out_dir}: {names}"
     if telemetry.runs_failed or telemetry.interrupted or telemetry.cells_resumed:
@@ -431,19 +442,23 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         return f"error: {exc}", 1
     telemetry = RunTelemetry()
     journal = _journal_from_args(args)
-    results = run_sweep(
-        scenario,
-        args.param,
-        _parse_values(args.values),
-        schemes=schemes,
-        seeds=_parse_seeds(args.seeds),
-        workers=args.workers,
-        run_timeout_s=args.run_timeout,
-        max_retries=args.max_retries,
-        telemetry=telemetry,
-        journal=journal,
-        resume=args.resume,
-    )
+    try:
+        results = run_sweep(
+            scenario,
+            args.param,
+            _parse_values(args.values),
+            schemes=schemes,
+            seeds=_parse_seeds(args.seeds),
+            workers=args.workers,
+            run_timeout_s=args.run_timeout,
+            max_retries=args.max_retries,
+            telemetry=telemetry,
+            journal=journal,
+            resume=args.resume,
+            options=_options_from_args(args),
+        )
+    except ValueError as exc:  # options refused before any run started
+        return f"error: {exc}", 1
     table = format_sweep(results, args.param, title=f"sweep over {args.param}")
     return table + "\n\n" + telemetry.summary(), _exit_code(telemetry)
 

@@ -311,6 +311,13 @@ class RuntimeController:
             ),
         }
 
+    def finish(self) -> None:
+        """Nothing to flush: the hook stays, and stats are read by
+        :meth:`contribute`."""
+
+    def contribute(self, result) -> None:
+        result.controller_stats = self.stats_dict()
+
     def stats_dict(self) -> dict[str, int]:
         """Cumulative counters only (safe to sum across pooled seeds);
         this is what lands in ``ExperimentResult.controller_stats``."""

@@ -65,6 +65,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from repro.experiments.runner import (
     ExperimentResult,
+    RunOptions,
     fingerprint,
     result_from_dict,
     result_to_dict,
@@ -99,19 +100,26 @@ _REASON_CLASS_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):")
 
 PathLike = Union[str, Path]
 
+# The run options at their defaults.  Until they moved out of Scenario
+# they were hashed with it, so every key hashes them at these values:
+# keys stay byte-identical, and an instrumented run gets its plain key.
+_OPTION_DEFAULTS = asdict(RunOptions())
+
 
 def scenario_hash(scenario: Scenario) -> str:
     """Stable content hash of a fully-specified scenario point.
 
     Canonical JSON (sorted keys, tight separators) over ``asdict`` output,
     hashed with SHA-256.  Every scenario field participates, so any
-    override — seed included — yields a different journal key.  The blob
-    keeps a constant ``"trace_paths": false`` member (a retired execution
-    flag), so every key stays byte-identical to the journals written
-    while it existed.
+    override — seed included — yields a different journal key.  How the
+    run is watched (:class:`~repro.experiments.runner.RunOptions`) does
+    not: the blob carries the seven option fields at their defaults, and
+    a constant ``"trace_paths": false`` member (a retired execution flag),
+    so every key stays byte-identical to the journals written while those
+    were part of the scenario.
     """
     blob = json.dumps(
-        {"scenario": asdict(scenario), "trace_paths": False},
+        {"scenario": {**asdict(scenario), **_OPTION_DEFAULTS}, "trace_paths": False},
         sort_keys=True,
         separators=(",", ":"),
         default=str,
@@ -133,9 +141,11 @@ def scenario_from_json_dict(data: dict) -> Scenario:
     """Rebuild a :class:`Scenario` from a JSON-decoded ``asdict`` payload.
 
     JSON turns the ``faults`` tuple-of-tuples into lists; convert back so
-    the frozen dataclass matches what produced the hash.
+    the frozen dataclass matches what produced the hash.  Payloads written
+    while the run options were scenario fields (journal entries, replay
+    bundles, server spools) still carry them; they are dropped.
     """
-    fields = dict(data)
+    fields = {name: value for name, value in data.items() if name not in _OPTION_DEFAULTS}
     if fields.get("faults") is not None:
         fields["faults"] = tuple(tuple(row) for row in fields["faults"])
     return Scenario(**fields)

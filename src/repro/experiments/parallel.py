@@ -36,7 +36,8 @@ semantics of the serial path:
 
 Scenarios cross the process boundary as plain dicts (``dataclasses.asdict``
 of the frozen :class:`~repro.experiments.scenarios.Scenario` built via
-``with_overrides``) down the serving worker's pipe, and results come back
+``with_overrides``) down the serving worker's pipe, next to the pool's
+:class:`~repro.experiments.runner.RunOptions` as a dict, and results come back
 as plain dicts (:func:`~repro.experiments.runner.result_to_dict`),
 rehydrated by the parent, so the wire protocol works under both start
 methods.
@@ -56,7 +57,9 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import (
+    NO_OPTIONS,
     ExperimentResult,
+    RunOptions,
     merge_results,
     result_from_dict,
     result_to_dict,
@@ -79,7 +82,6 @@ __all__ = [
     "WorkerPool",
     "execute_runs",
     "run_grid",
-    "pooled_parallel",
     "default_workers",
 ]
 
@@ -258,14 +260,14 @@ class RunTelemetry:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _run_request(scenario: Scenario) -> Tuple[str, object]:
+def _run_request(scenario: Scenario, options: RunOptions) -> Tuple[str, object]:
     """Run one scenario: ``("ok", result)`` or ``("error", reason payload)``.
 
     Shared by the worker process and :class:`InlinePool`.  ``run_scenario``
     is looked up on this module at call time.
     """
     try:
-        return "ok", run_scenario(scenario)
+        return "ok", run_scenario(scenario, options)
     except Exception as exc:  # noqa: BLE001 - settled by the caller's policy
         return "error", _error_payload(exc)
 
@@ -278,7 +280,7 @@ def _serve_launches(conn) -> None:
     """The body of a worker process: run launches until told to stop.
 
     Each message on ``conn``, the worker's own pipe to the parent, is
-    ``(launch_id, scenario_dict)``; every outcome — success or any
+    ``(launch_id, (scenario_dict, options_dict))``; every outcome — success or any
     exception — is sent back on the same pipe as ``(launch_id, status,
     payload)``, and an unreported death is how the parent recognizes a
     crash.  ``None`` on the pipe, or a parent that went away, ends the
@@ -310,9 +312,10 @@ def _serve_launches(conn) -> None:
             return
         if message is None:
             return
-        launch_id, scenario_dict = message
+        launch_id, (scenario_dict, options_dict) = message
         try:
-            status, payload = _run_request(Scenario(**scenario_dict))
+            status, payload = _run_request(Scenario(**scenario_dict),
+                                           RunOptions(**options_dict))
             if status == "ok":
                 payload = result_to_dict(payload, include_scenario=False)
         except BaseException as exc:  # noqa: BLE001 - the whole point is containment
@@ -429,10 +432,13 @@ class WorkerPool:
     a launch past its deadline has its worker terminated and settles as
     ``timeout``; a worker that exits without reporting (its pipe closes
     with no answer in it) settles its launch as ``crash``.
+
+    Every launch runs under the pool's ``options`` (how runs are watched).
     """
 
-    def __init__(self, workers: int, ctx=None) -> None:
+    def __init__(self, workers: int, ctx=None, options: RunOptions = NO_OPTIONS) -> None:
         self.workers = max(1, int(workers))
+        self.options = options
         self.ctx = ctx if ctx is not None else _mp_context()
         if self.ctx is None:  # pragma: no cover - platform dependent
             raise RuntimeError("multiprocessing is unavailable on this platform")
@@ -507,7 +513,7 @@ class WorkerPool:
             raise RuntimeError("pool is shut down")
         launch_id = self._next_launch_id
         self._next_launch_id += 1
-        message = (launch_id, asdict(request.scenario))
+        message = (launch_id, (asdict(request.scenario), asdict(self.options)))
         while self._idle:
             worker = self._idle.pop()
             if worker.proc.is_alive() and self._send(worker, message):
@@ -620,7 +626,8 @@ class InlinePool:
 
     workers = 1
 
-    def __init__(self) -> None:
+    def __init__(self, options: RunOptions = NO_OPTIONS) -> None:
+        self.options = options
         self._queued: Optional[Tuple[int, RunRequest, int]] = None
         self._next_launch_id = 0
 
@@ -656,7 +663,7 @@ class InlinePool:
             return []
         (launch_id, request, attempt), self._queued = self._queued, None
         started = time.perf_counter()
-        status, payload = _run_request(request.scenario)
+        status, payload = _run_request(request.scenario, self.options)
         return [Settlement(launch_id, request, attempt, status, payload,
                            time.perf_counter() - started, None)]
 
@@ -677,6 +684,7 @@ def execute_runs(
     journal: Optional["RunJournal"] = None,
     resume: bool = False,
     heartbeat: Optional["ExecutorHeartbeat"] = None,
+    options: RunOptions = NO_OPTIONS,
 ) -> Dict[Hashable, ExperimentResult]:
     """Execute every request, serially or across worker processes.
 
@@ -704,6 +712,10 @@ def execute_runs(
     A SIGINT/SIGTERM during execution stops cleanly: in-flight completions
     are drained and journaled, workers are terminated and joined, and the
     partial result mapping is returned with ``telemetry.interrupted`` set.
+
+    Every run executes under ``options`` (:class:`RunOptions`).  A request
+    satisfied from the journal is not run, so it brings no profile, trace,
+    spans or heartbeat of its own.
     """
     if telemetry is None:
         telemetry = RunTelemetry()
@@ -712,10 +724,10 @@ def execute_runs(
     ctx = _mp_context() if workers > 1 else None
     if ctx is None:
         telemetry.mode = "serial"
-        pool = InlinePool()
+        pool = InlinePool(options)
     else:
         telemetry.mode = "parallel"
-        pool = WorkerPool(workers, ctx=ctx)
+        pool = WorkerPool(workers, ctx=ctx, options=options)
     telemetry.workers = pool.workers
     settler = Settler(journal, max_retries, use_claims=resume)
     with _interrupt_on_sigterm():
@@ -870,14 +882,8 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
 def run_grid(
     cells: Mapping[Hashable, Scenario],
     seeds: Sequence[int] = (0,),
-    workers: int = 1,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 1,
-    progress: Optional[ProgressHook] = None,
-    telemetry: Optional[RunTelemetry] = None,
-    journal: Optional["RunJournal"] = None,
-    resume: bool = False,
-    heartbeat: Optional["ExecutorHeartbeat"] = None,
+    options: RunOptions = NO_OPTIONS,
+    **execute_kwargs,
 ) -> Dict[Hashable, ExperimentResult]:
     """Run every (cell, seed) combination and pool seeds per cell.
 
@@ -886,34 +892,25 @@ def run_grid(
     per-seed results are merged in ``seeds`` order, so the pooled output is
     identical to calling the serial ``run_pooled`` per cell.  Cells whose
     every seed failed are absent from the returned mapping (see
-    ``telemetry.failures``).
+    ``telemetry.failures``).  The other keyword arguments (``workers``,
+    ``timeout_s``, ``max_retries``, ``progress``, ``telemetry``,
+    ``journal``, ``resume``, ``heartbeat``) are :func:`execute_runs`'.
 
     With ``journal``/``resume``, per-(cell, seed) results are checkpointed
     and reloaded before the merge — the merge itself always runs over the
     full seed-ordered set, so a resumed grid is bit-identical to an
-    uninterrupted one.
+    uninterrupted one.  ``options`` that would run several seeds into one
+    trace file raise ``ValueError`` before any run starts.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    options.check_seeds(seeds)
     requests = [
-        RunRequest(
-            key=(cell_key, seed),
-            scenario=scenario.with_overrides(seed=seed),
-        )
+        RunRequest(key=(cell_key, seed), scenario=scenario.with_overrides(seed=seed))
         for cell_key, scenario in cells.items()
         for seed in seeds
     ]
-    raw = execute_runs(
-        requests,
-        workers=workers,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        progress=progress,
-        telemetry=telemetry,
-        journal=journal,
-        resume=resume,
-        heartbeat=heartbeat,
-    )
+    raw = execute_runs(requests, options=options, **execute_kwargs)
     merged: Dict[Hashable, ExperimentResult] = {}
     for cell_key, scenario in cells.items():
         per_seed = [raw[(cell_key, seed)] for seed in seeds if (cell_key, seed) in raw]
@@ -921,43 +918,3 @@ def run_grid(
             merged[cell_key] = merge_results(scenario, per_seed)
     return merged
 
-
-def pooled_parallel(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    workers: int,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 1,
-    progress: Optional[ProgressHook] = None,
-    telemetry: Optional[RunTelemetry] = None,
-    journal: Optional["RunJournal"] = None,
-    resume: bool = False,
-    heartbeat: Optional["ExecutorHeartbeat"] = None,
-) -> ExperimentResult:
-    """Parallel counterpart of ``run_pooled`` for one scenario's seeds.
-
-    Seeds that fail permanently are dropped from the pool (and recorded in
-    telemetry); if *every* seed fails, raises ``RuntimeError``.
-    """
-    if telemetry is None:
-        telemetry = RunTelemetry()
-    grid = run_grid(
-        {"pooled": scenario},
-        seeds=seeds,
-        workers=workers,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        progress=progress,
-        telemetry=telemetry,
-        journal=journal,
-        resume=resume,
-        heartbeat=heartbeat,
-    )
-    if "pooled" not in grid:
-        if telemetry.interrupted:
-            raise RuntimeError(
-                f"interrupted before any seed of {scenario.name!r} completed"
-            )
-        reasons = "; ".join(f.reason for f in telemetry.failures) or "unknown"
-        raise RuntimeError(f"every seed run failed for {scenario.name!r}: {reasons}")
-    return grid["pooled"]

@@ -20,6 +20,7 @@ from repro.workload.query import QueryTraffic
 
 __all__ = [
     "ExperimentResult",
+    "RunOptions",
     "run_scenario",
     "run_pooled",
     "merge_results",
@@ -29,6 +30,48 @@ __all__ = [
     "fingerprint",
     "UNMEASURED_FIELDS",
 ]
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How a run is watched, as opposed to what it simulates (:class:`Scenario`).
+
+    None of these perturbs the event calendar: identical seeds give
+    bit-identical metrics with them on or off (``wall_seconds`` and the
+    profile payload excepted), so none is part of a run's journal key
+    (:func:`repro.experiments.journal.scenario_hash`).  ``"{seed}"`` in a
+    path expands to the run's seed.
+    """
+
+    profile: bool = False  # per-category scheduler profiling
+    heartbeat_interval_s: float = 0.0  # 0 disables the progress heartbeat
+    heartbeat_path: Optional[str] = None  # None = stderr
+    trace_file: Optional[str] = None  # structured JSONL trace
+    trace_occupancy_interval_s: float = 0.0  # 0 = no occupancy sampling
+    span_sample_rate: float = 0.0  # share of (flow, seq) keys traced hop by hop
+    flight_recorder_dir: Optional[str] = None  # anomaly dump bundles; None = off
+
+    def __post_init__(self) -> None:
+        if self.heartbeat_interval_s < 0:
+            raise ValueError("heartbeat interval cannot be negative (0 disables)")
+        if self.trace_occupancy_interval_s < 0:
+            raise ValueError("trace occupancy interval cannot be negative (0 disables)")
+        if self.trace_occupancy_interval_s > 0 and not self.trace_file:
+            raise ValueError("trace occupancy sampling requires a trace_file")
+        if not (0.0 <= self.span_sample_rate <= 1.0):
+            raise ValueError("span sample rate must be in [0, 1] (0 disables)")
+
+    def check_seeds(self, seeds: Sequence[int]) -> None:
+        """Refuse to run several seeds into one trace file: it is opened
+        for writing, so only the last seed's trace would survive (and under
+        ``--workers`` two seeds would write it at once)."""
+        if self.trace_file and "{seed}" not in self.trace_file and len(set(seeds)) > 1:
+            raise ValueError(
+                f"trace file {self.trace_file!r} would keep only the last of "
+                f"{len(set(seeds))} seeds; put '{{seed}}' in its path")
+
+
+NO_OPTIONS = RunOptions()
 
 
 @dataclass
@@ -70,7 +113,7 @@ class ExperimentResult:
     # no sense summed across seeds).
     controller_stats: dict[str, int] = field(default_factory=dict)
     # Observability (repro.obs): the per-category scheduler profile payload
-    # (None unless scenario.profile), and the run's live MetricsCollector.
+    # (None unless options.profile), and the run's live MetricsCollector.
     # The collector is a convenience handle for exporters — it never
     # crosses a process boundary (result_to_dict drops it) and is absent
     # from merged results.
@@ -82,7 +125,7 @@ class ExperimentResult:
     # summed.
     timeseries: Optional[dict] = None
     # Finished span records (repro.obs.spans); None unless
-    # scenario.span_sample_rate > 0.  In-memory only, like the collector:
+    # options.span_sample_rate > 0.  In-memory only, like the collector:
     # result_to_dict drops them (workers persist spans via the per-seed
     # trace file instead).
     span_records: Optional[list] = field(default=None, repr=False, compare=False)
@@ -141,29 +184,25 @@ class ExperimentResult:
         }
 
 
-def _recover_spans(scenario: Scenario, seeds) -> Optional[list]:
+def _recover_spans(options: RunOptions, seeds) -> Optional[list]:
     """Reload sampled spans from per-seed trace files.
 
     Results that crossed a process boundary (``--workers``, journal
-    resume) drop their in-memory span records; when the scenario also
-    routed spans through a per-seed ``trace_file``, reading those files
-    back in seed order reproduces the serial merge bit-identically.
-    Returns ``None`` when spans weren't sampled, weren't persisted, or
-    any per-seed file is missing (a partial recovery would silently
+    resume) drop their in-memory span records; when the run also routed
+    spans through a ``trace_file``, reading the per-seed files back in
+    seed order reproduces the serial merge bit-identically.  Returns
+    ``None`` when spans weren't sampled, weren't persisted, or any
+    per-seed file is missing (a partial recovery would silently
     misattribute, so none is returned at all).
     """
-    if getattr(scenario, "span_sample_rate", 0) <= 0:
-        return None
-    trace_file = getattr(scenario, "trace_file", None)
-    if not trace_file or ("{seed}" not in trace_file and len(seeds) > 1):
+    if options.span_sample_rate <= 0 or not options.trace_file:
         return None
     from repro.obs.trace import read_trace
 
     records: list = []
     for seed in seeds:
-        path = _expand_seed(trace_file, seed)
         try:
-            records.extend(read_trace(path, kind="span"))
+            records.extend(read_trace(_expand_seed(options.trace_file, seed), kind="span"))
         except FileNotFoundError:
             return None
     return records
@@ -178,90 +217,79 @@ def _expand_seed(path: Optional[str], seed: int) -> Optional[str]:
     return path.replace("{seed}", str(seed))
 
 
-def run_scenario(scenario: Scenario) -> ExperimentResult:
+def attach_instruments(network, scenario: Scenario, options: RunOptions, transport):
+    """Attach the instruments ``options``, ``scenario.controller`` and
+    ``scenario.timeseries_interval_s`` ask for.
+
+    Returns ``(instruments, flight)``: the instruments in attach order —
+    profiler, tracer, flight recorder, timeseries, spans, controller,
+    heartbeat — and the flight recorder (or ``None``), which the guards
+    and the abort path also dump into.  Each instrument has ``finish()``,
+    which :func:`run_scenario` calls in reverse attach order even when the
+    run aborts, and ``contribute(result)``.  None schedules a simulator
+    event; only the controller (an experiment knob) changes what is measured.
+    """
+    seed, label = scenario.seed, scenario.name
+    instruments: list = []
+    if options.profile:
+        from repro.obs.profiler import SchedulerProfiler
+
+        instruments.append(SchedulerProfiler().install(network.scheduler))
+    tracer = flight = controller = None
+    if options.trace_file:
+        from repro.obs.trace import TraceWriter
+
+        tracer = TraceWriter(_expand_seed(options.trace_file, seed), label=label, seed=seed,
+                             occupancy_interval_s=options.trace_occupancy_interval_s)
+        instruments.append(tracer.attach(network))
+    if options.flight_recorder_dir:
+        from repro.obs.forensics import FlightRecorder
+
+        flight = FlightRecorder(network, _expand_seed(options.flight_recorder_dir, seed),
+                                label=label, seed=seed)
+        instruments.append(flight.install())
+    if scenario.timeseries_interval_s > 0:
+        from repro.metrics.timeseries import TimeseriesRecorder
+
+        instruments.append(TimeseriesRecorder(
+            network, scenario.timeseries_interval_s, collector=network.collector).install())
+    if options.span_sample_rate > 0:  # finishes before the tracer it flushes through
+        from repro.obs.spans import SpanRecorder
+
+        instruments.append(SpanRecorder(network, options.span_sample_rate, seed=seed,
+                                        tracer=tracer, flight=flight).attach())
+    if scenario.controller:
+        from repro.control import ControllerSpec, RuntimeController
+
+        controller = RuntimeController(
+            network, spec=ControllerSpec.from_json_text(scenario.controller_spec),
+            transport=transport)
+        controller.recorder = flight
+        instruments.append(controller.install())
+    if options.heartbeat_interval_s > 0:
+        from repro.obs.heartbeat import HeartbeatWriter, SimHeartbeat
+
+        writer = HeartbeatWriter(_expand_seed(options.heartbeat_path, seed))
+        instruments.append(SimHeartbeat(
+            writer, options.heartbeat_interval_s, label=label, seed=seed,
+            controller=controller).install(network.scheduler))
+    return instruments, flight
+
+
+def run_scenario(scenario: Scenario, options: RunOptions = NO_OPTIONS) -> ExperimentResult:
     """Build the network, attach workloads, run to drain, return metrics.
 
     Workload arrivals stop at ``scenario.duration_s``; the simulator then
     keeps running for up to ``scenario.drain_s`` more simulated seconds so
     in-flight queries can finish (the paper reports completion times of
     *completed* queries; we additionally report how many never finished).
+    ``options`` says how the run is watched (see :class:`RunOptions`).
     """
     started = time.perf_counter()
     network = scenario.build_network()
     transport = scenario.transport_config()
-
-    # Observability attachments (repro.obs).  All ride run-loop hooks or
-    # chained callbacks — none schedules simulator events, so metrics stay
-    # bit-identical with instrumentation on or off.
-    profiler = None
-    if scenario.profile:
-        from repro.obs.profiler import SchedulerProfiler
-
-        profiler = SchedulerProfiler().install(network.scheduler)
-    tracer = None
-    if scenario.trace_file:
-        from repro.obs.trace import TraceWriter
-
-        tracer = TraceWriter(
-            _expand_seed(scenario.trace_file, scenario.seed),
-            occupancy_interval_s=scenario.trace_occupancy_interval_s,
-            label=scenario.name,
-            seed=scenario.seed,
-        ).attach(network)
-    flight = None
-    if scenario.flight_recorder_dir:
-        from repro.obs.forensics import FlightRecorder
-
-        flight = FlightRecorder(
-            network,
-            _expand_seed(scenario.flight_recorder_dir, scenario.seed),
-            label=scenario.name,
-            seed=scenario.seed,
-        ).install()
-    spans = None
-    if scenario.span_sample_rate > 0:
-        from repro.obs.spans import SpanRecorder
-
-        spans = SpanRecorder(
-            network,
-            scenario.span_sample_rate,
-            seed=scenario.seed,
-            tracer=tracer,
-            flight=flight,
-        ).attach()
-    timeseries = None
-    if scenario.timeseries_interval_s > 0:
-        from repro.metrics.timeseries import TimeseriesRecorder
-
-        timeseries = TimeseriesRecorder(
-            network,
-            scenario.timeseries_interval_s,
-            collector=network.collector,
-        ).install()
-
     injector = install_faults(network, scenario)
-    controller = None
-    if scenario.controller:
-        from repro.control import ControllerSpec, RuntimeController
-
-        controller = RuntimeController(
-            network,
-            spec=ControllerSpec.from_json_text(scenario.controller_spec),
-            transport=transport,
-        ).install()
-        controller.recorder = flight
-    heartbeat = None
-    if scenario.heartbeat_interval_s > 0:
-        from repro.obs.heartbeat import HeartbeatWriter, SimHeartbeat
-
-        hb_path = _expand_seed(scenario.heartbeat_path, scenario.seed)
-        heartbeat = SimHeartbeat(
-            HeartbeatWriter(hb_path),
-            scenario.heartbeat_interval_s,
-            label=scenario.name,
-            seed=scenario.seed,
-            controller=controller,
-        ).install(network.scheduler)
+    instruments, flight = attach_instruments(network, scenario, options, transport)
     if scenario.watchdog:
         # A packet legitimately traverses at most its initial TTL switch
         # hops; a healthy margin on top keeps the guard from ever firing on
@@ -277,39 +305,7 @@ def run_scenario(scenario: Scenario) -> ExperimentResult:
             stop_at=scenario.duration_s + scenario.drain_s,
             recorder=flight,
         ).start()
-
-    background = None
-    if scenario.bg_enabled:
-        if scenario.bg_diurnal_period_s > 0:
-            background = DiurnalBackgroundTraffic(
-                network,
-                interarrival_s=scenario.bg_interarrival_s,
-                size_dist=web_search_background(),
-                transport=transport,
-                stop_at=scenario.duration_s,
-                period_s=scenario.bg_diurnal_period_s,
-                amplitude=scenario.bg_diurnal_amplitude,
-            )
-        else:
-            background = BackgroundTraffic(
-                network,
-                interarrival_s=scenario.bg_interarrival_s,
-                size_dist=web_search_background(),
-                transport=transport,
-                stop_at=scenario.duration_s,
-            )
-        background.start()
-    query = None
-    if scenario.query_enabled:
-        query = QueryTraffic(
-            network,
-            qps=scenario.qps,
-            degree=scenario.incast_degree,
-            response_bytes=scenario.response_bytes,
-            transport=transport,
-            stop_at=scenario.duration_s,
-        )
-        query.start()
+    background, query = _start_workloads(network, scenario, transport)
 
     run_started = time.perf_counter()
     try:
@@ -327,23 +323,57 @@ def run_scenario(scenario: Scenario) -> ExperimentResult:
     finally:
         # Flush instrumentation even when a guard aborts the run: a partial
         # trace/heartbeat tail is exactly what a failure post-mortem needs.
-        if heartbeat is not None:
-            heartbeat.finish()
-            heartbeat.writer.close()
-        if spans is not None:
-            # Before the tracer closes: still-live spans flush through it.
-            spans.close()
-        if timeseries is not None:
-            timeseries.uninstall()
-        if flight is not None:
-            flight.uninstall()
-        if tracer is not None:
-            tracer.close()
+        for instrument in reversed(instruments):
+            instrument.finish()
     if checker is not None:
         # Final sweep at quiescence, so a violation in the last partial
         # interval cannot slip through.
         checker.check_now()
 
+    result = _measure(network, scenario, background, query)
+    result.wall_seconds = time.perf_counter() - started
+    result.run_loop_seconds = run_elapsed
+    if injector is not None:
+        result.faults_applied = dict(injector.applied)
+        result.fault_packets_killed = injector.packets_killed
+    if checker is not None:
+        result.invariant_checks = checker.checks_run
+    for instrument in instruments:
+        instrument.contribute(result)
+    return result
+
+
+def _start_workloads(network, scenario: Scenario, transport):
+    """Start the background and query generators the scenario enables;
+    returns ``(background, query)``, each ``None`` when disabled."""
+    background = None
+    if scenario.bg_enabled:
+        common = dict(interarrival_s=scenario.bg_interarrival_s,
+                      size_dist=web_search_background(), transport=transport,
+                      stop_at=scenario.duration_s)
+        if scenario.bg_diurnal_period_s > 0:
+            background = DiurnalBackgroundTraffic(
+                network, period_s=scenario.bg_diurnal_period_s,
+                amplitude=scenario.bg_diurnal_amplitude, **common)
+        else:
+            background = BackgroundTraffic(network, **common)
+        background.start()
+    query = None
+    if scenario.query_enabled:
+        query = QueryTraffic(
+            network,
+            qps=scenario.qps,
+            degree=scenario.incast_degree,
+            response_bytes=scenario.response_bytes,
+            transport=transport,
+            stop_at=scenario.duration_s,
+        )
+        query.start()
+    return background, query
+
+
+def _measure(network, scenario: Scenario, background, query) -> ExperimentResult:
+    """The paper's metrics from a finished run's collector and counters."""
     collector = network.collector
     result = ExperimentResult(scenario=scenario)
     result.qct_values = collector.qct_values()
@@ -364,22 +394,7 @@ def run_scenario(scenario: Scenario) -> ExperimentResult:
     result.timeouts = sum(f.timeouts for f in collector.flows)
     result.retransmits = sum(f.retransmits for f in collector.flows)
     result.events = network.scheduler.events_processed
-    result.wall_seconds = time.perf_counter() - started
-    result.run_loop_seconds = run_elapsed
     result.collector = collector
-    if profiler is not None:
-        result.profile = profiler.as_dict()
-    if injector is not None:
-        result.faults_applied = dict(injector.applied)
-        result.fault_packets_killed = injector.packets_killed
-    if checker is not None:
-        result.invariant_checks = checker.checks_run
-    if controller is not None:
-        result.controller_stats = controller.stats_dict()
-    if spans is not None:
-        result.span_records = spans.records
-    if timeseries is not None:
-        result.timeseries = timeseries.as_dict()
     return result
 
 
@@ -547,6 +562,7 @@ def run_pooled(
     journal=None,
     resume: bool = False,
     heartbeat=None,
+    options: RunOptions = NO_OPTIONS,
 ) -> ExperimentResult:
     """Run the scenario once per seed and pool the samples.
 
@@ -567,29 +583,33 @@ def run_pooled(
     journaled seeds instead of re-running them.
 
     ``heartbeat`` (an :class:`repro.obs.heartbeat.ExecutorHeartbeat`)
-    emits periodic JSONL progress records while the pool executes.
+    emits periodic JSONL progress records while the pool executes;
+    ``options`` (:class:`RunOptions`) says how each seed's run is watched.
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    options.check_seeds(seeds)
     if workers > 1 or telemetry is not None or journal is not None or heartbeat is not None:
-        from repro.experiments.parallel import pooled_parallel
+        # Failure-contained: seeds that fail permanently are dropped from
+        # the pool (and recorded in telemetry); only losing every seed raises.
+        from repro.experiments.parallel import RunTelemetry, run_grid
 
-        merged = pooled_parallel(
-            scenario,
-            seeds,
-            workers=workers,
-            timeout_s=run_timeout_s,
-            max_retries=max_retries,
-            telemetry=telemetry,
-            journal=journal,
-            resume=resume,
-            heartbeat=heartbeat,
-        )
+        if telemetry is None:
+            telemetry = RunTelemetry()
+        merged = run_grid({"pooled": scenario}, seeds=seeds, workers=workers,
+                          timeout_s=run_timeout_s, max_retries=max_retries,
+                          telemetry=telemetry, journal=journal, resume=resume,
+                          heartbeat=heartbeat, options=options).get("pooled")
+        if merged is None:
+            if telemetry.interrupted:
+                raise RuntimeError(f"interrupted before any seed of {scenario.name!r} completed")
+            reasons = "; ".join(f.reason for f in telemetry.failures) or "unknown"
+            raise RuntimeError(f"every seed run failed for {scenario.name!r}: {reasons}")
         if merged.span_records is None:
-            merged.span_records = _recover_spans(scenario, seeds)
+            merged.span_records = _recover_spans(options, seeds)
         return merged
     results = [
-        run_scenario(scenario.with_overrides(seed=seed))
+        run_scenario(scenario.with_overrides(seed=seed), options)
         for seed in seeds
     ]
     return merge_results(scenario, results)

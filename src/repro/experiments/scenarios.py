@@ -143,24 +143,11 @@ class Scenario:
     controller: bool = False
     controller_spec: Optional[str] = None
 
-    # --- observability (repro.obs) --------------------------------------
-    # All off by default, and none of them perturbs the event calendar:
-    # identical seeds give bit-identical metrics whether these are on or
-    # off (wall_seconds and the profile payload excepted, of course).
-    profile: bool = False  # per-category scheduler profiling
-    heartbeat_interval_s: float = 0.0  # 0 disables the progress heartbeat
-    heartbeat_path: Optional[str] = None  # None = stderr; "{seed}" expands
-    trace_file: Optional[str] = None  # structured JSONL trace; "{seed}" expands
-    trace_occupancy_interval_s: float = 0.0  # 0 = no occupancy sampling
-    # Sampled per-packet span tracing (repro.obs.spans): fraction of
-    # (flow, seq) keys whose packets record a hop-by-hop span.  0 disables
-    # (the default: zero per-packet cost).
-    span_sample_rate: float = 0.0
-    # Flight recorder (repro.obs.forensics): directory for anomaly dump
-    # bundles ("{seed}" expands); None disables.
-    flight_recorder_dir: Optional[str] = None
+    # --- observability --------------------------------------------------
     # Hook-driven flow-goodput + port-utilization sampling
-    # (repro.metrics.timeseries); 0 disables.
+    # (repro.metrics.timeseries); 0 disables.  The series is part of what
+    # a run measures (its fingerprint), so it lives here; the knobs that
+    # only watch a run are repro.experiments.runner.RunOptions.
     timeseries_interval_s: float = 0.0
 
     # ------------------------------------------------------------------
@@ -179,14 +166,6 @@ class Scenario:
             raise ValueError("invariant check interval cannot be negative")
         if self.max_pending_events < 0:
             raise ValueError("max pending events cannot be negative (0 disables the guard)")
-        if self.heartbeat_interval_s < 0:
-            raise ValueError("heartbeat interval cannot be negative (0 disables)")
-        if self.trace_occupancy_interval_s < 0:
-            raise ValueError("trace occupancy interval cannot be negative (0 disables)")
-        if self.trace_occupancy_interval_s > 0 and not self.trace_file:
-            raise ValueError("trace occupancy sampling requires a trace_file")
-        if not (0.0 <= self.span_sample_rate <= 1.0):
-            raise ValueError("span sample rate must be in [0, 1] (0 disables)")
         if self.timeseries_interval_s < 0:
             raise ValueError("timeseries interval cannot be negative (0 disables)")
         if self.link_jitter_s < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.experiments.parallel import ProgressHook, RunTelemetry, run_grid
+from repro.experiments.parallel import run_grid
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import Scenario
 
@@ -48,14 +48,8 @@ def sweep(
     values: Iterable,
     schemes: Sequence[str] = ("dctcp", "dibs"),
     seeds: Sequence[int] = (0,),
-    workers: int = 1,
     run_timeout_s: Optional[float] = None,
-    max_retries: int = 1,
-    progress: Optional[ProgressHook] = None,
-    telemetry: Optional[RunTelemetry] = None,
-    journal=None,
-    resume: bool = False,
-    heartbeat=None,
+    **grid_kwargs,
 ) -> dict[tuple[object, str], ExperimentResult]:
     """Run ``base`` once per (value, scheme, seed) combination, pooling
     seeds into one result per (value, scheme).
@@ -63,21 +57,18 @@ def sweep(
     ``parameter`` must be a :class:`Scenario` field name.  Results are
     keyed by ``(value, scheme)``.
 
-    The grid executes through :mod:`repro.experiments.parallel`: with
-    ``workers > 1`` the (value, scheme, seed) runs fan out across worker
-    processes — pooled results are identical to the serial run for the same
-    seeds — and a run that crashes or exceeds ``run_timeout_s`` is retried
-    ``max_retries`` times (with jittered exponential backoff and escalating
-    timeouts), then recorded in ``telemetry`` (its cell is pooled from the
-    surviving seeds, or omitted if none survive).
-
-    ``journal`` (a :class:`~repro.experiments.journal.RunJournal`)
-    checkpoints every completed (value, scheme, seed) run; ``resume=True``
-    reloads journaled runs so an interrupted sweep picks up where it left
-    off and produces bit-identical pooled results.
-
-    ``heartbeat`` (an :class:`repro.obs.heartbeat.ExecutorHeartbeat`)
-    emits periodic JSONL progress records while the grid executes.
+    The grid executes through :func:`repro.experiments.parallel.run_grid`,
+    which takes the other keyword arguments (``workers``, ``max_retries``,
+    ``progress``, ``telemetry``, ``journal``, ``resume``, ``heartbeat``,
+    ``options``): with ``workers > 1`` the (value, scheme, seed) runs fan
+    out across worker processes — pooled results are identical to the
+    serial run for the same seeds — and a run that crashes or exceeds
+    ``run_timeout_s`` is retried ``max_retries`` times (with jittered
+    exponential backoff and escalating timeouts), then recorded in
+    ``telemetry`` (its cell is pooled from the surviving seeds, or omitted
+    if none survive).  With a ``journal``, ``resume=True`` reloads
+    journaled runs so an interrupted sweep picks up where it left off and
+    produces bit-identical pooled results.
     """
     if not hasattr(base, parameter):
         raise ValueError(f"scenario has no parameter {parameter!r}")
@@ -89,18 +80,7 @@ def sweep(
                 scheme=scheme,
                 name=f"{base.name}:{parameter}={value}:{scheme}",
             )
-    return run_grid(
-        cells,
-        seeds=seeds,
-        workers=workers,
-        timeout_s=run_timeout_s,
-        max_retries=max_retries,
-        progress=progress,
-        telemetry=telemetry,
-        journal=journal,
-        resume=resume,
-        heartbeat=heartbeat,
-    )
+    return run_grid(cells, seeds=seeds, timeout_s=run_timeout_s, **grid_kwargs)
 
 
 def compare_schemes(

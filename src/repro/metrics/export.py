@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.parallel import RunTelemetry
-    from repro.experiments.runner import ExperimentResult
+    from repro.experiments.runner import ExperimentResult, RunOptions
     from repro.metrics.collector import MetricsCollector
 
 __all__ = ["write_artifacts", "MANIFEST_VERSION", "flows_to_records",
@@ -178,7 +178,7 @@ def write_artifacts(
     result: "ExperimentResult",
     out_dir: PathLike,
     telemetry: Optional["RunTelemetry"] = None,
-    trace_file: Optional[str] = None,
+    options: Optional["RunOptions"] = None,
 ) -> dict[str, Path]:
     """Write the full artifact bundle for one run into ``out_dir``.
 
@@ -192,14 +192,18 @@ def write_artifacts(
     ``telemetry.json``   executor telemetry, when ``telemetry`` is given
     ``profile.json``     the scheduler profile alone, when profiled
     ``trace*.jsonl``     copies of the structured trace file(s)
-    ``spans.jsonl``      finished packet spans (``span_sample_rate > 0``)
+    ``spans.jsonl``      finished packet spans (``options.span_sample_rate``)
     ``fct_attribution.json``  per-flow FCT decomposition from the spans
     ``timeseries.json``  goodput/utilization series (``timeseries_interval_s``)
     ``manifest.json``    index of the above + skip reasons
     ===================  ==============================================
 
-    ``trace_file`` defaults to ``result.scenario.trace_file``; a
-    ``{seed}`` placeholder matches every per-seed file.  Results that
+    ``options`` are the :class:`~repro.experiments.runner.RunOptions` the
+    run was watched with: its ``trace_file`` is copied (a ``{seed}``
+    placeholder matches every per-seed file), and spans a result that
+    crossed a process boundary no longer holds are read back from it.
+    A cell resumed from a journal wrote no trace, so there may be none
+    to copy (the manifest says so).  Results that
     crossed a process boundary carry no collector, so their CSVs are
     skipped (the manifest says so).  Returns ``{artifact: path}`` for
     everything written.
@@ -228,8 +232,7 @@ def write_artifacts(
         profile_path.write_text(json.dumps(result.profile, indent=2))
         written["profile"] = profile_path
 
-    if trace_file is None:
-        trace_file = getattr(result.scenario, "trace_file", None)
+    trace_file = options.trace_file if options is not None else None
     if trace_file:
         matches = sorted(_glob.glob(trace_file.replace("{seed}", "*")))
         if not matches:
@@ -244,7 +247,7 @@ def write_artifacts(
     # records (serial runs) are authoritative; a result that crossed a
     # process boundary recovers its spans from the copied trace files.
     span_records = getattr(result, "span_records", None)
-    if span_records is None and getattr(result.scenario, "span_sample_rate", 0) > 0:
+    if span_records is None and options is not None and options.span_sample_rate > 0:
         from repro.obs.trace import read_trace
 
         recovered: list[dict] = []

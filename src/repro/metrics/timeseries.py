@@ -187,10 +187,13 @@ class TimeseriesRecorder:
         self._hook = self.network.scheduler.add_hook(self._tick, _CHECK_EVERY_EVENTS)
         return self
 
-    def uninstall(self) -> None:
+    def finish(self) -> None:
         if self._hook is not None:
             self.network.scheduler.remove_hook(self._hook)
             self._hook = None
+
+    def contribute(self, result) -> None:
+        result.timeseries = self.as_dict()
 
     def _tick(self, scheduler) -> None:
         now = scheduler.now

@@ -77,13 +77,13 @@ class Host(Node):
             # Hosts do not forward (§2 footnote 4).
             self.misdelivered += 1
             if pkt.span is not None:
-                pkt.span.rec.finish(
+                pkt.span.rec.end(
                     pkt.span, "dropped:misdelivered", self.scheduler.now,
                     where=self.name,
                 )
             return
         if pkt.span is not None:
-            pkt.span.rec.finish(
+            pkt.span.rec.end(
                 pkt.span, "delivered", self.scheduler.now, where=self.name
             )
         if pkt.path is not None:

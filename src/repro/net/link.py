@@ -306,7 +306,7 @@ class Port:
         if not self.up:
             self.drops_link_down += 1
             if pkt.span is not None:
-                pkt.span.rec.finish(
+                pkt.span.rec.end(
                     pkt.span, "dropped:link_down", self.scheduler.now,
                     where=self.node.name,
                 )
@@ -417,7 +417,7 @@ class Port:
             # Tail drop.  Idempotent finish: the switch's _drop also
             # observes this and fires first for switch-initiated drops.
             if pkt.span is not None:
-                pkt.span.rec.finish(
+                pkt.span.rec.end(
                     pkt.span, "dropped:overflow", self.scheduler.now,
                     where=self.node.name,
                 )
@@ -569,7 +569,7 @@ class Port:
             self.corrupt_next -= 1
             self.drops_corrupt += 1
             if pkt.span is not None:
-                pkt.span.rec.finish(
+                pkt.span.rec.end(
                     pkt.span, "dropped:corrupt", self.scheduler.now,
                     where=self.peer_node.name,
                 )
@@ -627,7 +627,7 @@ class Port:
             self.drops_link_down += 1
             self.bytes_killed += pkt.size
             if pkt.span is not None:
-                pkt.span.rec.finish(
+                pkt.span.rec.end(
                     pkt.span, "dropped:link_down", now, where=self.node.name
                 )
             pkt = nxt

@@ -400,7 +400,7 @@ class Switch(Node):
         else:
             self.counters.drops_overflow += 1
         if pkt.span is not None:
-            pkt.span.rec.finish(
+            pkt.span.rec.end(
                 pkt.span, "dropped:" + reason, self.scheduler.now, where=self.name
             )
         if self.on_drop is not None:

@@ -359,10 +359,14 @@ class FlightRecorder:
         )
         return self
 
-    def uninstall(self) -> None:
+    def finish(self) -> None:
+        """Stop the periodic counter snapshots (dumps stay on disk)."""
         if self._hook is not None:
             self.network.scheduler.remove_hook(self._hook)
             self._hook = None
+
+    def contribute(self, result) -> None:
+        """Dumps live on disk; the result carries nothing of them."""
 
     # ------------------------------------------------------------------
     def record(self, record: dict) -> None:

@@ -120,11 +120,15 @@ class SimHeartbeat:
         self._emit(scheduler, now, final=False)
 
     def finish(self) -> None:
-        """Emit one closing record (even if the interval never elapsed) and
-        detach from the scheduler."""
+        """Emit one closing record (even if the interval never elapsed),
+        detach from the scheduler and close the writer."""
         if self._scheduler is not None:
             self._emit(self._scheduler, time.perf_counter(), final=True)
         self.uninstall()
+        self.writer.close()
+
+    def contribute(self, result) -> None:
+        """Records go to the writer; the result carries nothing of them."""
 
     def _emit(self, scheduler, now: float, final: bool) -> None:
         dt = now - self._last_wall

@@ -95,6 +95,12 @@ class SchedulerProfiler:
         scheduler.profiler = self
         return self
 
+    def finish(self) -> None:
+        """Nothing to flush: the slots are read by :meth:`contribute`."""
+
+    def contribute(self, result) -> None:
+        result.profile = self.as_dict()
+
     # ------------------------------------------------------------------
     def _slot_for(self, key: object, fn: Callable) -> list:
         """Miss path of the attribution memo: categorize ``fn`` and cache

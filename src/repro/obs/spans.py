@@ -98,7 +98,7 @@ class PacketSpan:
     """The in-flight biography of one sampled packet transmission.
 
     Attached to ``Packet.span``; the net-layer hot paths append/annotate
-    ``hops`` in place and call ``rec.finish`` exactly once at the end
+    ``hops`` in place and call ``rec.end`` exactly once at the end
     (idempotent via ``done`` — a drop can be observed by both the port
     and the switch that called it)."""
 
@@ -174,10 +174,10 @@ class SpanRecorder:
         self.network.counter_registry.register("spans", self.counters_dict)
         return self
 
-    def close(self) -> None:
+    def finish(self) -> None:
         """Flush still-live spans (status ``unfinished``, creation order —
         deterministic) and detach from the hosts.  Call after the run,
-        before the trace writer closes."""
+        before the trace writer finishes."""
         if not self._attached:
             return
         now = self.network.scheduler.now
@@ -191,6 +191,9 @@ class SpanRecorder:
             if host.span_recorder is self:
                 host.span_recorder = None
         self._attached = False
+
+    def contribute(self, result) -> None:
+        result.span_records = self.records
 
     # ------------------------------------------------------------------
     # net-layer entry points
@@ -213,8 +216,8 @@ class SpanRecorder:
         self._live[idx] = span
         self.sampled += 1
 
-    def finish(self, span: PacketSpan, status: str, t_end: float,
-               where: Optional[str] = None) -> None:
+    def end(self, span: PacketSpan, status: str, t_end: float,
+            where: Optional[str] = None) -> None:
         """Finalize a span (idempotent: a drop may be seen first by the
         port, then by the switch that called ``send``)."""
         if span.done:

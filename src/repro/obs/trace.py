@@ -188,7 +188,7 @@ class TraceWriter:
             )
         return self
 
-    def close(self) -> None:
+    def finish(self) -> None:
         """Write the final counters snapshot and close the file."""
         if self._fh is None:
             return
@@ -204,7 +204,10 @@ class TraceWriter:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.finish()
+
+    def contribute(self, result) -> None:
+        """The trace lives in its file; the result carries nothing of it."""
 
     # ------------------------------------------------------------------
     def write_record(self, record: dict) -> None:

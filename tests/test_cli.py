@@ -76,3 +76,20 @@ class TestCommands:
             "--incast-degree", "6", "--no-background",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--seeds", "0,1"],
+        ["run", "--seeds", "0,1", "--workers", "2"],
+        ["sweep", "--param", "buffer_pkts", "--values", "10", "--seeds", "0,1"],
+    ])
+    def test_several_seeds_into_one_trace_file_are_refused(self, command, tmp_path, capsys):
+        # The trace file is opened for writing: without '{seed}' in its
+        # path only the last seed's trace would survive.
+        code = main(command + [
+            "--duration-s", "0.02", "--drain-s", "0.2", "--qps", "100",
+            "--incast-degree", "6", "--no-background",
+            "--trace-file", str(tmp_path / "t.jsonl"),
+        ])
+        assert code == 1
+        assert "{seed}" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []

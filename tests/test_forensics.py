@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.experiments.runner import canonical_payload, run_pooled, run_scenario
+from repro.experiments.runner import RunOptions, canonical_payload, run_pooled, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, flap_storm
 from repro.obs.forensics import (
     attribute_flows,
@@ -27,7 +27,7 @@ TINY = SCALED_DEFAULTS.with_overrides(
     name="forensics-tiny", duration_s=0.02, drain_s=0.3, qps=100.0,
     incast_degree=6, bg_enabled=False,
 )
-SPANNED = TINY.with_overrides(span_sample_rate=0.25)
+SPANS = RunOptions(span_sample_rate=0.25)
 
 
 def _span_lines(result):
@@ -61,34 +61,34 @@ class TestSpanSampling:
 # ----------------------------------------------------------------------
 class TestSpanDeterminism:
     def test_metrics_identical_with_spans_on_or_off(self):
-        assert canonical_payload(run_scenario(TINY)) == canonical_payload(run_scenario(SPANNED))
+        assert canonical_payload(run_scenario(TINY)) == canonical_payload(run_scenario(TINY, SPANS))
 
     def test_calendar_and_heap_engines_agree(self, monkeypatch):
-        base = run_scenario(SPANNED)
+        base = run_scenario(TINY, SPANS)
         monkeypatch.setenv("REPRO_ENGINE", "heap")
-        heap = run_scenario(SPANNED)
+        heap = run_scenario(TINY, SPANS)
         assert _span_lines(heap) == _span_lines(base)
         assert canonical_payload(heap) == canonical_payload(base)
 
     def test_tx_done_elision_is_invisible(self, monkeypatch):
-        base = run_scenario(SPANNED)
+        base = run_scenario(TINY, SPANS)
         monkeypatch.setenv("REPRO_ELIDE_TX", "0")
-        plain = run_scenario(SPANNED)
+        plain = run_scenario(TINY, SPANS)
         assert _span_lines(plain) == _span_lines(base)
 
     def test_workers_and_resume_identical(self, tmp_path):
         from repro.experiments.journal import RunJournal
 
-        scn = SPANNED.with_overrides(trace_file=str(tmp_path / "t-{seed}.jsonl"))
-        serial = run_pooled(scn, seeds=(0, 1))
-        fanned = run_pooled(scn, seeds=(0, 1), workers=2)
+        opts = RunOptions(span_sample_rate=0.25, trace_file=str(tmp_path / "t-{seed}.jsonl"))
+        serial = run_pooled(TINY, seeds=(0, 1), options=opts)
+        fanned = run_pooled(TINY, seeds=(0, 1), workers=2, options=opts)
         assert _span_lines(fanned) == _span_lines(serial)
         # A resumed run reloads journaled cells; spans come back from the
         # per-seed trace files bit-identically.
         journal = RunJournal(tmp_path / "journal")
-        run_pooled(scn, seeds=(0, 1), journal=journal, resume=True)
-        resumed = run_pooled(scn, seeds=(0, 1),
-                             journal=RunJournal(tmp_path / "journal"), resume=True)
+        run_pooled(TINY, seeds=(0, 1), journal=journal, resume=True, options=opts)
+        resumed = run_pooled(TINY, seeds=(0, 1), journal=RunJournal(tmp_path / "journal"),
+                             resume=True, options=opts)
         assert _span_lines(resumed) == _span_lines(serial)
         assert canonical_payload(resumed) == canonical_payload(serial)
 
@@ -98,7 +98,7 @@ class TestSpanDeterminism:
 # ----------------------------------------------------------------------
 class TestAttribution:
     def test_components_account_for_delivered_latency(self):
-        result = run_scenario(SPANNED)
+        result = run_scenario(TINY, SPANS)
         delivered = [s for s in result.span_records if s["status"] == "delivered"]
         assert delivered
         for span in delivered:
@@ -113,7 +113,7 @@ class TestAttribution:
             assert parts["latency_s"] == pytest.approx(span["t"] - span["t_send"])
 
     def test_detour_hops_carry_cause_and_port(self):
-        result = run_scenario(SPANNED)
+        result = run_scenario(TINY, SPANS)
         assert result.detours > 0
         detoured = [h for s in result.span_records for h in s["hops"]
                     if h.get("detour")]
@@ -123,7 +123,7 @@ class TestAttribution:
             assert isinstance(hop["desired"], int)
 
     def test_rows_are_ranked_and_formatted(self):
-        result = run_scenario(SPANNED)
+        result = run_scenario(TINY, SPANS)
         rows = attribute_flows(result.span_records)
         fcts = [r["span_fct_s"] for r in rows if r["span_fct_s"] is not None]
         assert fcts == sorted(fcts, reverse=True)
@@ -133,7 +133,7 @@ class TestAttribution:
         assert "totals:" in odyssey
 
     def test_attribution_is_stable_across_record_order(self):
-        result = run_scenario(SPANNED)
+        result = run_scenario(TINY, SPANS)
         shuffled = list(reversed(result.span_records))
         assert attribute_flows(shuffled) == attribute_flows(result.span_records)
 
@@ -146,10 +146,9 @@ class TestFlightRecorder:
         # ttl=-16 drives the watchdog's hop bound to zero: the first switch
         # hop aborts deterministically, and the runner's fallback dumps the
         # ring before re-raising.
-        scn = SPANNED.with_overrides(
-            ttl=-16, flight_recorder_dir=str(tmp_path / "flight"))
+        opts = RunOptions(span_sample_rate=0.25, flight_recorder_dir=str(tmp_path / "flight"))
         with pytest.raises(LivelockError):
-            run_scenario(scn)
+            run_scenario(TINY.with_overrides(ttl=-16), opts)
         dumps = sorted((tmp_path / "flight").glob("flight-*.jsonl"))
         assert len(dumps) == 1
         meta = json.loads(dumps[0].read_text().splitlines()[0])
@@ -157,10 +156,9 @@ class TestFlightRecorder:
         assert meta["reason"] == "abort-LivelockError"
 
     def test_breaker_trip_dumps_and_explains(self, tmp_path):
-        scn = flap_storm("dibs", duration_s=0.3, drain_s=0.5,
-                         span_sample_rate=0.25, controller=True,
-                         flight_recorder_dir=str(tmp_path / "flight"))
-        result = run_scenario(scn)
+        scn = flap_storm("dibs", duration_s=0.3, drain_s=0.5, controller=True)
+        result = run_scenario(scn, RunOptions(
+            span_sample_rate=0.25, flight_recorder_dir=str(tmp_path / "flight")))
         assert result.controller_stats["breaker_trips"] > 0
         dumps = sorted((tmp_path / "flight").glob("flight-*breaker-trip*.jsonl"))
         assert dumps
@@ -179,7 +177,7 @@ class TestExplain:
     def test_artifacts_carry_spans_and_attribution(self, tmp_path):
         from repro.metrics.export import write_artifacts
 
-        result = run_scenario(SPANNED)
+        result = run_scenario(TINY, SPANS)
         written = write_artifacts(result, tmp_path / "bundle")
         assert "spans" in written and "fct_attribution" in written
         reloaded = load_spans(written["spans"])
@@ -191,11 +189,11 @@ class TestExplain:
     def test_spans_recovered_from_trace_after_process_boundary(self, tmp_path):
         from repro.metrics.export import write_artifacts
 
-        scn = SPANNED.with_overrides(trace_file=str(tmp_path / "run.jsonl"))
-        result = run_scenario(scn)
+        opts = RunOptions(span_sample_rate=0.25, trace_file=str(tmp_path / "run.jsonl"))
+        result = run_scenario(TINY, opts)
         expected = _span_lines(result)
         result.span_records = None  # as after crossing a process boundary
-        written = write_artifacts(result, tmp_path / "bundle")
+        written = write_artifacts(result, tmp_path / "bundle", options=opts)
         assert ([json.dumps(r, sort_keys=True)
                  for r in load_spans(written["spans"])] == expected)
 
@@ -220,7 +218,7 @@ class TestExplain:
 
     def test_trace_cli_filters_spans(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
-        run_scenario(SPANNED.with_overrides(trace_file=str(trace)))
+        run_scenario(TINY, RunOptions(span_sample_rate=0.25, trace_file=str(trace)))
         assert cli_main(["trace", str(trace), "--type", "span",
                          "--limit", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -234,9 +232,8 @@ class TestExplain:
 class TestHeartbeatController:
     def test_records_carry_knobs_and_breakers(self, tmp_path):
         hb = tmp_path / "hb.jsonl"
-        run_scenario(TINY.with_overrides(
-            controller=True, heartbeat_interval_s=60.0,
-            heartbeat_path=str(hb)))
+        run_scenario(TINY.with_overrides(controller=True), RunOptions(
+            heartbeat_interval_s=60.0, heartbeat_path=str(hb)))
         records = [json.loads(l) for l in hb.read_text().splitlines()]
         assert records  # finish() always emits a final record
         ctl = records[-1]["controller"]
@@ -246,8 +243,7 @@ class TestHeartbeatController:
 
     def test_records_without_controller_stay_flat(self, tmp_path):
         hb = tmp_path / "hb.jsonl"
-        run_scenario(TINY.with_overrides(
-            heartbeat_interval_s=60.0, heartbeat_path=str(hb)))
+        run_scenario(TINY, RunOptions(heartbeat_interval_s=60.0, heartbeat_path=str(hb)))
         records = [json.loads(l) for l in hb.read_text().splitlines()]
         assert records and all("controller" not in r for r in records)
 

@@ -40,7 +40,7 @@ from repro.experiments.parallel import (
     execute_runs,
     run_grid,
 )
-from repro.experiments.runner import canonical_payload, fingerprint, run_scenario
+from repro.experiments.runner import RunOptions, canonical_payload, fingerprint, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS, Scenario
 from repro.server import JobScheduler, JobStore
 from repro.sim.engine import ResourceError, Scheduler
@@ -49,6 +49,35 @@ TINY = SCALED_DEFAULTS.with_overrides(
     name="tiny-journal", duration_s=0.03, drain_s=0.3, qps=100.0,
     incast_degree=6, bg_enabled=False,
 )
+
+# One non-default value per RunOptions field.
+WATCHING = {
+    "profile": True,
+    "heartbeat_interval_s": 0.5,
+    "heartbeat_path": "hb.jsonl",
+    "trace_file": "t_{seed}.jsonl",
+    "trace_occupancy_interval_s": 0.005,
+    "span_sample_rate": 0.25,
+    "flight_recorder_dir": "flight",
+}
+
+# A non-default value for every field Scenario keeps.
+OVERRIDES = {
+    "name": "other", "scheme": "dctcp", "topology": "leafspine", "k": 6,
+    "link_rate_bps": 1e10, "link_delay_s": 1e-5, "link_jitter_s": 1e-6,
+    "oversubscription": 2.0, "buffer_pkts": 31, "ecn_threshold_pkts": 9,
+    "pfabric_queue_pkts": 25, "dba_total_bytes": 1_000_000,
+    "detour_policy": "load-aware", "ttl": 12, "min_rto_s": 0.02,
+    "init_cwnd_pkts": 4, "pfabric_rto_s": 1e-3, "pfabric_window_pkts": 8,
+    "dupack_threshold": 5, "bg_enabled": True, "bg_interarrival_s": 0.2,
+    "bg_diurnal_period_s": 1.0, "bg_diurnal_amplitude": 0.25,
+    "query_enabled": False, "qps": 50.0, "incast_degree": 7,
+    "response_bytes": 30_000, "duration_s": 0.04, "drain_s": 0.4, "seed": 1,
+    "faults": ((0.01, "link_down", "a", "b"),), "link_flap_rate": 1.0,
+    "link_flap_downtime_s": 2e-3, "corrupt_rate": 1.0, "watchdog": False,
+    "invariant_check_interval_s": 0.01, "max_pending_events": 1000,
+    "controller": True, "controller_spec": "{}", "timeseries_interval_s": 0.01,
+}
 
 # Fails deterministically inside the run: validate() rejects the scheme.
 RAISING = TINY.with_overrides(scheme="does-not-exist", name="raising")
@@ -74,9 +103,30 @@ class TestScenarioHash:
         assert scenario_hash(TINY) == scenario_hash(TINY)
 
     def test_every_override_changes_the_key(self):
+        assert set(OVERRIDES) == {f.name for f in dataclasses.fields(Scenario)}
         base = scenario_hash(TINY)
-        assert scenario_hash(TINY.with_overrides(seed=1)) != base
-        assert scenario_hash(TINY.with_overrides(buffer_pkts=31)) != base
+        for name, value in OVERRIDES.items():
+            assert scenario_hash(TINY.with_overrides(**{name: value})) != base, name
+
+    @pytest.mark.parametrize("name", sorted(WATCHING))
+    def test_run_options_leave_the_key_alone(self, name, tmp_path):
+        # An instrumented rerun finds the plain run's journal entry.
+        assert {f.name for f in dataclasses.fields(RunOptions)} == set(WATCHING)
+        value = WATCHING[name]
+        if isinstance(value, str):
+            value = str(tmp_path / value)
+        extra = ({"trace_file": str(tmp_path / "t.jsonl")}
+                 if name == "trace_occupancy_interval_s" else {})
+        journal = RunJournal(tmp_path / "j")
+        request = RunRequest(key="k", scenario=TINY)
+        plain = execute_runs([request], journal=journal)
+        telemetry = RunTelemetry()
+        rerun = execute_runs([request], journal=journal, resume=True, telemetry=telemetry,
+                             options=RunOptions(**{name: value}, **extra))
+        assert telemetry.cells_resumed == 1
+        assert rerun["k"].fingerprint == plain["k"].fingerprint
+        assert [p.name for p in (tmp_path / "j").glob("*.json")] == [
+            scenario_hash(TINY) + ".json"]
 
     def test_key_is_pinned(self):
         # Journal keys are content addresses: a change to the hashed blob
@@ -287,11 +337,11 @@ class TestGracefulShutdown:
         calls = {"n": 0}
         real = parallel_mod.run_scenario
 
-        def flaky(scenario):
+        def flaky(scenario, options):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt
-            return real(scenario)
+            return real(scenario, options)
 
         monkeypatch.setattr(parallel_mod, "run_scenario", flaky)
         telemetry = RunTelemetry()
@@ -386,6 +436,34 @@ class TestReplay:
         out = capsys.readouterr().out
         assert code == 0
         assert "reproduced ValueError" in out
+
+    def test_legacy_entry_and_bundle_with_run_options_load(self, tmp_path, capsys):
+        # Entries and bundles written while the run options were Scenario
+        # fields carry them in their "scenario" payload.
+        def legacy(path):
+            data = json.loads(path.read_text())
+            data["scenario"].update(WATCHING, trace_file=str(tmp_path / "t_{seed}.jsonl"),
+                                    flight_recorder_dir=str(tmp_path / "flight"),
+                                    heartbeat_path=str(tmp_path / "hb.jsonl"))
+            path.write_text(json.dumps(data))
+            return data["scenario"]
+
+        journal = RunJournal(tmp_path / "j")
+        request = RunRequest(key="fine", scenario=TINY)
+        execute_runs([request], journal=journal)
+        assert scenario_from_json_dict(legacy(journal.entry_path(request))) == TINY
+        assert journal.lookup(request) is not None
+        assert cli_main(["jobs", str(tmp_path / "j")]) == 0
+
+        telemetry = RunTelemetry()
+        execute_runs([RunRequest(key="bad", scenario=RAISING)], max_retries=0,
+                     telemetry=telemetry, journal=journal)
+        bundle = Path(telemetry.failures[0].bundle)
+        assert scenario_from_json_dict(legacy(bundle)) == RAISING
+        capsys.readouterr()
+        assert cli_main(["replay", str(bundle)]) == 0
+        assert "reproduced ValueError" in capsys.readouterr().out
+        assert not (tmp_path / "flight").exists() and not (tmp_path / "hb.jsonl").exists()
 
     def test_replay_flags_non_reproducing_bundle(self, tmp_path, capsys):
         journal = RunJournal(tmp_path / "j")

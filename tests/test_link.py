@@ -442,7 +442,7 @@ class _SpanLog:
     def __init__(self):
         self.finished = []
 
-    def finish(self, span, status, t_end, where=None):
+    def end(self, span, status, t_end, where=None):
         self.finished.append((span.idx, status, t_end, where))
 
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import canonical_payload, run_scenario
+from repro.experiments.runner import RunOptions, canonical_payload, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.obs.counters import CounterRegistry
 from repro.obs.heartbeat import ExecutorHeartbeat, HeartbeatWriter
@@ -36,14 +36,6 @@ def _start_queries(network, scenario):
         response_bytes=scenario.response_bytes,
         transport=scenario.transport_config(), stop_at=scenario.duration_s,
     ).start()
-
-
-def _strip_obs(scenario):
-    """The same operating point with every obs knob back at its default."""
-    return scenario.with_overrides(
-        profile=False, heartbeat_interval_s=0.0, heartbeat_path=None,
-        trace_file=None, trace_occupancy_interval_s=0.0,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -223,22 +215,22 @@ class TestDropReport:
 # ----------------------------------------------------------------------
 class TestDeterminismUnderInstrumentation:
     def test_metrics_bit_identical_with_all_obs_on(self, tmp_path):
-        instrumented = TINY.with_overrides(
+        instrumented = RunOptions(
             profile=True,
             heartbeat_interval_s=0.001,
             heartbeat_path=str(tmp_path / "hb.jsonl"),
             trace_file=str(tmp_path / "run.trace.jsonl"),
             trace_occupancy_interval_s=0.002,
         )
-        plain = run_scenario(_strip_obs(instrumented))
-        traced = run_scenario(instrumented)
+        plain = run_scenario(TINY)
+        traced = run_scenario(TINY, instrumented)
         assert canonical_payload(plain) == canonical_payload(traced)
         assert traced.profile is not None
         assert (tmp_path / "hb.jsonl").exists()
         assert (tmp_path / "run.trace.jsonl").exists()
 
     def test_profile_categories_sum_to_event_count(self):
-        result = run_scenario(TINY.with_overrides(profile=True))
+        result = run_scenario(TINY, RunOptions(profile=True))
         profile = result.profile
         assert profile["total_events"] == result.events
         assert sum(c["events"] for c in profile["categories"].values()) == result.events
@@ -247,7 +239,7 @@ class TestDeterminismUnderInstrumentation:
 
     def test_merge_profiles(self):
         results = [
-            run_scenario(TINY.with_overrides(profile=True, seed=seed))
+            run_scenario(TINY.with_overrides(seed=seed), RunOptions(profile=True))
             for seed in (0, 1)
         ]
         merged = merge_profiles(r.profile for r in results)
@@ -260,8 +252,8 @@ class TestDeterminismUnderInstrumentation:
         # seeds must not drop it.
         from repro.experiments.runner import run_pooled
 
-        single = run_scenario(TINY.with_overrides(profile=True))
-        pooled = run_pooled(TINY.with_overrides(profile=True), seeds=(0, 1))
+        single = run_scenario(TINY, RunOptions(profile=True))
+        pooled = run_pooled(TINY, seeds=(0, 1), options=RunOptions(profile=True))
         assert pooled.profile["sample_stride"] == single.profile["sample_stride"]
         exact = dict(single.profile, sample_stride=1)
         assert merge_profiles([exact, exact])["sample_stride"] == 1
@@ -386,7 +378,7 @@ class TestProfilerAttribution:
 class TestHeartbeat:
     def test_sim_heartbeat_records(self, tmp_path):
         path = tmp_path / "hb.jsonl"
-        run_scenario(TINY.with_overrides(
+        run_scenario(TINY, RunOptions(
             heartbeat_interval_s=0.001, heartbeat_path=str(path),
         ))
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -401,11 +393,12 @@ class TestHeartbeat:
         from repro.experiments.runner import run_pooled
 
         run_pooled(
-            TINY.with_overrides(
+            TINY,
+            seeds=(0, 1),
+            options=RunOptions(
                 heartbeat_interval_s=0.001,
                 heartbeat_path=str(tmp_path / "hb_{seed}.jsonl"),
             ),
-            seeds=(0, 1),
         )
         assert (tmp_path / "hb_0.jsonl").exists()
         assert (tmp_path / "hb_1.jsonl").exists()
@@ -461,7 +454,7 @@ class TestHeartbeat:
 class TestTraceSchema:
     def test_every_record_validates(self, tmp_path):
         path = tmp_path / "run.trace.jsonl"
-        run_scenario(TINY.with_overrides(
+        run_scenario(TINY, RunOptions(
             trace_file=str(path), trace_occupancy_interval_s=0.005,
         ))
         records = list(read_trace(path))  # read_trace validates each line
@@ -512,7 +505,7 @@ class TestTraceSchema:
 
     def test_summary_round_trip(self, tmp_path):
         path = tmp_path / "run.trace.jsonl"
-        result = run_scenario(TINY.with_overrides(
+        result = run_scenario(TINY, RunOptions(
             trace_file=str(path), trace_occupancy_interval_s=0.005,
         ))
         summary = summarize_trace(path)
@@ -533,7 +526,7 @@ class TestTraceSchema:
         writer = TraceWriter(tmp_path / "t.jsonl").attach(network)
         _start_queries(network, TINY)
         network.run(until=0.3)
-        writer.close()
+        writer.finish()
         traced = sum(1 for _ in read_trace(tmp_path / "t.jsonl", kind="detour"))
         assert traced == len(anatomy.detour_events)
         assert traced > 0
@@ -552,7 +545,7 @@ class TestTraceSchema:
         anatomy = DetourTrace(network)
         _start_queries(network, scenario)
         network.run(until=0.3)
-        writer.close()
+        writer.finish()
         total = network.counters().total_detours()
         assert total > 0
         assert sum(1 for _ in read_trace(tmp_path / "t.jsonl", kind="detour")) == total
@@ -613,11 +606,10 @@ class TestWriteArtifacts:
         from repro.metrics.export import write_artifacts
 
         trace = tmp_path / "run.trace.jsonl"
-        result = run_scenario(TINY.with_overrides(
-            profile=True, trace_file=str(trace),
-        ))
+        options = RunOptions(profile=True, trace_file=str(trace))
+        result = run_scenario(TINY, options)
         out = tmp_path / "bundle"
-        written = write_artifacts(result, out)
+        written = write_artifacts(result, out, options=options)
         names = {p.name for p in written.values()}
         assert names >= {"result.json", "flows.csv", "queries.csv",
                          "profile.json", "run.trace.jsonl", "manifest.json"}
@@ -642,11 +634,9 @@ class TestWriteArtifacts:
         from repro.experiments.runner import run_pooled
         from repro.metrics.export import write_artifacts
 
-        scenario = TINY.with_overrides(
-            trace_file=str(tmp_path / "t_{seed}.jsonl"),
-        )
-        result = run_pooled(scenario, seeds=(0, 1))
-        written = write_artifacts(result, tmp_path / "bundle")
+        options = RunOptions(trace_file=str(tmp_path / "t_{seed}.jsonl"))
+        result = run_pooled(TINY, seeds=(0, 1), options=options)
+        written = write_artifacts(result, tmp_path / "bundle", options=options)
         names = {p.name for p in written.values()}
         assert {"t_0.jsonl", "t_1.jsonl"} <= names
         # Pooled serial results keep a merged collector, so CSVs exist too.

@@ -163,6 +163,15 @@ class TestSpool:
         assert [r["scenario"].seed for r in records] == [0, 1]
         assert records[0]["scenario"] == TINY  # a real Scenario again
 
+    def test_spool_written_with_run_option_fields_still_loads(self, tmp_path):
+        # Spools from before the run options left Scenario carry them.
+        store = JobStore()
+        path = write_spool(tmp_path / "spool.json", [store.create("t", 0, TINY)])
+        payload = json.loads(path.read_text())
+        payload["jobs"][0]["scenario"].update(profile=True, trace_file="t.jsonl")
+        path.write_text(json.dumps(payload))
+        assert [r["scenario"] for r in read_spool(path)] == [TINY]
+
     def test_torn_or_missing_spool_reads_empty(self, tmp_path):
         assert read_spool(tmp_path / "absent.json") == []
         torn = tmp_path / "torn.json"
@@ -574,6 +583,29 @@ class TestHttpApi:
                 await server.stop()
 
         asyncio.run(scenario_flow())
+
+    def test_run_options_are_refused(self, tmp_path):
+        # Output paths are how a run is watched, not part of a scenario: a
+        # tenant must not get the server to write files where it names.
+        async def scenario_flow():
+            server = build_server(tmp_path / "state", workers=1, rate_per_s=1000,
+                                  burst=100, max_queued=50)
+            server.scheduler.start()
+            await server.start()
+            port = server.bound_port
+            try:
+                for field, target in (("trace_file", "t.jsonl"),
+                                      ("flight_recorder_dir", "flight"),
+                                      ("heartbeat_path", "hb.jsonl")):
+                    st, _, body = await _http(port, "POST", "/jobs", self._tiny_body(
+                        scenario={field: str(tmp_path / target)}))
+                    assert st == 400 and field in body["error"], (field, st, body)
+            finally:
+                await server.stop()
+            server.scheduler.drain(timeout_s=10)
+
+        asyncio.run(scenario_flow())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state"]
 
     def test_scenario_from_submission_validates(self):
         scenario = scenario_from_submission(
