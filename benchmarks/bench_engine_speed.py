@@ -25,12 +25,16 @@ Determinism is checked on the *scaled* K=4 fig07 cell (fast enough to
 run several times per invocation); ``--full`` extends the same
 engine-A/A identity check to the K=8 workload.
 
-The "before" arm is the real before: ``HeapScheduler`` (the reference
-heapq engine preserved in `repro.sim.engine_heap`) with tx-done elision
-disabled (``REPRO_ELIDE_TX=0``), i.e. the seed engine's behaviour.
-Events/s is computed over *logical* events — dispatched plus elided
-tx-dones — which both engines count identically, so the two arms divide
-the same numerator.
+The "before" arm is the real before: the seed engine (a binary heap,
+every tx-done dispatched) as it stood at the last commit that had it.
+``BENCH_engine.json``'s ``before_arm`` names that commit, the
+environment that selected the seed engine there, and its scheduler
+class.  Each invocation exports that commit's ``src/`` with
+``git archive`` into a temporary directory and runs the before arm's
+samples on the export; a checkout without that commit (a shallow clone)
+fails, naming it, rather than skipping the arm.  Events/s is computed
+over *logical* events — dispatched plus elided tx-dones — which both
+arms count identically, so the two arms divide the same numerator.
 
 Every timed sample runs in a **fresh subprocess**: repeated runs inside
 one interpreter inherit allocator fragmentation and GC pressure from
@@ -44,10 +48,10 @@ Determinism (always checked, and enforced under ``--check``):
 
 * **engine A/A** — the fig07 scenario's canonical metrics (everything
   except wall time and instrumentation payloads) must be byte-identical
-  between the calendar and heap engines for the same seed;
+  between this tree and the seed engine for the same seed;
 * **serial == parallel** — ``run_pooled`` over two seeds with
   ``workers=1`` and ``workers=2`` must pool to byte-identical metrics,
-  and both must match the heap engine's serial pooled result.
+  and both must match the seed engine's serial pooled result.
 
 ``--check`` additionally gates speed: the live calendar/heap fig07
 events/s *ratio* is compared against the ratio recorded in
@@ -71,22 +75,26 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
 from repro.experiments import PAPER_DEFAULTS, SCALED_DEFAULTS
 from repro.experiments.report import format_table
 from repro.experiments.runner import fingerprint, run_pooled, run_scenario
-from repro.sim.engine import Scheduler
-from repro.sim.engine_heap import HeapScheduler
 
 import common
 
-BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
+BENCH_DIR = Path(__file__).resolve().parent
+REPO_ROOT = BENCH_DIR.parent
+BASELINE_PATH = BENCH_DIR / "BENCH_engine.json"
 
 RAW_EVENTS = 200_000
 _CHAIN_ACTORS = 64
@@ -111,37 +119,45 @@ FIG07_CELL = SCALED_DEFAULTS.with_overrides(
     duration_s=0.2, drain_s=0.5,
 )
 
-_ENGINES = {"calendar": Scheduler, "heap": HeapScheduler}
+# The after arm: this tree's engine.
+AFTER_SCHEDULER = "repro.sim.engine:Scheduler"
 
 
-class _engine_env:
-    """Context manager pinning REPRO_ENGINE / REPRO_ELIDE_TX.
+def _before_arm() -> dict:
+    """The seed engine's commit, the environment that selected it there,
+    and its scheduler class (``module:Class``), from BENCH_engine.json."""
+    return json.loads(BASELINE_PATH.read_text())["before_arm"]
 
-    The heap arm runs with elision off: that is the seed engine exactly.
-    Environment variables propagate to pooled worker processes, so the
-    same pin covers the parallel arms.
-    """
 
-    def __init__(self, engine: str):
-        self._env = {
-            "REPRO_ENGINE": engine,
-            "REPRO_ELIDE_TX": "0" if engine == "heap" else "1",
-        }
-        self._saved: dict = {}
+def _export_before(into: str) -> str:
+    """Export the before arm's commit's ``src/`` under ``into`` with
+    ``git archive``; returns the exported ``src`` path.  Raises
+    RuntimeError naming the commit when it cannot be exported."""
+    commit = _before_arm()["commit"]
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(REPO_ROOT), "archive", "--format=tar", commit, "src"],
+            capture_output=True, check=False)
+    except OSError as exc:
+        raise RuntimeError(f"cannot export seed-engine commit {commit}: {exc}") from exc
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"cannot export seed-engine commit {commit} with git archive "
+            f"({proc.stderr.decode().strip()}); the before arm needs a git "
+            f"checkout holding that commit (a shallow clone does not)")
+    with tarfile.open(fileobj=io.BytesIO(proc.stdout)) as tar:
+        tar.extractall(into)
+    return os.path.join(into, "src")
 
-    def __enter__(self):
-        for key, value in self._env.items():
-            self._saved[key] = os.environ.get(key)
-            os.environ[key] = value
-        return self
 
-    def __exit__(self, *exc):
-        for key, prev in self._saved.items():
-            if prev is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = prev
-        return False
+def _arms(before_src: str) -> dict:
+    """Arm name -> the ``src`` tree its samples import, the environment
+    they run under, and the scheduler class the raw chain drives."""
+    before = _before_arm()
+    return {
+        "heap": {"src": before_src, "env": before["env"], "scheduler": before["scheduler"]},
+        "calendar": {"src": str(REPO_ROOT / "src"), "env": {}, "scheduler": AFTER_SCHEDULER},
+    }
 
 
 def _raw_chain(make_sched) -> float:
@@ -173,56 +189,64 @@ def _raw_chain(make_sched) -> float:
     return elapsed
 
 
-def _fig07_run(engine: str):
+def _fig07_run():
     """(run_loop_seconds, logical_events) for one K=8 fig07 run.
 
     The denominator is the event-loop wall alone: building a 128-host
     fat-tree is a fixed cost identical in both arms, and folding it into
     the divisor dilutes exactly the ratio this benchmark measures.
     """
-    with _engine_env(engine):
-        result = run_scenario(FIG07_FULL)
+    result = run_scenario(FIG07_FULL)
     return result.run_loop_seconds, result.events
 
 
-def _worker_main(workload: str, engine: str) -> int:
-    """Timed-sample subprocess entry point: print one JSON record."""
+def _worker_main(workload: str, scheduler: str) -> int:
+    """Sample subprocess entry point: print one JSON record.  Runs on
+    whichever ``src`` tree and environment the parent gave it."""
     if workload == "raw":
-        wall = _raw_chain(_ENGINES[engine])
+        module, _, name = scheduler.partition(":")
+        wall = _raw_chain(getattr(importlib.import_module(module), name))
         payload = {"wall": wall, "events": RAW_EVENTS}
-    else:
-        wall, events = _fig07_run(engine)
+    elif workload == "fig07":
+        wall, events = _fig07_run()
         payload = {"wall": wall, "events": events}
+    elif workload == "identity":
+        payload = {
+            "cell": fingerprint(run_scenario(FIG07_CELL)),
+            "pooled": fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1)),
+        }
+    else:  # "identity-full"
+        payload = {"full": fingerprint(run_scenario(FIG07_FULL))}
     print(json.dumps(payload))
     return 0
 
 
-def _child_env() -> dict:
-    """This environment with every ``PYTHONPATH`` entry made absolute and
-    the repo's ``src`` appended: the sample runs from ``benchmarks/``,
-    where a relative entry such as ``PYTHONPATH=src`` would miss."""
-    entries = [os.path.abspath(entry)
-               for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-    entries.append(str(Path(__file__).resolve().parent.parent / "src"))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+def _child_env(arm: dict) -> dict:
+    """This environment plus the arm's variables, with the arm's ``src``
+    first on ``PYTHONPATH`` and every other entry made absolute (the
+    sample runs from ``benchmarks/``, where a relative entry such as
+    ``PYTHONPATH=src`` would miss)."""
+    entries = [arm["src"]] + [
+        os.path.abspath(entry)
+        for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    return dict(os.environ, **arm["env"], PYTHONPATH=os.pathsep.join(entries))
 
 
-def _sample(workload: str, engine: str) -> dict:
-    """Run one timed sample in a fresh interpreter (see module docstring)."""
+def _sample(workload: str, arm: dict) -> dict:
+    """Run one sample in a fresh interpreter (see module docstring)."""
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__),
-         "--worker", workload, "--engine", engine],
+         "--worker", workload, "--scheduler", arm["scheduler"]],
         capture_output=True, text=True, check=False,
-        cwd=os.path.dirname(os.path.abspath(__file__)),
-        env=_child_env(),
+        cwd=BENCH_DIR, env=_child_env(arm),
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"{workload}/{engine} sample failed:\n{proc.stderr.strip()}")
+            f"{workload} sample on {arm['src']} failed:\n{proc.stderr.strip()}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure(rounds: int = 3) -> dict:
+def measure(arms: dict, rounds: int = 3) -> dict:
     """Best-of-`rounds` subprocess measurements, arms interleaved."""
     samples = {"raw": {"heap": [], "calendar": []},
                "fig07": {"heap": [], "calendar": []}}
@@ -230,7 +254,7 @@ def measure(rounds: int = 3) -> dict:
     for _ in range(rounds):
         for workload in ("raw", "fig07"):
             for engine in ("heap", "calendar"):
-                record = _sample(workload, engine)
+                record = _sample(workload, arms[engine])
                 samples[workload][engine].append(record["wall"])
                 events[workload][engine] = record["events"]
     out = {}
@@ -251,39 +275,30 @@ def measure(rounds: int = 3) -> dict:
     return out
 
 
-def _determinism_failures() -> list[str]:
-    """A/A and serial-vs-parallel identity checks on the scaled cell."""
+def _determinism_failures(arms: dict) -> list[str]:
+    """A/A and serial-vs-parallel identity checks on the scaled cell:
+    this tree in-process, the seed engine in a sample subprocess."""
     failures = []
-    with _engine_env("calendar"):
-        cal = fingerprint(run_scenario(FIG07_CELL))
-    with _engine_env("heap"):
-        heap = fingerprint(run_scenario(FIG07_CELL))
-    if cal != heap:
-        failures.append("fig07 metrics differ between calendar and heap engines (seed fixed)")
-    with _engine_env("calendar"):
-        serial = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
-        parallel = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=2))
-    with _engine_env("heap"):
-        heap_serial = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
+    seed = _sample("identity", arms["heap"])
+    if fingerprint(run_scenario(FIG07_CELL)) != seed["cell"]:
+        failures.append("fig07 metrics differ between the calendar and seed engines (seed fixed)")
+    serial = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=1))
+    parallel = fingerprint(run_pooled(FIG07_CELL, seeds=(0, 1), workers=2))
     if serial != parallel:
         failures.append("pooled fig07 metrics differ between workers=1 and workers=2 (calendar)")
-    if serial != heap_serial:
-        failures.append("pooled fig07 metrics differ between calendar and heap engines")
+    if serial != seed["pooled"]:
+        failures.append("pooled fig07 metrics differ between the calendar and seed engines")
     return failures
 
 
-def _full_smoke() -> tuple[dict, list[str]]:
+def _full_smoke(arms: dict) -> tuple[dict, list[str]]:
     """K=8 / 128-host smoke: calendar throughput plus the engine A/A
     identity check at paper scale (the quick checks only cover K=4)."""
     failures = []
-    with _engine_env("calendar"):
-        result = run_scenario(FIG07_FULL)
-        cal = fingerprint(result)
-    with _engine_env("heap"):
-        heap = fingerprint(run_scenario(FIG07_FULL))
-    if cal != heap:
+    result = run_scenario(FIG07_FULL)
+    if fingerprint(result) != _sample("identity-full", arms["heap"])["full"]:
         failures.append(
-            "K=8 fig07 metrics differ between calendar and heap engines (seed fixed)")
+            "K=8 fig07 metrics differ between the calendar and seed engines (seed fixed)")
     return {
         "events": result.events,
         "wall_s": round(result.run_loop_seconds, 2),
@@ -306,6 +321,7 @@ def _baseline_payload(measured: dict) -> dict:
         "speedup_raw_chain": measured["speedup_raw_chain"],
         "speedup_fig07": measured["speedup_fig07"],
         "regression_tolerance": REGRESSION_TOLERANCE,
+        "before_arm": _before_arm(),
         "note": ("events/s divides logical events (dispatched + elided "
                  "tx-dones; identical across engines) by wall seconds. "
                  "--check compares speedup ratios, not absolute events/s: "
@@ -313,10 +329,10 @@ def _baseline_payload(measured: dict) -> dict:
     }
 
 
-def run(full: bool = False, rounds: int = 3) -> tuple[str, list[str]]:
+def run(arms: dict, full: bool = False, rounds: int = 3) -> tuple[str, list[str]]:
     """Return the report text and a list of failures (empty = pass)."""
-    failures = _determinism_failures()
-    measured = measure(rounds=rounds)
+    failures = _determinism_failures(arms)
+    measured = measure(arms, rounds=rounds)
 
     rows = []
     for engine in ("heap", "calendar"):
@@ -356,7 +372,7 @@ def run(full: bool = False, rounds: int = 3) -> tuple[str, list[str]]:
         text += "\nno BENCH_engine.json baseline committed — speed gate skipped"
 
     if full:
-        smoke, smoke_failures = _full_smoke()
+        smoke, smoke_failures = _full_smoke(arms)
         failures.extend(smoke_failures)
         text += (
             f"\nK=8 smoke (128 hosts, calendar): {smoke['events']:,} events "
@@ -379,32 +395,35 @@ def main() -> int:
                              "print the table without saving it")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite BENCH_engine.json from this run's measurements")
-    parser.add_argument("--worker", choices=("raw", "fig07"),
-                        help=argparse.SUPPRESS)  # internal: one timed sample
-    parser.add_argument("--engine", choices=tuple(_ENGINES),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--worker", choices=("raw", "fig07", "identity", "identity-full"),
+                        help=argparse.SUPPRESS)  # internal: one sample
+    parser.add_argument("--scheduler", default=AFTER_SCHEDULER,
+                        help=argparse.SUPPRESS)  # internal: the raw chain's class
     args = parser.parse_args()
 
     if args.worker:
-        if not args.engine:
-            parser.error("--worker requires --engine")
-        with _engine_env(args.engine):
-            return _worker_main(args.worker, args.engine)
+        return _worker_main(args.worker, args.scheduler)
 
-    if args.update_baseline:
-        failures = _determinism_failures()
-        if failures:
-            for failure in failures:
-                print(f"REFUSING BASELINE UPDATE: {failure}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="seed-engine-") as tmp:
+        try:
+            arms = _arms(_export_before(tmp))
+        except RuntimeError as exc:
+            print(f"CHECK FAILED: {exc}", file=sys.stderr)
             return 1
-        measured = measure(rounds=args.rounds)
-        BASELINE_PATH.write_text(
-            json.dumps(_baseline_payload(measured), indent=2) + "\n")
-        print(f"wrote {BASELINE_PATH}")
-        print(json.dumps(measured, indent=2))
-        return 0
+        if args.update_baseline:
+            failures = _determinism_failures(arms)
+            if failures:
+                for failure in failures:
+                    print(f"REFUSING BASELINE UPDATE: {failure}", file=sys.stderr)
+                return 1
+            measured = measure(arms, rounds=args.rounds)
+            BASELINE_PATH.write_text(
+                json.dumps(_baseline_payload(measured), indent=2) + "\n")
+            print(f"wrote {BASELINE_PATH}")
+            print(json.dumps(measured, indent=2))
+            return 0
+        text, failures = run(arms, full=args.full, rounds=args.rounds)
 
-    text, failures = run(full=args.full, rounds=args.rounds)
     if not args.check:
         # A gate run prints its table; only a measurement run rewrites
         # the committed benchmarks/results/bench_engine_speed.txt.

@@ -6,10 +6,11 @@ measured (and, with ``--check``, enforced):
 1. **Off-mode is free.**  The current plain run loop is compared against
    an in-repo replica of the pre-observability loop (binary heap, same
    Event objects, no hook/settle support) on a no-op event calendar.
-   The replica runs on `HeapScheduler` — the reference heap engine kept
-   in `repro.sim.engine_heap` — because the default engine no longer
-   carries a `_heap` at all (it is a calendar queue; see
-   `repro.sim.engine`).  Gate: slowdown <= 2%.  Since the calendar
+   The replica runs on `_HeapCalendar`, a minimal heapq calendar defined
+   here (events ordered by ``(time, seq)`` with a Python comparison, as
+   the engine's heap once was), because the default engine has no heap
+   at all (it is a calendar queue; see `repro.sim.engine`).  Gate:
+   slowdown <= 2%.  Since the calendar
    engine is *faster* than the heap replica, the gate now passes with
    margin; it remains in place to catch an obs feature re-introducing
    per-event cost.
@@ -71,8 +72,7 @@ from repro.experiments.runner import RunOptions, canonical_payload, run_scenario
 from repro.experiments.scenarios import SCALED_DEFAULTS
 from repro.net.network import Network, SwitchQueueConfig
 from repro.obs.profiler import SchedulerProfiler
-from repro.sim.engine import Scheduler
-from repro.sim.engine_heap import HeapScheduler
+from repro.sim.engine import Event, Scheduler
 from repro.topo import fat_tree
 
 import common
@@ -120,12 +120,40 @@ def _noop():
 
 
 # ----------------------------------------------------------------------
-# arm 0: the pre-observability run loop, replicated on today's Scheduler
+# arm 0: the pre-observability run loop, replicated on a heap calendar
 # ----------------------------------------------------------------------
-def _legacy_run(sched: HeapScheduler, until=None, max_events=None) -> int:
+class _HeapEvent(Event):
+    """An engine event ordered by ``(time, seq)`` for heapq, with the
+    pure-Python comparison the heap engine's events had."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: "_HeapEvent") -> bool:
+        if self.time != other.time:
+            return self.time < other.time
+        return self.seq < other.seq
+
+
+class _HeapCalendar:
+    """Just enough of a heapq scheduler for the replica loop below."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list = []
+        self._seq = 0
+        self._events_processed = 0
+
+    def schedule_at(self, time: float, fn, *args) -> _HeapEvent:
+        ev = _HeapEvent(time, self._seq, fn, args, self)
+        self._seq += 1
+        heapq.heappush(self._heap, ev)
+        return ev
+
+
+def _legacy_run(sched: _HeapCalendar, until=None, max_events=None) -> int:
     """The run loop as it was before hooks/profiling/settling existed,
-    operating on a HeapScheduler's heap (the default engine is now a
-    calendar queue with no ``_heap``).  This is the in-repo baseline the
+    operating on a heap calendar (the default engine is now a calendar
+    queue with no ``_heap``).  This is the in-repo baseline the
     off-mode gate compares against — measured fresh on the same machine
     and Python, so the comparison survives hardware changes where a
     stored number would not."""
@@ -453,7 +481,7 @@ def run(full: bool = False, rounds: int = 5) -> tuple[str, list[str]]:
 
 
 def _raw_calendar_legacy() -> float:
-    return _raw_calendar(_legacy_run, make_sched=HeapScheduler)
+    return _raw_calendar(_legacy_run, make_sched=_HeapCalendar)
 
 
 def _raw_calendar_current() -> float:

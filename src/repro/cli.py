@@ -276,10 +276,11 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--heartbeat-path", default=None, dest="heartbeat_path",
                         metavar="FILE",
                         help="append heartbeat records to FILE instead of stderr "
-                             "('{seed}' expands per seed)")
+                             "('{seed}' expands per seed, '{cell}' per sweep cell)")
     parser.add_argument("--trace-file", default=None, dest="trace_file", metavar="FILE",
                         help="record a structured JSONL event trace to FILE "
-                             "('{seed}' expands per seed); inspect with "
+                             "('{seed}' expands per seed, '{cell}' per sweep cell); "
+                             "inspect with "
                              "'repro trace FILE'")
     parser.add_argument("--spans", action="store_true",
                         help="sample per-packet spans at the default 1/64 rate "
@@ -289,7 +290,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         metavar="DIR",
                         help="keep a ring of recent events and dump it into DIR "
                              "on watchdog/invariant aborts and breaker trips "
-                             "('{seed}' expands per seed)")
+                             "('{seed}' expands per seed, '{cell}' per sweep cell)")
 
 
 def _add_parallel_args(parser: argparse.ArgumentParser) -> None:

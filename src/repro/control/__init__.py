@@ -14,7 +14,7 @@ detour-storm circuit breaker that temporarily disables detouring (fall
 back to plain drop) when the windowed detour rate explodes, re-arming
 after a cooldown.  Every decision derives from counters plus simulated
 time — never wall clock — so controlled runs stay bit-identical across
-engines, worker processes, and ``--resume`` replays.
+worker processes and ``--resume`` replays.
 """
 
 from repro._exports import export_lazily

@@ -20,8 +20,7 @@ event calendar is byte-identical with the controller installed or not
 
 Every input is a counter delta or the simulated clock; every random-free
 decision is a pure function of those.  Controlled runs therefore stay
-bit-identical serial vs parallel, across both engines, and across
-``--resume`` replays.
+bit-identical serial vs parallel and across ``--resume`` replays.
 
 Counters are exported under the ``controller`` scope of
 ``Network.counters()`` (so traces and telemetry capture retunes and

@@ -32,10 +32,11 @@ class ControllerSpec:
     """Policy knobs of the closed control loop (all simulated-time/event
     units; nothing here reads a wall clock)."""
 
-    # Run-loop hook cadence: one controller tick per this many processed
-    # events.  Event-count cadence never perturbs the event calendar, and
-    # the dispatched-event stream is identical under both engines, so the
-    # tick times are deterministic.
+    # Run-loop hook cadence: one controller tick per this many dispatched
+    # events (elided tx-dones are not dispatched, so they do not count).
+    # Event-count cadence never perturbs the event calendar, and the
+    # dispatched-event stream is a function of the seed, so the tick times
+    # are deterministic.
     cadence_events: int = 2_000
 
     # --- detour-storm circuit breaker (per switch) ---------------------

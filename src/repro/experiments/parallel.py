@@ -170,6 +170,7 @@ class RunTelemetry:
     interrupted: bool = False
     cells_resumed: int = 0
     cells_journaled: int = 0
+    resumed_keys: list = field(default_factory=list)  # journal keys, in resume order
 
     # ------------------------------------------------------------------
     @property
@@ -208,10 +209,11 @@ class RunTelemetry:
         self.failure_counts[reason] = self.failure_counts.get(reason, 0) + 1
         self.failures.append(RunFailure(key=key, attempts=attempts, reason=reason, bundle=bundle))
 
-    def record_resumed(self, key: Hashable) -> None:
+    def record_resumed(self, key: Hashable, journal_key: str) -> None:
         """A cell satisfied from the journal: completed without execution."""
         self.runs_completed += 1
         self.cells_resumed += 1
+        self.resumed_keys.append(journal_key)
 
     def as_dict(self) -> dict:
         """Plain-builtin view for JSON export (see ``metrics.export``)."""
@@ -236,6 +238,7 @@ class RunTelemetry:
             "interrupted": self.interrupted,
             "cells_resumed": self.cells_resumed,
             "cells_journaled": self.cells_journaled,
+            "resumed_keys": list(self.resumed_keys),
         }
 
     def summary(self) -> str:
@@ -833,8 +836,10 @@ def _drive(pool, settler: Settler, requests, timeout_s, progress, telemetry,
             if verdict.action == "launch":
                 launched[pool.launch(cell.request, cell.attempt, cell.timeout_s)] = cell
             elif verdict.action == "resumed":
+                from repro.experiments.journal import scenario_hash
+
                 results[cell.request.key] = verdict.result
-                telemetry.record_resumed(cell.request.key)
+                telemetry.record_resumed(cell.request.key, scenario_hash(cell.request.scenario))
                 report(cell.request.key, "resumed", 0, 0.0, verdict.result.events)
             else:  # parked behind a peer's claim
                 pending.append(cell)
@@ -900,11 +905,13 @@ def run_grid(
     and reloaded before the merge — the merge itself always runs over the
     full seed-ordered set, so a resumed grid is bit-identical to an
     uninterrupted one.  ``options`` that would run several seeds into one
-    trace file raise ``ValueError`` before any run starts.
+    trace file, or several cells into one output path, raise
+    ``ValueError`` before any run starts.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     options.check_seeds(seeds)
+    options.check_cells(len(cells))
     requests = [
         RunRequest(key=(cell_key, seed), scenario=scenario.with_overrides(seed=seed))
         for cell_key, scenario in cells.items()

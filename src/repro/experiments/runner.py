@@ -39,8 +39,10 @@ class RunOptions:
     None of these perturbs the event calendar: identical seeds give
     bit-identical metrics with them on or off (``wall_seconds`` and the
     profile payload excepted), so none is part of a run's journal key
-    (:func:`repro.experiments.journal.scenario_hash`).  ``"{seed}"`` in a
-    path expands to the run's seed.
+    (:func:`repro.experiments.journal.scenario_hash`).  In a path,
+    ``"{seed}"`` expands to the run's seed and ``"{cell}"`` to the first
+    12 hex digits of the run's journal key, which differ between the
+    cells of a sweep and are the same when ``--resume`` reruns one.
     """
 
     profile: bool = False  # per-category scheduler profiling
@@ -64,11 +66,22 @@ class RunOptions:
     def check_seeds(self, seeds: Sequence[int]) -> None:
         """Refuse to run several seeds into one trace file: it is opened
         for writing, so only the last seed's trace would survive (and under
-        ``--workers`` two seeds would write it at once)."""
-        if self.trace_file and "{seed}" not in self.trace_file and len(set(seeds)) > 1:
-            raise ValueError(
-                f"trace file {self.trace_file!r} would keep only the last of "
-                f"{len(set(seeds))} seeds; put '{{seed}}' in its path")
+        ``--workers`` two seeds would write it at once).  ``{cell}`` also
+        tells seeds apart (the seed is part of the journal key)."""
+        path = self.trace_file
+        if path and "{seed}" not in path and "{cell}" not in path and len(set(seeds)) > 1:
+            raise ValueError(f"trace file {path!r} would keep only the last of "
+                             f"{len(set(seeds))} seeds; put '{{seed}}' in its path")
+
+    def check_cells(self, cells: int) -> None:
+        """Refuse to run several grid cells into one output path: the cells
+        of a sweep share their seeds, so ``{seed}`` cannot tell them apart
+        and each cell would overwrite the last one's output."""
+        paths = (self.trace_file, self.heartbeat_path, self.flight_recorder_dir)
+        shared = [path for path in paths if path and "{cell}" not in path]
+        if cells > 1 and shared:
+            raise ValueError(f"output path {shared[0]!r} would be shared by {cells} "
+                             f"grid cells; put '{{cell}}' in its path")
 
 
 NO_OPTIONS = RunOptions()
@@ -184,7 +197,7 @@ class ExperimentResult:
         }
 
 
-def _recover_spans(options: RunOptions, seeds) -> Optional[list]:
+def _recover_spans(options: RunOptions, scenario: Scenario, seeds) -> Optional[list]:
     """Reload sampled spans from per-seed trace files.
 
     Results that crossed a process boundary (``--workers``, journal
@@ -201,20 +214,24 @@ def _recover_spans(options: RunOptions, seeds) -> Optional[list]:
 
     records: list = []
     for seed in seeds:
+        path = _expand_path(options.trace_file, scenario.with_overrides(seed=seed))
         try:
-            records.extend(read_trace(_expand_seed(options.trace_file, seed), kind="span"))
+            records.extend(read_trace(path, kind="span"))
         except FileNotFoundError:
             return None
     return records
 
 
-def _expand_seed(path: Optional[str], seed: int) -> Optional[str]:
-    """Expand the ``{seed}`` placeholder in an output path, so per-seed
-    runs of one scenario (serial or across workers) don't clobber each
-    other's heartbeat/trace files."""
+def _expand_path(path: Optional[str], scenario: Scenario) -> Optional[str]:
+    """Expand ``{seed}`` and ``{cell}`` (see :class:`RunOptions`) in one
+    run's heartbeat, trace or flight-recorder path."""
     if path is None:
         return None
-    return path.replace("{seed}", str(seed))
+    if "{cell}" in path:
+        from repro.experiments.journal import scenario_hash
+
+        path = path.replace("{cell}", scenario_hash(scenario)[:12])
+    return path.replace("{seed}", str(scenario.seed))
 
 
 def attach_instruments(network, scenario: Scenario, options: RunOptions, transport):
@@ -239,13 +256,13 @@ def attach_instruments(network, scenario: Scenario, options: RunOptions, transpo
     if options.trace_file:
         from repro.obs.trace import TraceWriter
 
-        tracer = TraceWriter(_expand_seed(options.trace_file, seed), label=label, seed=seed,
+        tracer = TraceWriter(_expand_path(options.trace_file, scenario), label=label, seed=seed,
                              occupancy_interval_s=options.trace_occupancy_interval_s)
         instruments.append(tracer.attach(network))
     if options.flight_recorder_dir:
         from repro.obs.forensics import FlightRecorder
 
-        flight = FlightRecorder(network, _expand_seed(options.flight_recorder_dir, seed),
+        flight = FlightRecorder(network, _expand_path(options.flight_recorder_dir, scenario),
                                 label=label, seed=seed)
         instruments.append(flight.install())
     if scenario.timeseries_interval_s > 0:
@@ -269,7 +286,7 @@ def attach_instruments(network, scenario: Scenario, options: RunOptions, transpo
     if options.heartbeat_interval_s > 0:
         from repro.obs.heartbeat import HeartbeatWriter, SimHeartbeat
 
-        writer = HeartbeatWriter(_expand_seed(options.heartbeat_path, seed))
+        writer = HeartbeatWriter(_expand_path(options.heartbeat_path, scenario))
         instruments.append(SimHeartbeat(
             writer, options.heartbeat_interval_s, label=label, seed=seed,
             controller=controller).install(network.scheduler))
@@ -606,7 +623,7 @@ def run_pooled(
             reasons = "; ".join(f.reason for f in telemetry.failures) or "unknown"
             raise RuntimeError(f"every seed run failed for {scenario.name!r}: {reasons}")
         if merged.span_records is None:
-            merged.span_records = _recover_spans(options, seeds)
+            merged.span_records = _recover_spans(options, scenario, seeds)
         return merged
     results = [
         run_scenario(scenario.with_overrides(seed=seed), options)

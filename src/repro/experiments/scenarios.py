@@ -42,7 +42,7 @@ from repro.experiments.schemes import (
     available_schemes,
     get_scheme,
 )
-from repro.sim.engine import make_scheduler
+from repro.sim.engine import Scheduler
 from repro.topo import click_testbed, fat_tree, jellyfish, leaf_spine, linear
 from repro.transport.base import TcpConfig
 from repro.transport.pfabric import PFabricConfig
@@ -225,7 +225,7 @@ class Scenario:
             switch_queues=self.switch_queue_config(),
             dibs=self.dibs_config(),
             seed=self.seed,
-            scheduler=make_scheduler(max_pending_events=self.max_pending_events),
+            scheduler=Scheduler(max_pending_events=self.max_pending_events),
             link_jitter_s=self.link_jitter_s,
         )
 

@@ -199,19 +199,23 @@ def write_artifacts(
     ===================  ==============================================
 
     ``options`` are the :class:`~repro.experiments.runner.RunOptions` the
-    run was watched with: its ``trace_file`` is copied (a ``{seed}``
-    placeholder matches every per-seed file), and spans a result that
-    crossed a process boundary no longer holds are read back from it.
-    A cell resumed from a journal wrote no trace, so there may be none
-    to copy (the manifest says so).  Results that
-    crossed a process boundary carry no collector, so their CSVs are
-    skipped (the manifest says so).  Returns ``{artifact: path}`` for
-    everything written.
+    run was watched with: its ``trace_file`` is copied (a ``{seed}`` or
+    ``{cell}`` placeholder matches every per-run file), and spans a
+    result that crossed a process boundary no longer holds are read back
+    from it.  Results that crossed a process boundary carry no collector,
+    so their CSVs are skipped (the manifest says so).  A cell resumed from
+    a journal did not run, so it left no trace, spans or per-flow
+    records: the manifest lists the resumed journal keys, and when every
+    cell was resumed it gives that as the reason for each missing
+    artifact.  Returns ``{artifact: path}`` for everything written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     skipped: dict[str, str] = {}
+    resumed = list(telemetry.resumed_keys) if telemetry is not None else []
+    none_ran = bool(resumed) and telemetry.runs_completed == len(resumed)
+    not_run = "every cell was resumed from the journal: none ran, so none left output"
 
     written["result"] = export_result_json(result, out / "result.json")
 
@@ -220,7 +224,7 @@ def write_artifacts(
         written["flows"] = write_flows_csv(collector, out / "flows.csv")
         written["queries"] = write_queries_csv(collector, out / "queries.csv")
     else:
-        skipped["flows"] = skipped["queries"] = (
+        skipped["flows"] = skipped["queries"] = not_run if none_ran else (
             "no collector on this result (it crossed a process boundary)"
         )
 
@@ -234,9 +238,9 @@ def write_artifacts(
 
     trace_file = options.trace_file if options is not None else None
     if trace_file:
-        matches = sorted(_glob.glob(trace_file.replace("{seed}", "*")))
+        matches = sorted(_glob.glob(trace_file.replace("{seed}", "*").replace("{cell}", "*")))
         if not matches:
-            skipped["trace"] = f"no trace file matching {trace_file!r}"
+            skipped["trace"] = not_run if none_ran else f"no trace file matching {trace_file!r}"
         for i, src in enumerate(matches):
             dst = out / Path(src).name
             if dst.resolve() != Path(src).resolve():
@@ -255,7 +259,7 @@ def write_artifacts(
             recovered.extend(read_trace(written[name], kind="span"))
         span_records = recovered or None
         if span_records is None:
-            skipped["spans"] = (
+            skipped["spans"] = not_run if none_ran else (
                 "spans were sampled but neither in-memory records nor a "
                 "trace file reached the exporter"
             )
@@ -286,6 +290,9 @@ def write_artifacts(
         "artifacts": {name: path.name for name, path in written.items()},
         "skipped": skipped,
     }
+    if resumed:
+        manifest["resumed"] = {"journal_keys": resumed, "note": (
+            "loaded from the journal, not run: these cells left no instrumentation output")}
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2))
     written["manifest"] = manifest_path

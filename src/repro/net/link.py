@@ -29,7 +29,7 @@ number (:meth:`Scheduler.reserve_seq`) so every later event keeps the exact
 * **materializes** it at its original ``(time, seq)`` via
   :meth:`Scheduler.schedule_reserved` the moment the no-op proof stops
   holding (a packet arrives behind the in-progress transmission, or a
-  pause/fault transition needs the event's heap-identical side effects).
+  pause/fault transition needs the event's side effects in their turn).
 
 A tx-done that is not elided goes on the calendar together with its
 packet's delivery, in one :meth:`Scheduler.schedule_tx` call.  Every
@@ -39,22 +39,17 @@ under the fresh sequence number taken next to the tx-done's reservation,
 on a fixed and on a jittered link alike.
 
 Either way the observable simulation — every queue occupancy, ECN mark,
-delivery time and event count — is bit-identical to the engine that
-dispatches every ``_tx_done`` for real; ``benchmarks/bench_engine_speed.py``
-checks exactly that equivalence on every CI pass.  The ``busy`` attribute
-became a property so an external reader always observes the settled state.
-Per-port elision can be disabled (``elide_tx = False``, or exporting
-``REPRO_ELIDE_TX=0`` before network construction) for A/B comparison.
-The flag gates the whole hot-path transmit bundle — elision, the
-idle-send queue bypass below, and the inlined droptail/ECN enqueue and
-dequeue — so ``REPRO_ELIDE_TX=0`` restores the seed engine's transmit
-path event for event; that is the "before" arm of
-``benchmarks/bench_engine_speed.py``.
+delivery time and event count — is bit-identical to a transmit path that
+dispatches every ``_tx_done`` for real and passes every packet through
+its queue's methods.  The golden corpus (``tests/golden``) holds results
+recorded while both paths agreed, and ``bench_engine_speed.py`` compares
+against that path at the commit that still had it.  The ``busy``
+attribute is a property so an external reader always observes the
+settled state.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.net.node import Node
@@ -110,7 +105,6 @@ class Port:
         "pauses_received",
         "_s_per_byte",
         "_peer_receive",
-        "elide_tx",
         "_txdone_seq",
         "_tx_end",
         "_fast_q",
@@ -169,7 +163,6 @@ class Port:
         # tx-done elision state (see module docstring): the reserved
         # sequence number of the elided event (-1 = none) and the absolute
         # time the current/last serialization finishes.
-        self.elide_tx = os.environ.get("REPRO_ELIDE_TX", "1") != "0"
         self._txdone_seq = -1
         self._tx_end = 0.0
         # Jittered propagation (hostile-regime scenarios, e.g. space-DC
@@ -236,8 +229,8 @@ class Port:
 
         A property rather than a raw attribute so that an elided tx-done
         whose turn has already passed is settled before the flag is read —
-        external readers always observe the same state the heap engine
-        would show.
+        external readers always observe the same state a dispatched
+        tx-done would have left.
         """
         if self._txdone_seq >= 0:
             self._settle_tx()
@@ -268,13 +261,16 @@ class Port:
     # ------------------------------------------------------------------
     # tx-done elision plumbing (see module docstring)
     # ------------------------------------------------------------------
-    def _settle_tx(self) -> None:
+    def _settle_tx(self, materialize: bool = False) -> None:
         """Apply an elided tx-done whose turn in the ``(time, seq)`` total
         order has passed.  Its only effect is freeing the transmitter: the
         output queue is necessarily empty while a reservation is live
         (any enqueue goes through :meth:`send`, which settles or
-        materializes first), so the heap engine's ``_tx_done`` would have
-        found nothing to transmit."""
+        materializes first), so a dispatched tx-done would have found
+        nothing to transmit.  With ``materialize`` (the no-op proof is about
+        to break: a pause, a fault transition, the run's end), a tx-done
+        whose turn has not passed goes back on the calendar instead, at
+        its reserved ``(time, seq)``."""
         seq = self._txdone_seq
         if seq < 0:
             return
@@ -291,13 +287,9 @@ class Port:
                 # elided dispatch contributes its event, and (truthfully)
                 # zero wall time, to the link.tx category.
                 profiler.record(self._tx_next, 0.0)
-
-    def _materialize_tx(self) -> None:
-        """Re-insert the elided tx-done at its reserved ``(time, seq)``
-        position — called when its no-op proof stops holding."""
-        seq = self._txdone_seq
-        self._txdone_seq = -1
-        self.scheduler.schedule_reserved(self._tx_end, seq, self._tx_next)
+        elif materialize:
+            self._txdone_seq = -1
+            sched.schedule_reserved(te, seq, self._tx_next)
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
@@ -327,7 +319,7 @@ class Port:
                     sched.profiler.record(self._tx_next, 0.0)
         queue = self.queue
         size = pkt.size
-        fast = (self.elide_tx and not self._busy and not self.paused and self._fast_q
+        fast = (not self._busy and not self.paused and self._fast_q
                 and not queue._q and self.on_queue_change is None)
         if fast and (pool := self._pool) is not None:
             # DBA port: the idle send may bypass the queue only if the pool
@@ -372,9 +364,9 @@ class Port:
                 if arrival < self._last_arrival:
                     arrival = self._last_arrival
                 self._last_arrival = arrival
-            # Inlined Scheduler.reserve_seq (hot path; this whole branch is
-            # gated on elide_tx, so the tx-done is always elided here),
-            # then the delivery under the next, fresh, sequence number.
+            # The tx-done is always elided here: inlined
+            # Scheduler.reserve_seq (hot path), then the delivery under the
+            # next, fresh, sequence number.
             seq = sched._seq
             sched._seq = seq + 2
             self._txdone_seq = seq
@@ -388,14 +380,13 @@ class Port:
             self._flight_tail = pkt
             self._flight_count += 1
             return True
-        if self._plain_q and self.elide_tx:
+        if self._plain_q:
             # Inlined DropTailQueue/EcnQueue.enqueue (hot: once per packet
             # that meets a busy droptail/ECN port), mirroring the inlined
-            # dequeue in _tx_next and gated with it on elide_tx, so
-            # REPRO_ELIDE_TX=0 keeps the seed's enqueue call.  Occupancy
-            # is read once for the drop and the mark; the mark compares
-            # the occupancy including this packet with the live threshold
-            # (the runtime controller retunes it).
+            # dequeue in _tx_next.  Occupancy is read once for the drop and
+            # the mark; the mark compares the occupancy including this
+            # packet with the live threshold (the runtime controller
+            # retunes it).
             q = queue._q
             n = len(q)
             if n < queue.capacity_pkts:
@@ -433,7 +424,7 @@ class Port:
             # The queue is no longer empty and the elided tx-done's turn
             # has not passed (it would have settled above): it is no
             # longer a no-op — put it back on the calendar (inlined
-            # _materialize_tx, hot under sustained load).
+            # _settle_tx(materialize=True), hot under sustained load).
             self._txdone_seq = -1
             self.scheduler.schedule_reserved(self._tx_end, seqr, self._tx_next)
         if not self._busy and not self.paused:
@@ -464,9 +455,7 @@ class Port:
             return
         self.paused = False
         if self._txdone_seq >= 0:
-            self._settle_tx()
-            if self._txdone_seq >= 0:
-                self._materialize_tx()
+            self._settle_tx(materialize=True)
         if not self._busy:
             self._tx_next()
 
@@ -475,14 +464,12 @@ class Port:
             self._busy = False
             return
         queue = self.queue
-        if self._plain_q and self.elide_tx:
+        if self._plain_q:
             # Inlined DropTailQueue.dequeue (hot: once per transmitted
-            # packet) for droptail and ECN ports.  Part of the elide_tx
-            # hot-path bundle so that REPRO_ELIDE_TX=0 keeps the seed's
-            # dequeue call.  A DBA port (``_pool`` set) keeps the method
-            # call even though it shares send()'s idle bypass: its dequeue
-            # releases the packet's pool bytes and raises on a negative
-            # pool balance.
+            # packet) for droptail and ECN ports.  A DBA port (``_pool``
+            # set) keeps the method call even though it shares send()'s
+            # idle bypass: its dequeue releases the packet's pool bytes and
+            # raises on a negative pool balance.
             q = queue._q
             if not q:
                 self._busy = False
@@ -518,7 +505,7 @@ class Port:
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-        if self.elide_tx and not queue._q:
+        if not queue._q:
             # Nothing left to transmit when serialization ends: elide the
             # tx-done (reserve its sequence number so the total order is
             # unchanged) instead of dispatching a no-op event.  Inlined
@@ -594,11 +581,9 @@ class Port:
         if not self.up:
             return 0
         if self._txdone_seq >= 0:
-            # Keep the heap engine's event-for-event behaviour: its pending
-            # tx-done fires on the (now down) port and clears ``busy``.
-            self._settle_tx()
-            if self._txdone_seq >= 0:
-                self._materialize_tx()
+            # Keep event-for-event behaviour: a pending tx-done fires on
+            # the (now down) port and clears ``busy``.
+            self._settle_tx(materialize=True)
         self.up = False
         now = self.scheduler.now
         if self._busy and self._flight_count and now < self._tx_end:
@@ -639,9 +624,7 @@ class Port:
             return
         self.up = True
         if self._txdone_seq >= 0:
-            self._settle_tx()
-            if self._txdone_seq >= 0:
-                self._materialize_tx()
+            self._settle_tx(materialize=True)
         if not self._busy and not self.paused:
             self._tx_next()
 

@@ -36,7 +36,7 @@ from repro.net.queues import (
 from repro.net.switch import Switch
 from repro.obs.counters import CounterRegistry
 from repro.routing.fib import compute_fibs
-from repro.sim.engine import Scheduler, make_scheduler
+from repro.sim.engine import Scheduler
 from repro.sim.rng import RngFactory
 from repro.topo.base import Topology
 from repro.transport.base import FlowHandle, TcpConfig, dctcp_config, dibs_host_config
@@ -153,7 +153,7 @@ class Network:
         self.topo = topo
         self.switch_queues = switch_queues if switch_queues is not None else SwitchQueueConfig()
         self.dibs = dibs if dibs is not None else DibsConfig.disabled()
-        self.scheduler = scheduler if scheduler is not None else make_scheduler()
+        self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.rngs = RngFactory(seed)
         self.collector = MetricsCollector()
         self.trace_paths = trace_paths
@@ -548,7 +548,5 @@ class Network:
         # dispatching every event would report at this horizon.
         for port in self._all_ports:
             if port._txdone_seq >= 0:
-                port._settle_tx()
-                if port._txdone_seq >= 0:
-                    port._materialize_tx()
+                port._settle_tx(materialize=True)
         return processed

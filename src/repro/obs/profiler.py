@@ -31,7 +31,7 @@ precision is worth the extra overhead (``bench_obs_overhead.py``'s
 Elided tx-done events (see :mod:`repro.net.link`) never reach a run loop;
 the port settles them by calling :meth:`SchedulerProfiler.record` with a
 truthful zero wall time, so category event counts still sum to the
-engine-independent logical ``events_processed`` while the wall split
+logical ``events_processed`` while the wall split
 reflects only work that actually happened.
 """
 

@@ -11,7 +11,7 @@ Why a calendar queue beats the old binary heap here: event times cluster
 within a few RTTs of ``now`` (serialization times and propagation delays
 bound how far ahead anything schedules), which is exactly the regime where
 bucketed insertion wins — a heap pays O(log n) comparisons per push *and*
-per pop, and with a pure-Python ``Event.__lt__`` each comparison is a
+per pop, and with a pure-Python comparison of events each one is a
 Python call.  The calendar does no comparisons at all on the fast path.
 
 Design notes
@@ -21,11 +21,10 @@ Design notes
   or NaN) time before it touches any state.
 * Events scheduled for the same timestamp fire in FIFO order of scheduling
   (a monotonically increasing sequence number breaks ties), which makes
-  runs fully deterministic.  The total order is exactly ``(time, seq)`` —
-  identical to the heap implementation, so identical seeds produce
-  bit-identical results (``repro.sim.engine_heap`` keeps the heap engine
-  alive for A/A comparison; select it with ``REPRO_ENGINE=heap`` via
-  :func:`make_scheduler`).
+  runs fully deterministic.  The total order is exactly ``(time, seq)``,
+  the order of a plain sorted list (``tests/reference_scheduler.py``, the
+  differential tests' reference), so identical seeds produce
+  bit-identical results; ``tests/golden`` pins recorded results.
 * Cancellation is O(1): the event is flagged and skipped when consumed.  A
   live count of cancelled-but-not-yet-consumed events makes
   :attr:`pending` O(1) too, so watchdogs and heartbeats can poll it every
@@ -99,7 +98,6 @@ stays exactly ``(time, seq)`` whatever the geometry.
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -115,7 +113,6 @@ __all__ = [
     "LivelockError",
     "ResourceError",
     "DEFAULT_MAX_PENDING_EVENTS",
-    "make_scheduler",
 ]
 
 # Upper bound on the pending-event calendar before a run is declared
@@ -191,9 +188,9 @@ def invalid_schedule(fn: Callable[..., Any], value: float, floor: float,
     """The error for an insert whose ``what`` (``"delay"`` or ``"time"``)
     is not in ``[floor, inf)``: negative, in the past, infinite or NaN.
 
-    Shared by both engines.  Their insert paths test the value with one
-    chained comparison and call this only to build the message, before
-    any scheduler state has changed."""
+    The insert paths test the value with one chained comparison and call
+    this only to build the message, before any scheduler state has
+    changed."""
     name = getattr(fn, "__qualname__", fn)
     if value < floor:
         problem = (f"negative delay: {value}" if what == "delay"
@@ -244,10 +241,6 @@ class Event:
         if sched is not None:
             sched._cancelled_pending += 1
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "settled" if self.cancelled else "pending"
@@ -279,9 +272,9 @@ class Scheduler:
         # has provably passed (see repro.net.link.Port._settle_tx).
         self._now_seq: int = -1
         self._events_processed: int = 0
-        # Events whose execution was elided as a no-op by the port layer
-        # but which the heap engine would have dispatched; counted so
-        # ``events_processed`` stays engine-independent.
+        # Events whose execution was elided as a no-op by the port layer;
+        # counted so ``events_processed`` is the logical event count, the
+        # one an engine dispatching every event would report.
         self._events_elided: int = 0
         self._running: bool = False
         # Cancelled events still sitting in the calendar;
@@ -406,7 +399,7 @@ class Scheduler:
         This is the elision primitive: a caller that knows an event would
         be a no-op (see ``Port._tx_next``) reserves its place in the
         ``(time, seq)`` total order so every later event keeps the exact
-        sequence number it would have had under the heap engine, then
+        sequence number it would have had had the event been inserted, then
         either settles the reservation once its turn has passed or
         materializes it via :meth:`schedule_reserved`.
         """
@@ -1000,7 +993,7 @@ class Scheduler:
                 pos = 0
             if not ev.cancelled:
                 return ev.time
-            # Consume cancelled events in passing, as the heap version did.
+            # Consume cancelled events in passing.
             self._pos = pos + 1
             self._count -= 1
             self._cancelled_pending -= 1
@@ -1038,8 +1031,8 @@ class Scheduler:
     @property
     def events_processed(self) -> int:
         """Total events executed over the scheduler's lifetime, including
-        events whose dispatch was elided as a provable no-op (the count a
-        heap engine dispatching every event would report)."""
+        events whose dispatch was elided as a provable no-op (the count an
+        engine dispatching every event would report)."""
         return self._events_processed + self._events_elided
 
     def reset(self) -> None:
@@ -1070,8 +1063,8 @@ def schedule_tx_calls(sched, tx: float, tx_fn: Callable[..., Any], at: float,
     """``schedule_tx`` as two ``schedule_reserved`` calls, each under a
     fresh sequence number taken only once its time has passed the check
     ``schedule_reserved`` makes (a bad ``tx`` fails with its "delay"
-    message, before anything is inserted).  The calendar engine's
-    fallback and the heap engine's whole ``schedule_tx``."""
+    message, before anything is inserted): :meth:`Scheduler.schedule_tx`'s
+    fallback."""
     if not 0.0 <= tx < _INF:
         raise invalid_schedule(tx_fn, tx, 0.0, "delay")
     now = sched.now
@@ -1084,25 +1077,3 @@ def schedule_tx_calls(sched, tx: float, tx_fn: Callable[..., Any], at: float,
     sched._seq = seq + 1
     return sched.schedule_reserved(at, seq, fn, *args)
 
-
-def make_scheduler(max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS,
-                   engine: Optional[str] = None):
-    """Build a scheduler, selecting the engine implementation.
-
-    ``engine`` is ``"calendar"`` (default) or ``"heap"``; when ``None``
-    the ``REPRO_ENGINE`` environment variable decides.  The choice is an
-    environment knob rather than a :class:`~repro.experiments.scenarios.Scenario`
-    field on purpose: both engines produce bit-identical results, so the
-    engine is not part of a scenario's identity — putting it in the
-    scenario would change the canonical scenario JSON and invalidate every
-    content-addressed run-journal key for no observable difference.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "calendar")
-    if engine in ("", "calendar"):
-        return Scheduler(max_pending_events=max_pending_events)
-    if engine == "heap":
-        from repro.sim.engine_heap import HeapScheduler
-
-        return HeapScheduler(max_pending_events=max_pending_events)
-    raise ValueError(f"unknown engine {engine!r}; known: calendar, heap")

@@ -11,7 +11,7 @@ start and the ACK clock spaces packets naturally).
 
 Everything is driven off scheduler time and config — no wall clock, no
 RNG — so paced senders keep the simulator's bit-identical determinism
-across engines and worker counts.
+across worker counts.
 """
 
 from __future__ import annotations

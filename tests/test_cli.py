@@ -93,3 +93,42 @@ class TestCommands:
         assert code == 1
         assert "{seed}" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--trace-file", "t_{seed}.jsonl"),
+        ("--heartbeat-path", "hb_{seed}.jsonl"),
+        ("--flight-recorder", "flight_{seed}"),
+    ])
+    def test_several_cells_into_one_path_are_refused(self, flag, name, tmp_path, capsys):
+        # The cells of a sweep share their seeds, so '{seed}' alone would
+        # let each cell overwrite the last one's output.
+        extra = ["--heartbeat", "0.5"] if flag == "--heartbeat-path" else []
+        code = main([
+            "sweep", "--param", "buffer_pkts", "--values", "10,30", "--schemes", "dibs",
+            "--seeds", "0", "--duration-s", "0.02", "--drain-s", "0.2", "--qps", "100",
+            "--incast-degree", "6", "--no-background",
+            flag, str(tmp_path / name), *extra,
+        ])
+        assert code == 1
+        assert "{cell}" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cell_placeholder_names_each_cell_by_its_journal_key(self, tmp_path, capsys):
+        import json
+
+        journal = tmp_path / "journal"
+        code = main([
+            "sweep", "--param", "buffer_pkts", "--values", "10,30", "--schemes", "dibs",
+            "--seeds", "0", "--duration-s", "0.02", "--drain-s", "0.2", "--qps", "100",
+            "--incast-degree", "6", "--no-background", "--journal-dir", str(journal),
+            "--trace-file", str(tmp_path / "t_{cell}.jsonl"),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        traces = sorted(tmp_path.glob("t_*.jsonl"))
+        keys = sorted(path.stem for path in journal.glob("*.json"))
+        # One trace per cell, named by the prefix of the key --resume
+        # looks the cell up under, and each labelled with its own cell.
+        assert [path.stem for path in traces] == sorted("t_" + key[:12] for key in keys)
+        labels = {json.loads(path.read_text().splitlines()[0])["label"] for path in traces}
+        assert labels == {"cli:buffer_pkts=10:dibs", "cli:buffer_pkts=30:dibs"}

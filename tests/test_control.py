@@ -9,8 +9,8 @@ Covers the repro.control package plus its hostile-regime companions:
 * the detour-storm circuit breaker: trip, degraded-mode counters,
   re-arm after cooldown, and the livelock watchdog staying quiet
   through the degraded window;
-* determinism of controlled runs: serial vs --workers 2, calendar vs
-  heap engine, and across --resume replay;
+* determinism of controlled runs: serial vs --workers 2, against the
+  golden corpus, and across --resume replay;
 * link jitter (seeded, FIFO-preserving) and the diurnal background
   generator.
 """
@@ -31,6 +31,7 @@ from repro.net.queues import DynamicBufferQueue, EcnQueue, PFabricQueue, SharedB
 from repro.topo import fat_tree, leaf_spine
 from repro.workload.background import DiurnalBackgroundTraffic
 from repro.workload.distributions import web_search_background
+from tests import golden
 
 # A controlled hostile point small enough for unit tests: the full storm
 # grid lives in bench_controller_resilience.
@@ -460,6 +461,7 @@ class TestControlledDeterminism:
         b = run_scenario(CONTROLLED)
         assert canonical_payload(a) == canonical_payload(b)
         assert a.controller_stats["ticks"] > 0
+        assert golden.measured(a) == golden.expected("runs", "controlled/dibs")
 
     def test_serial_vs_two_workers(self):
         serial = run_pooled(CONTROLLED, seeds=(0, 1))
@@ -467,13 +469,6 @@ class TestControlledDeterminism:
         assert canonical_payload(serial) == canonical_payload(parallel)
         assert serial.controller_stats == parallel.controller_stats
         assert serial.controller_stats["ticks"] > 0
-
-    def test_calendar_vs_heap_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "calendar")
-        calendar = run_scenario(CONTROLLED)
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        heap = run_scenario(CONTROLLED)
-        assert canonical_payload(calendar) == canonical_payload(heap)
 
     def test_resume_replay_identical(self, tmp_path):
         requests = [

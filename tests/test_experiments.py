@@ -149,11 +149,9 @@ def _perf_workloads():
 
 class TestFingerprint:
     @pytest.mark.parametrize("workload", ["flapstorm_ctl", "incast_k8_dibs"])
-    def test_reproduces_the_benchmark_pins(self, monkeypatch, workload):
+    def test_reproduces_the_benchmark_pins(self, workload):
         # The benchmark's children hash with their own copy of the canonical
         # form; these pins hold the two definitions together.
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
         pins = json.loads((PERF_DIR / "pins.json").read_text())
         result = run_scenario(_perf_workloads().scenario(workload, smoke=True))
         assert fingerprint(result) == pins[f"smoke/{workload}"]["fingerprint"]

@@ -31,8 +31,9 @@ from repro.net.network import Network, SwitchQueueConfig
 from repro.net.packet import Packet
 from repro.routing.fib import compute_fibs
 from repro.sim.engine import Scheduler
-from repro.sim.engine_heap import HeapScheduler
 from repro.topo import fat_tree
+from tests import golden
+from tests.golden import FAULTY
 
 
 def incast_net(dibs=True, seed=3, buffer_pkts=10):
@@ -430,11 +431,10 @@ class TestWatchdog:
         Watchdog(net.scheduler, max_hops=64).install(net)
         assert all(sw.hop_limit == 64 for sw in net.switches)
 
-    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
-    def test_watchdog_is_a_plain_hook(self, engine):
+    def test_watchdog_is_a_plain_hook(self):
         """The watchdog rides ``add_hook`` (schedulers carry no watchdog
         slot), and uninstalling it leaves every other hook firing."""
-        sched = engine()
+        sched = Scheduler()
         assert not hasattr(sched, "watchdog")
         ticks = []
         sched.add_hook(lambda s: ticks.append(s.now), 2)
@@ -533,30 +533,9 @@ class TestInvariants:
 # ----------------------------------------------------------------------
 # scenario / executor integration
 # ----------------------------------------------------------------------
-FAULTY = SCALED_DEFAULTS.with_overrides(
-    name="tiny-faults",
-    duration_s=0.03,
-    drain_s=0.3,
-    qps=100.0,
-    incast_degree=6,
-    bg_enabled=False,
-    faults=((0.005, LINK_DOWN, "agg_0_0", "core_0", 1),
-            (0.012, LINK_UP, "agg_0_0", "core_0", 1)),
-    link_flap_rate=20.0,
-    link_flap_downtime_s=0.002,
-    corrupt_rate=300.0,
-    invariant_check_interval_s=0.01,
-)
-
-
-def _measured(monkeypatch, scenario, **env):
-    """The run's canonical payload under exactly the transmit-path/engine
-    variables in ``env``."""
-    monkeypatch.delenv("REPRO_ELIDE_TX", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    return canonical_payload(run_scenario(scenario))
+# An uncontrolled flap storm: jittered deliveries, link kills mid-flight
+# and mid-run audits.
+STORM = flap_storm(duration_s=0.5, drain_s=0.5, invariant_check_interval_s=0.05)
 
 
 class TestScenarioIntegration:
@@ -604,34 +583,15 @@ class TestScenarioIntegration:
         parallel = run_pooled(FAULTY, seeds=(0, 1), workers=2)
         assert canonical_payload(serial) == canonical_payload(parallel)
 
-    def test_flap_storm_identical_across_transmit_paths(self, monkeypatch):
-        # An uncontrolled flap storm exercises jittered deliveries, link
-        # kills mid-flight and mid-run audits.  Neither the seed transmit
-        # path nor the heap engine may change a canonical metric or the
-        # logical event count.  (With the controller on, REPRO_ELIDE_TX=0
-        # diverges: see docs/INTERNALS.md, "Known identity gap".)
-        storm = flap_storm(duration_s=0.5, drain_s=0.5, invariant_check_interval_s=0.05)
-        default = _measured(monkeypatch, storm)
-        assert default["faults_applied"].get(LINK_DOWN, 0) > 0
-        assert default["fault_packets_killed"] > 0
-        assert default["invariant_checks"] > 0
-        assert _measured(monkeypatch, storm, REPRO_ELIDE_TX="0") == default
-        assert _measured(monkeypatch, storm, REPRO_ENGINE="heap") == default
-
-    @pytest.mark.parametrize("scheme", ["dibs-dba", "bshare"])
-    def test_shared_pool_identical_across_transmit_paths(self, monkeypatch, scheme):
-        # Shared-buffer ports under link faults and corruption: DBA ports
-        # take the idle-send bypass and the switch's inline admission test
-        # (BShare ports take neither).  The seed transmit path and the
-        # heap engine must agree with them on every canonical metric and
-        # on the logical event count.
-        scenario = FAULTY.with_overrides(scheme=scheme)
-        default = _measured(monkeypatch, scenario)
-        assert default["faults_applied"].get(LINK_DOWN, 0) > 0
-        assert default["invariant_checks"] > 0
-        assert default["events"] > 0
-        assert _measured(monkeypatch, scenario, REPRO_ELIDE_TX="0") == default
-        assert _measured(monkeypatch, scenario, REPRO_ENGINE="heap") == default
+    def test_flap_storm_matches_golden_corpus(self):
+        # The storm's canonical metrics and logical event count are pinned
+        # in the golden corpus (recorded while the heap engine and the
+        # unelided transmit path agreed with them).
+        result = run_scenario(STORM)
+        assert result.faults_applied.get(LINK_DOWN, 0) > 0
+        assert result.fault_packets_killed > 0
+        assert result.invariant_checks > 0
+        assert golden.measured(result) == golden.expected("runs", "storm/dibs")
 
     def test_livelock_failures_are_not_retried(self):
         telemetry = RunTelemetry()

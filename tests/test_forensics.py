@@ -1,9 +1,10 @@
 """Packet-odyssey forensics: spans, FCT attribution, flight recorder, explain.
 
 The load-bearing properties: span sampling is a pure function of
-(seed, flow, seq) so span sets are bit-identical across engines, tx-done
-elision, worker fan-out and journal resume; and the instrumentation rides
-run-loop hooks, so metrics are bit-identical with spans on or off.
+(seed, flow, seq) so span sets are bit-identical across worker fan-out
+and journal resume (and one is pinned in the golden corpus); and the
+instrumentation rides run-loop hooks, so metrics are bit-identical with
+spans on or off.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.obs.forensics import (
 )
 from repro.obs.spans import span_sampled
 from repro.sim.engine import LivelockError
+from tests import golden
 
 TINY = SCALED_DEFAULTS.with_overrides(
     name="forensics-tiny", duration_s=0.02, drain_s=0.3, qps=100.0,
@@ -63,18 +65,13 @@ class TestSpanDeterminism:
     def test_metrics_identical_with_spans_on_or_off(self):
         assert canonical_payload(run_scenario(TINY)) == canonical_payload(run_scenario(TINY, SPANS))
 
-    def test_calendar_and_heap_engines_agree(self, monkeypatch):
-        base = run_scenario(TINY, SPANS)
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        heap = run_scenario(TINY, SPANS)
-        assert _span_lines(heap) == _span_lines(base)
-        assert canonical_payload(heap) == canonical_payload(base)
-
-    def test_tx_done_elision_is_invisible(self, monkeypatch):
-        base = run_scenario(TINY, SPANS)
-        monkeypatch.setenv("REPRO_ELIDE_TX", "0")
-        plain = run_scenario(TINY, SPANS)
-        assert _span_lines(plain) == _span_lines(base)
+    def test_span_set_matches_golden_corpus(self):
+        # Recorded while the heap engine and the unelided transmit path
+        # gave the same span lines and metrics.
+        result = run_scenario(TINY, SPANS)
+        assert result.span_records
+        assert (dict(golden.measured(result), spans=golden.digest(_span_lines(result)))
+                == golden.expected("spans", "tiny"))
 
     def test_workers_and_resume_identical(self, tmp_path):
         from repro.experiments.journal import RunJournal

@@ -19,9 +19,10 @@ from repro.net.packet import MTU_BYTES, Packet
 from repro.net.queues import DropTailQueue, DynamicBufferQueue, EcnQueue, SharedBufferPool
 from repro.net.switch import Switch
 from repro.obs.spans import PacketSpan
-from repro.sim.engine import ResourceError, Scheduler, SimulationError
-from repro.sim.engine_heap import HeapScheduler
+from repro.sim.engine import ResourceError, Scheduler, SimulationError, schedule_tx_calls
 from repro.topo import fat_tree
+from tests import golden
+from tests.reference_scheduler import ReferenceScheduler
 
 
 class SinkNode(Node):
@@ -476,17 +477,18 @@ ELISION_BURSTS = {
 
 
 class TestElisionEquivalence:
-    """The tx-done-elision hot path (elide_tx) must be observationally
-    identical to the seed's two-event transmit path — same delivery
-    times, ECN marks, counters and pool balance, same logical event
-    count — including across pauses and fault flaps, for every queue
-    kind whose idle sends bypass the queue."""
+    """The transmit path (tx-done elision, the idle-send bypass, the
+    inline droptail/ECN enqueue and dequeue) must be observationally
+    identical to one that dispatches every tx-done and queues every
+    packet — same delivery times, ECN marks, counters and pool balance,
+    same logical event count — including across pauses and fault flaps,
+    for every queue kind whose idle sends bypass the queue.  Each case's
+    observations are pinned in the golden corpus, recorded while the
+    two paths agreed on them."""
 
     @staticmethod
-    def _run_traffic(elide, queues, burst=None):
+    def _run_traffic(queues, burst=None):
         sched, a, b, pa, pb = make_pair(rate_bps=1e9, delay_s=10e-6, queues=queues)
-        pa.elide_tx = elide
-        pb.elide_tx = elide
         # The reverse direction parks a backlog (pool bytes, on a shared
         # pool) until 40 us, then drains it.
         pb.pause()
@@ -526,12 +528,12 @@ class TestElisionEquivalence:
         return arrivals, counters, used, sched.events_processed, sched.now, spans
 
     @pytest.mark.parametrize("kind", list(ELISION_QUEUES))
-    def test_elide_on_matches_elide_off(self, kind):
-        make = ELISION_QUEUES[kind]
+    def test_matches_golden_corpus(self, kind):
         burst = ELISION_BURSTS.get(kind)
-        on = self._run_traffic(True, make(), burst)
-        assert on == self._run_traffic(False, make(), burst)
-        arrivals, counters, used, _events, _now, spans = on
+        observed = self._run_traffic(ELISION_QUEUES[kind](), burst)
+        assert ({"digest": golden.digest(observed), "events": observed[3]}
+                == golden.expected("link", kind))
+        arrivals, counters, used, _events, _now, spans = observed
         assert used in (None, 0)  # every admitted byte went back to the pool
         if kind in ("dba-alpha-refuses", "dba-nearly-full"):
             # The case under test happened: idle sends were refused.
@@ -586,14 +588,12 @@ class TestSharedPoolHotPath:
     (SharedBufferPool.admits) over any pool state."""
 
     @settings(deadline=None, max_examples=150)
-    @given(state=pool_states, size=st.sampled_from([40, 64, 500, 1499, 1500]),
-           elide=st.booleans())
-    def test_idle_send_admits_iff_pool_admits_at_zero(self, state, size, elide):
+    @given(state=pool_states, size=st.sampled_from([40, 64, 500, 1499, 1500]))
+    def test_idle_send_admits_iff_pool_admits_at_zero(self, state, size):
         pool = SharedBufferPool(state["total"], alpha=state["alpha"],
                                 reserved_pkts_per_port=state["reserved"])
         sched, a, b, pa, pb = make_pair(
             delay_s=0.0, queues=(DynamicBufferQueue(pool, 1), DynamicBufferQueue(pool, 1)))
-        pa.elide_tx = pb.elide_tx = elide
         _fill(pool, [pb], state)  # pa stays idle with an empty queue
         used = pool.used_bytes
         expected = pool.admits(0, size, 0)
@@ -612,9 +612,8 @@ class TestSharedPoolHotPath:
         assert sent == expected
         assert pa.queue.drops == (0 if expected else 1)
         # The bypass is taken exactly when the pool admits the packet (a
-        # refused one goes through enqueue, which drops and counts it);
-        # with elide_tx off every send takes the seed's queue path.
-        assert len(calls) == (0 if elide and expected else 1)
+        # refused one goes through enqueue, which drops and counts it).
+        assert len(calls) == (0 if expected else 1)
         sched.run()
         assert len(b.arrivals) == int(expected)
         assert not any(p.ecn_ce for _t, p, _i in b.arrivals)  # occupancy 1 never marks
@@ -792,9 +791,7 @@ class TestJitterPressure:
                 sched.run()
             return str(info.value)
 
-        message = flood(Scheduler(max_pending_events=16))
-        assert "Port._deliver" in message
-        assert flood(HeapScheduler(max_pending_events=16)) == message
+        assert "while scheduling Port._deliver " in flood(Scheduler(max_pending_events=16))
 
 
 class TestInsertSites:
@@ -802,9 +799,10 @@ class TestInsertSites:
     idle send's or elided ``_tx_next``'s delivery (``schedule_reserved``
     under a fresh seq), a busy send's materialized tx-done
     (``schedule_reserved``) and a busy ``_tx_next``'s tx-done plus
-    delivery in one ``schedule_tx`` call, on a fixed or a jittered link.  The calendar and
-    heap engines must dispatch the same events at the same ``(time, seq)``
-    and fail the same way."""
+    delivery in one ``schedule_tx`` call, on a fixed or a jittered link.  The
+    calendar must dispatch the same events at the same ``(time, seq)`` as
+    the naive reference scheduler, and fail at each site with a message
+    naming it."""
 
     @pytest.fixture
     def traced(self, monkeypatch):
@@ -888,12 +886,11 @@ class TestInsertSites:
         return list(trace), arrivals, sched.events_processed, sched._seq, sched.pending
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_calendar_matches_heap(self, case, traced):
+    def test_calendar_matches_reference(self, case, traced):
         trace, places, tx_places = traced
         calendar = self._run(Scheduler(), case, trace)
         cal_places = list(places)
-        heap = self._run(HeapScheduler(), case, trace)
-        assert calendar == heap
+        assert calendar == self._run(ReferenceScheduler(), case, trace)
         events = calendar[0]
         assert len(calendar[1]) == len(self.CASES[case][3])  # all delivered
         if case == "busy":
@@ -923,20 +920,22 @@ class TestInsertSites:
         """A bad tx-done delay fails before anything is inserted; a bad
         delivery time (before ``now`` = 10 us, or not finite) fails with
         the tx-done already in and no sequence number taken for the
-        delivery — on both engines, with the same message, ``pending``
-        and sequence numbers as the fallback's two ``schedule_reserved``
-        calls give."""
+        delivery — with the same message, ``pending`` and sequence numbers
+        as the fallback's two ``schedule_reserved`` calls
+        (``schedule_tx_calls``) give."""
 
-        def attempt(sched):
+        def attempt(schedule_tx):
+            sched = Scheduler()
             sched.schedule_at(10e-6, lambda: None)
             sched.run()
             pending, seq = sched.pending, sched._seq
             with pytest.raises(SimulationError) as info:
-                sched.schedule_tx(tx, lambda: None, at, lambda pkt: None, "pkt")
+                schedule_tx(sched, tx, lambda: None, at, lambda pkt: None, ("pkt",))
             return str(info.value), sched.pending - pending, sched._seq - seq
 
-        calendar = attempt(Scheduler())
-        assert calendar == attempt(HeapScheduler())
+        calendar = attempt(lambda sched, tx, tx_fn, at, fn, args:
+                           sched.schedule_tx(tx, tx_fn, at, fn, *args))
+        assert calendar == attempt(schedule_tx_calls)
         assert calendar[1:] == ((0, 0) if tx != 1e-6 else (1, 1))
         if tx == 1e-6:
             assert ("into the past" if at < 10e-6 else "non-finite time") in calendar[0]
@@ -1049,9 +1048,7 @@ class TestInsertSites:
         ("tx-delivery", "Port._deliver"),
     ])
     def test_pending_cap_at_each_insert_site(self, site, fn):
-        message = self._pressure(Scheduler(), site)
-        assert f"while scheduling {fn} " in message
-        assert self._pressure(HeapScheduler(), site) == message
+        assert f"while scheduling {fn} " in self._pressure(Scheduler(), site)
 
     @staticmethod
     def _infinite_tx(sched):
@@ -1063,12 +1060,10 @@ class TestInsertSites:
                 pa.send(pkt())
             assert sched.pending == pending == 0
             messages.append(str(info.value))
-        return messages, sched._seq
+        return messages
 
     def test_infinite_serialization_rejected_alike(self):
-        calendar = self._infinite_tx(Scheduler())
-        assert calendar == self._infinite_tx(HeapScheduler())
-        assert calendar[0] == [
+        assert self._infinite_tx(Scheduler()) == [
             "non-finite time: inf (scheduling Port._deliver)",
             "non-finite time: inf (scheduling Port._tx_next)",
         ]

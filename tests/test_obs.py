@@ -630,6 +630,28 @@ class TestWriteArtifacts:
         manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
         assert "flows" in manifest["skipped"]
 
+    def test_fully_resumed_run_says_its_cells_did_not_run(self, tmp_path):
+        from repro.experiments.journal import RunJournal, scenario_hash
+        from repro.experiments.parallel import RunTelemetry
+        from repro.experiments.runner import run_pooled
+        from repro.metrics.export import write_artifacts
+
+        journal = tmp_path / "journal"
+        run_pooled(TINY, seeds=(0, 1), journal=RunJournal(journal))
+        options = RunOptions(span_sample_rate=0.25,
+                             trace_file=str(tmp_path / "t_{seed}.jsonl"))
+        telemetry = RunTelemetry()
+        result = run_pooled(TINY, seeds=(0, 1), journal=RunJournal(journal), resume=True,
+                            telemetry=telemetry, options=options)
+        assert telemetry.cells_resumed == 2
+        write_artifacts(result, tmp_path / "bundle", telemetry=telemetry, options=options)
+        manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
+        keys = [scenario_hash(TINY.with_overrides(seed=seed)) for seed in (0, 1)]
+        assert manifest["resumed"]["journal_keys"] == keys
+        assert set(manifest["skipped"]) == {"flows", "queries", "trace", "spans"}
+        for reason in manifest["skipped"].values():
+            assert "resumed from the journal" in reason and "none ran" in reason
+
     def test_seed_placeholder_collects_all_traces(self, tmp_path):
         from repro.experiments.runner import run_pooled
         from repro.metrics.export import write_artifacts

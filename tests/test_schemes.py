@@ -10,8 +10,9 @@ Three contracts under test:
   and journal content keys are pinned to their pre-registry hex values so
   ``--resume`` of old journals still hits;
 * **competitor determinism** — each new scheme is bit-identical serial vs
-  ``workers=2``, calendar vs heap engine, and across a journal resume,
-  and BShare keeps the shared pool's conservation invariants.
+  ``workers=2`` and across a journal resume (its tiny incast is also a
+  golden-corpus cell, ``tests/test_golden.py``), and BShare keeps the
+  shared pool's conservation invariants.
 """
 
 
@@ -36,6 +37,7 @@ from repro.transport.fairq import FairQConfig
 from repro.transport.pfabric import PFabricConfig
 from repro.transport.tinybuf import TinyBufferConfig
 from repro.workload.query import QueryTraffic
+from tests.golden import TINY
 
 LEGACY_SCHEMES = (
     "dctcp", "dibs", "dctcp-inf", "tcp", "tcp-inf", "tcp-dibs",
@@ -43,10 +45,6 @@ LEGACY_SCHEMES = (
 )
 NEW_SCHEMES = ("bshare", "fairq", "tinybuf")
 
-TINY = SCALED_DEFAULTS.with_overrides(
-    name="tiny-schemes", duration_s=0.03, drain_s=0.3, qps=100.0,
-    incast_degree=6, bg_enabled=False,
-)
 
 
 class TestRegistryApi:
@@ -221,15 +219,6 @@ class TestCompetitorSchemes:
         serial = run_pooled(scenario, seeds=(0, 1))
         parallel = run_pooled(scenario, seeds=(0, 1), workers=2)
         assert canonical_payload(serial) == canonical_payload(parallel)
-
-    @pytest.mark.parametrize("scheme", NEW_SCHEMES)
-    def test_calendar_matches_heap_engine(self, scheme, monkeypatch):
-        scenario = TINY.with_overrides(scheme=scheme)
-        monkeypatch.setenv("REPRO_ENGINE", "calendar")
-        calendar = run_scenario(scenario)
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        heap = run_scenario(scenario)
-        assert canonical_payload(calendar) == canonical_payload(heap)
 
     @pytest.mark.parametrize("scheme", NEW_SCHEMES)
     def test_resume_is_bit_identical(self, scheme, tmp_path):

@@ -12,9 +12,8 @@ from repro.sim.engine import (
     ResourceError,
     Scheduler,
     SimulationError,
-    make_scheduler,
 )
-from repro.sim.engine_heap import HeapScheduler
+from tests.reference_scheduler import ReferenceScheduler
 
 
 class TestScheduling:
@@ -136,13 +135,12 @@ class TestRunControl:
         sched.run()
         assert sched.events_processed == 5
 
-    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
-    def test_step_feeds_profiler_and_hooks(self, engine):
+    def test_step_feeds_profiler_and_hooks(self):
         """``step`` is a one-event ``run``: the profiler sees every stepped
         event and a one-event hook fires once per step."""
         from repro.obs.profiler import SchedulerProfiler
 
-        sched = engine()
+        sched = Scheduler()
         profiler = SchedulerProfiler().install(sched)
         ticks = []
         sched.add_hook(lambda s: ticks.append(s.now), 1)
@@ -384,7 +382,8 @@ class TestCalendarGeometry:
         # A dense burst followed by a sparse tail: the per-revolution width
         # check must rebuild the window mid-run (widths outside the 2x
         # band), and the dispatch order, FIFO ties included, must stay the
-        # heap engine's, also for events callbacks add during the run.
+        # reference scheduler's, also for events callbacks add during the
+        # run.
         rebuilds = []
         original = Scheduler._rebuild
 
@@ -415,7 +414,7 @@ class TestCalendarGeometry:
 
         calendar = drive(Scheduler())
         assert len(rebuilds) >= 2
-        assert calendar == drive(HeapScheduler())
+        assert calendar == drive(ReferenceScheduler())
         assert len(calendar) == 1200 + 2 * sum(1 for label in range(1200) if label % 7 == 0)
         # FIFO among ties: the initial events at each shared time fire in
         # the order they were scheduled (ascending label).
@@ -432,9 +431,10 @@ class TestCalendarGeometry:
             sched.run()
 
 
-class TestHeapParity:
-    """The calendar engine and the reference heap engine must execute any
-    workload identically: same callback order, same clock, same counts."""
+class TestReferenceParity:
+    """The calendar engine and the naive reference scheduler must execute
+    any workload identically: same callback order, same clock, same
+    counts."""
 
     @staticmethod
     def _drive(sched):
@@ -460,15 +460,7 @@ class TestHeapParity:
         return trace, sched.events_processed, sched.pending, sched.now
 
     def test_identical_execution_and_counters(self):
-        calendar = self._drive(Scheduler())
-        heap = self._drive(HeapScheduler())
-        assert calendar == heap
-
-    def test_make_scheduler_selects_engine(self):
-        assert isinstance(make_scheduler(engine="calendar"), Scheduler)
-        assert isinstance(make_scheduler(engine="heap"), HeapScheduler)
-        with pytest.raises(ValueError):
-            make_scheduler(engine="splay")
+        assert self._drive(Scheduler()) == self._drive(ReferenceScheduler())
 
 
 def _mixed_chain(sched, drive):
@@ -635,10 +627,9 @@ class TestRecycleSlot:
 
     @pytest.mark.parametrize("drive", [_plain, _profiled(4), _profiled(1), _stepped],
                              ids=["plain", "profiled-sampled", "profiled-exact", "step"])
-    def test_mixed_chain_matches_heap_engine(self, drive):
+    def test_mixed_chain_matches_reference(self, drive):
         calendar = _mixed_chain(Scheduler(), drive)
-        heap = _mixed_chain(HeapScheduler(), drive)
-        assert calendar == heap
+        assert calendar == _mixed_chain(ReferenceScheduler(), drive)
         assert len(calendar[0]) > 300  # the chain really branched
 
 
@@ -673,13 +664,12 @@ class TestExactProfile:
     """``sample_stride=1`` is exact mode of the one profiled loop: every
     window holds one event, so category counts are dispatch counts."""
 
-    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
-    def test_category_events_equal_dispatch_counts_across_resume(self, engine):
+    def test_category_events_equal_dispatch_counts_across_resume(self):
         from collections import Counter
 
         from repro.obs.profiler import SchedulerProfiler, profile_category
 
-        sched = engine()
+        sched = Scheduler()
         profiler = SchedulerProfiler(sample_stride=1).install(sched)
         dispatched = Counter()
         callbacks = _category_chain(sched, dispatched)
@@ -692,14 +682,14 @@ class TestExactProfile:
         assert len(events) == 4
         assert sum(events.values()) == sched.events_processed
 
-    def test_mixed_chain_category_events_match_heap_engine(self):
-        events = []
-        for sched in (Scheduler(), HeapScheduler()):
-            _mixed_chain(sched, _profiled(1))
-            categories = sched.profiler.as_dict()["categories"]
-            events.append({c: d["events"] for c, d in categories.items()})
-        calendar, heap = events
-        assert calendar == heap
+    def test_mixed_chain_category_events_count_reference_dispatches(self):
+        # Every callback of the chain is one function: one category, which
+        # holds every event the reference scheduler dispatches for it.
+        sched = Scheduler()
+        _mixed_chain(sched, _profiled(1))
+        categories = sched.profiler.as_dict()["categories"]
+        _trace, dispatched, _pending, _now = _mixed_chain(ReferenceScheduler(), _plain)
+        assert [d["events"] for d in categories.values()] == [dispatched]
 
 
 class TestReservedSequences:
@@ -725,7 +715,7 @@ class TestReservedSequences:
         assert fired == [1]
         assert sched.pending == 0
 
-    def test_parity_with_heap_engine(self):
+    def test_parity_with_reference(self):
         def drive(sched):
             order = []
             sched.schedule_at(5e-6, order.append, "x")
@@ -735,7 +725,7 @@ class TestReservedSequences:
             sched.run()
             return order, sched.events_processed
 
-        assert drive(Scheduler()) == drive(HeapScheduler())
+        assert drive(Scheduler()) == drive(ReferenceScheduler())
 
 
 def _run_all(sched):
@@ -771,8 +761,7 @@ class TestRunAfterDrain:
     @pytest.mark.parametrize("late_delay", [0.0, 1e-9, 5e-6, 2.0])
     def test_event_after_drained_run_fires(self, drive, late_delay):
         calendar = self._drain_then_schedule(Scheduler(), drive, late_delay)
-        heap = self._drain_then_schedule(HeapScheduler(), drive, late_delay)
-        assert calendar == heap
+        assert calendar == self._drain_then_schedule(ReferenceScheduler(), drive, late_delay)
         assert calendar[0] == [0, 1, 2, 3, 4, "late"]
         assert calendar[1] == 0
 
@@ -785,9 +774,8 @@ class TestOverpressure:
         with pytest.raises(ResourceError):
             sched.schedule(1.0, lambda: None)
 
-    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
-    def test_reserved_insert_honours_cap(self, engine):
-        sched = engine(max_pending_events=3)
+    def test_reserved_insert_honours_cap(self):
+        sched = Scheduler(max_pending_events=3)
         for _ in range(3):
             sched.schedule(1.0, lambda: None)
         seq = sched.reserve_seq()
@@ -808,9 +796,8 @@ class TestInvalidTimes:
     """Regression: ``schedule(float("inf"), f)`` used to move ``_count``
     and ``_seq`` before failing with a raw ``OverflowError``, leaving a
     phantom pending entry that made the next ``run()`` die in the bucket
-    scan; NaN did the same with ``ValueError``, and the heap engine
-    accepted both (a NaN entry breaks heap order).  Every insert path of
-    both engines now rejects them before touching any state."""
+    scan; NaN did the same with ``ValueError``.  Every insert path now
+    rejects them before touching any state."""
 
     @staticmethod
     def _insert(sched, path, value, fn):
@@ -822,13 +809,12 @@ class TestInvalidTimes:
             return sched.schedule_at(value, fn)
         return sched.schedule_reserved(value, sched.reserve_seq(), fn)
 
-    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
     @pytest.mark.parametrize("path", ["schedule", "schedule_once", "schedule_at",
                                       "schedule_reserved"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf")],
                              ids=["inf", "nan", "-inf"])
-    def test_rejected_before_any_state_changes(self, engine, path, value):
-        sched = engine()
+    def test_rejected_before_any_state_changes(self, path, value):
+        sched = Scheduler()
         fired = []
         sched.schedule(1e-6, fired.append, "before")
         pending = sched.pending
@@ -850,9 +836,8 @@ class TestInvalidTimes:
         assert fired == ["before", "after"]
         assert sched.pending == 0
 
-    @pytest.mark.parametrize("engine", [Scheduler, HeapScheduler], ids=["calendar", "heap"])
-    def test_messages_name_the_problem(self, engine):
-        sched = engine()
+    def test_messages_name_the_problem(self):
+        sched = Scheduler()
         sched.run(until=1.0)
         with pytest.raises(SimulationError, match="negative delay"):
             sched.schedule(-1e-9, print)
@@ -953,19 +938,20 @@ class _Driver:
         return (self.trace, self.results, sched.now, sched.pending, sched.events_processed)
 
 
-class TestDifferentialAgainstHeap:
-    """Calendar ≡ heap on random operation sequences: after every
-    operation both engines have dispatched the same callbacks in the same
-    order and agree on ``now``, ``pending`` and ``events_processed``."""
+class TestDifferentialAgainstReference:
+    """Calendar ≡ the naive reference scheduler on random operation
+    sequences: after every operation both have dispatched the same
+    callbacks in the same order and agree on ``now``, ``pending`` and
+    ``events_processed``."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(_OPS)
-    def test_every_operation_matches_heap_engine(self, ops):
+    def test_every_operation_matches_reference(self, ops):
         calendar = _Driver(Scheduler())
-        heap = _Driver(HeapScheduler())
+        reference = _Driver(ReferenceScheduler())
         for op in ops + [("run_until", 10.0)]:
             calendar.apply(op)
-            heap.apply(op)
-            assert calendar.state() == heap.state(), op
+            reference.apply(op)
+            assert calendar.state() == reference.state(), op
         assert calendar.sched.pending == 0
