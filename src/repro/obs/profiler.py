@@ -5,10 +5,10 @@ profiler run.  :class:`SchedulerProfiler` buckets the run loop's wall time
 and event counts per callback *category* — link delivery, link transmit,
 switch fabric forwarding, transport timers, workload arming, PFC control,
 fault machinery — cheap enough to leave on for a real experiment (<5%
-overhead) and exactly free when off: the scheduler selects a separate
-instrumented run loop only when ``scheduler.profiler`` is set
-(:meth:`repro.sim.engine.Scheduler._run_profiled_sampled`), so the plain
-loop carries no per-event branch.
+overhead) and free when off: the profiler's sampling window shares the
+run loop's one countdown with the run-loop hooks, and the loop's slow
+path (:meth:`repro.sim.engine.Scheduler._beat`) closes it, so neither
+adds a per-event branch.
 
 Categories are derived from the callback's module and qualified name and
 memoized per function object, so steady-state attribution is one dict hit.
@@ -106,21 +106,23 @@ class SchedulerProfiler:
         """Miss path of the attribution memo: categorize ``fn`` and cache
         its slot under ``key`` (the underlying function object).  The hot
         path — one ``_by_fn`` lookup plus two slot increments — is inlined
-        into :meth:`repro.sim.engine.Scheduler._run_profiled_sampled`, so changes
-        to the memo layout must be mirrored there."""
+        into :meth:`repro.sim.engine.Scheduler._beat`, so changes to the
+        memo layout must be mirrored there."""
         category = profile_category(fn)
         slot = self._slots.setdefault(category, [0, 0.0])
         self._by_fn[key] = slot
         return slot
 
-    def record(self, fn: Callable, elapsed: float) -> None:
+    def record(self, fn: Callable, elapsed: float, events: int = 1) -> None:
+        """Charge ``events`` events and ``elapsed`` wall seconds to
+        ``fn``'s category."""
         # Bound methods are fresh objects per schedule; the underlying
         # function object is the stable memoization key.
         key = getattr(fn, "__func__", fn)
         slot = self._by_fn.get(key)
         if slot is None:
             slot = self._slot_for(key, fn)
-        slot[0] += 1
+        slot[0] += events
         slot[1] += elapsed
 
     # ------------------------------------------------------------------

@@ -29,11 +29,11 @@ Design notes
   live count of cancelled-but-not-yet-consumed events makes
   :attr:`pending` O(1) too, so watchdogs and heartbeats can poll it every
   few thousand events without an O(calendar) scan.
-* Observability hooks (:meth:`add_hook`, :attr:`profiler`) are structured
-  so that the *disabled* state costs nothing beyond the pre-existing loop:
-  the profiled run loop is a separate code path selected once per
-  :meth:`run`, never a per-event branch.  :meth:`step` is a one-event
-  :meth:`run`, so it fires hooks and feeds the profiler too.
+* Run-loop hooks (:meth:`add_hook`) and the :attr:`profiler`'s sampling
+  window share one countdown, the events until the next of them is due,
+  so plain and profiled runs take one loop and either costs a local
+  decrement per event.  :meth:`step` is a one-event :meth:`run`, so it
+  fires hooks and feeds the profiler too.
 * Two methods hold the single-event insert: :meth:`schedule_at` (a
   plain event) and :meth:`schedule_reserved` (a recyclable one, at a
   reserved or fresh sequence number).  :meth:`schedule` and
@@ -98,6 +98,7 @@ stays exactly ``(time, seq)`` whatever the geometry.
 
 from __future__ import annotations
 
+import time as _time
 from bisect import insort
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -261,7 +262,7 @@ class Scheduler:
                  "_running", "_cap", "profiler", "_hooks", "_cancelled_pending",
                  "_buckets", "_cur", "_pos", "_wstart", "_width", "_inv_width",
                  "_overflow", "_ocount", "_odue", "_slow_at", "_count", "_free",
-                 "_rev_next", "_rev_base", "_rev_t")
+                 "_rev_next", "_rev_base", "_rev_t", "_ticks", "_window")
 
     def __init__(self, max_pending_events: Optional[int] = DEFAULT_MAX_PENDING_EVENTS) -> None:
         self.now: float = 0.0
@@ -292,9 +293,14 @@ class Scheduler:
         # instrumentation never perturbs the event calendar itself.
         self._hooks: list[tuple[Callable[["Scheduler"], None], int]] = []
         # Opt-in per-callback wall-time profiling (repro.obs.profiler).
-        # ``None`` selects the plain run loop; the disabled state costs
-        # nothing per event.
+        # The disabled state costs nothing per event.
         self.profiler: Optional["SchedulerProfiler"] = None
+        # The current run's cadence, set by run() for _beat: each hook's
+        # ``[next firing count, interval, fn]``, and the profiler's window
+        # ``(profiler, first count, closing count, clock at start, LCG
+        # state)`` or ``None``.
+        self._ticks: list[list] = []
+        self._window: Optional[tuple] = None
         # Recyclable events parked after they settled, newest first,
         # linked through Event.free_next (see schedule_once).
         self._free: Optional[Event] = None
@@ -530,7 +536,10 @@ class Scheduler:
         it never perturbs the event calendar (identical seeds stay
         bit-identical with hooks installed) and it keeps firing even when
         simulated time is stuck — the property the livelock watchdog relies
-        on.  Returns an opaque handle for :meth:`remove_hook`.
+        on.  Hooks due on the same event fire in install order; each
+        :meth:`run` counts from its own start, and a hook added or removed
+        during a run takes effect at the next one.  Returns an opaque
+        handle for :meth:`remove_hook`.
         """
         if interval_events < 1:
             raise SimulationError("hook interval must be at least one event")
@@ -545,10 +554,6 @@ class Scheduler:
         except ValueError:
             pass
 
-    def _hook_states(self) -> list[list]:
-        """Per-run mutable countdown state: ``[countdown, interval, fn]``."""
-        return [[interval, interval, fn] for fn, interval in self._hooks]
-
     # ------------------------------------------------------------------
     # calendar maintenance
     # ------------------------------------------------------------------
@@ -556,10 +561,8 @@ class Scheduler:
         """Move past the exhausted current bucket and return the head
         event of the next non-empty one (``None`` when the calendar is
         drained).  Leaves ``_cur``/``_pos`` pointing at the returned
-        event.  The caller must have flushed its local consumption
-        cursor into ``_pos`` and its event-count delta into
-        ``_events_processed`` (the width check reads it).  The plain
-        run loop carries its own copy of this advance, inlined."""
+        event.  Only :meth:`peek_time` calls it, between runs; the run
+        loop carries its own copy of this advance, inlined."""
         buckets = self._buckets
         cur = self._cur
         buckets[cur & _MASK].clear()
@@ -704,41 +707,28 @@ class Scheduler:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the calendar drains, ``until`` is passed, or
         ``max_events`` have been processed.  Returns events processed.
+
+        Plain and profiled runs take the same loop.  Its one countdown,
+        ``due``, holds the events left until the next hook or the end of
+        the profiler's window (``_NO_LIMIT`` with neither), so either
+        costs a local decrement per event — what keeps profiled runs
+        inside their 8% budget on microsecond-scale events.  At 0 it calls
+        :meth:`_beat`.  Hooks and windows count from the start of each run.
         """
         if self._running:
             raise SimulationError("scheduler is already running (re-entrant run())")
-        self._running = True
-        try:
-            if self.profiler is None:
-                processed = self._run_plain(until, max_events)
-            else:
-                processed = self._run_profiled_sampled(until, max_events)
-        finally:
-            self._running = False
-        if max_events is None or processed < max_events:
-            # The loop stopped because it drained or passed the horizon:
-            # every event ordered at or before (now, any seq) has been
-            # dispatched, so the order position advances past all sequence
-            # numbers issued so far.  Elided reservations at exactly
-            # ``until`` rely on this (see Port._settle_tx).
-            self._now_seq = self._seq
-            if until is not None and self.now < until:
-                # Advance the clock to the requested horizon even if dry.
-                self.now = until
-        return processed
-
-    def _run_plain(self, until: Optional[float], max_events: Optional[int]) -> int:
         processed = 0
-        hooks = self._hook_states()
-        # The overwhelmingly common cases — no hooks, or exactly one
-        # (typically the livelock watchdog) — get a local-countdown fast
-        # path; only multi-hook runs pay the per-event list walk.
-        if len(hooks) == 1:
-            hcd, hint, hfn = hooks[0]
-            hooks = None
+        base = self._events_processed
+        fn = None  # the last executed event's callback
+        self._ticks = [[base + interval, interval, hook] for hook, interval in self._hooks]
+        profiler = self.profiler
+        if profiler is None:
+            self._window = None
         else:
-            hfn = None
-            hcd = hint = 0
+            # Fixed LCG seed: profiles are deterministic across runs.
+            self._window = (profiler, base, base + profiler.sample_stride,
+                            _time.perf_counter(), 0x2545F491)
+        due = self._beat(None)
         # Sentinels turn the per-event "is a bound set?" double checks
         # into single comparisons.
         horizon = _INF if until is None else until
@@ -747,15 +737,14 @@ class Scheduler:
         # locals and flushed at the slow path, before hook calls and on
         # exit — so hooks and re-entrant scheduling observe exact state
         # while the per-event cost stays a couple of local updates.
-        base = self._events_processed
         buckets = self._buckets
         cur = self._cur
         bucket = buckets[cur & _MASK]
         pos = self._pos
         if pos:
-            # Resuming mid-bucket (after an ``until``/``max_events`` stop,
-            # step() or a profiled run): drop the consumed prefix once, so
-            # the bucket walk below starts at the cursor.
+            # Resuming mid-bucket (after an ``until``/``max_events`` stop
+            # or step()): drop the consumed prefix once, so the bucket
+            # walk below starts at the cursor.
             del bucket[:pos]
             pos = self._pos = 0
         # Horizon checks are hoisted to bucket granularity: a bucket whose
@@ -763,6 +752,7 @@ class Scheduler:
         # index map) lies at or before the horizon cannot contain an event
         # past it.
         check_h = self._wstart + (cur + 2) * self._width > horizon
+        self._running = True
         try:
             while True:
                 # A list iterator re-reads the length on every step, so it
@@ -789,7 +779,10 @@ class Scheduler:
                     # insert into the current bucket bisects from it
                     # (see schedule).
                     self._pos = pos
-                    ev.fn(*ev.args)
+                    # Held in a local, not read back from the event: a hook
+                    # may recycle the event before the exit flush reads it.
+                    fn = ev.fn
+                    fn(*ev.args)
                     processed += 1
                     if ev.recyclable:
                         # Parked only now that the callback has returned:
@@ -798,19 +791,10 @@ class Scheduler:
                         ev.args = ()
                         ev.free_next = self._free
                         self._free = ev
-                    if hfn is not None:
-                        hcd -= 1
-                        if hcd <= 0:
-                            hcd = hint
-                            self._events_processed = base + processed
-                            hfn(self)
-                    elif hooks:
-                        for state in hooks:
-                            state[0] -= 1
-                            if state[0] <= 0:
-                                state[0] = state[1]
-                                self._events_processed = base + processed
-                                state[2](self)
+                    due -= 1
+                    if not due:
+                        self._events_processed = base + processed
+                        due = self._beat(fn)
                     if processed >= limit:
                         break
                 else:
@@ -848,132 +832,85 @@ class Scheduler:
                 # Horizon passed or event budget spent.
                 break
         finally:
+            self._running = False
             self._pos = pos
-            self._events_processed = base + processed
+            self._events_processed = done = base + processed
+            window = self._window
+            if window is not None and done > window[1]:
+                # The trailing partial window goes to the last event
+                # dispatched (the one that raised, if a callback did): a
+                # peeked-but-not-run or cancelled one never takes the
+                # charge.  Windows partition the run: totals stay exact.
+                _profiler, begin, _end, last, _rng = window
+                _profiler.record(fn, _time.perf_counter() - last, done - begin)
+        if max_events is None or processed < max_events:
+            # The loop stopped because it drained or passed the horizon:
+            # every event ordered at or before (now, any seq) has been
+            # dispatched, so the order position advances past all sequence
+            # numbers issued so far.  Elided reservations at exactly
+            # ``until`` rely on this (see Port._settle_tx).
+            self._now_seq = self._seq
+            if until is not None and self.now < until:
+                # Advance the clock to the requested horizon even if dry.
+                self.now = until
         return processed
 
-    def _run_profiled_sampled(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """The profiled loop (see
-        :class:`repro.obs.profiler.SchedulerProfiler`).
+    def _beat(self, fn: Optional[Callable[..., Any]]) -> int:
+        """The run loop's slow path, called when its countdown reaches 0
+        with ``fn``, the callback of the event just run (and once as a
+        run starts, with ``None``: nothing is due yet).  Returns the
+        events left until the next hook or window end.
 
-        The clock is read once per window of ``[stride, 2*stride)``
-        events; the whole window — its event count and wall time — is
-        charged to the category of the event that closed it.  Totals stay
-        exact because windows partition the event stream (the trailing
-        partial window is flushed on exit, charged to the last *executed*
-        event — a peeked-but-not-run or cancelled event never takes the
-        charge); the per-category split is statistical.  Window lengths
-        are jittered by a deterministic LCG so a periodic event pattern
-        (links alternating tx/deliver) cannot alias with the sampling
-        grid and skew the split.  Per-event cost is a local countdown
-        decrement — this is what keeps profiled mode inside its 8%
-        budget on microsecond-scale events.  Hook/watchdog time is
-        excluded by advancing the window start past it.
-
-        ``sample_stride=1`` is exact mode: every window holds exactly one
-        event, so each event is charged its own category and the wall
-        time since the previous clock read (dispatch overhead lands in
-        the category of the event that incurred it).
-
-        The attribution is inlined rather than calling
-        ``profiler.record`` — at sub-microsecond event granularity the
-        call overhead alone is a measurable fraction of the budget.  The
-        memo keys by the underlying function (``__func__``) because bound
-        methods are fresh objects per schedule; the slow path
-        (:meth:`SchedulerProfiler._slot_for`) only runs once per distinct
-        callback.
-
-        The profiled loop parks nothing on the free list: the leftover
-        flush needs the last executed event intact, and profiling is
-        opt-in so the allocation cost is acceptable.  Recycling affects
-        only object identity, never behaviour, so profiled and plain runs
-        stay bit-identical.
+        First it closes the profiler's window if due: the clock is read
+        once per window of ``[stride, 2*stride)`` events and the whole
+        window is charged to ``fn``'s category.  Totals are exact, the
+        split statistical; a deterministic LCG jitters window lengths so a
+        periodic event pattern (links alternating tx/deliver) cannot alias
+        with the sampling grid.  ``sample_stride=1`` is exact mode: one
+        event per window.  The charge is inlined rather than a
+        ``profiler.record`` call, since exact mode runs this per event.
+        Then it fires the due hooks in install order inside one bracket
+        whose wall time the window skips.  The bracket opens at the
+        window's own clock read when the window closed here (so exact mode
+        spends no extra read) and at a fresh read otherwise.
         """
-        from time import perf_counter
-
-        profiler = self.profiler
-        slot_of = profiler._by_fn.get
-        slot_for = profiler._slot_for
-        stride = profiler.sample_stride
-        rng = 0x2545F491  # fixed seed: profiles are deterministic across runs
-        processed = 0
-        hooks = self._hook_states()
-        base = self._events_processed
-        bucket = self._buckets[self._cur & _MASK]
-        pos = self._pos
-        done_ev = None  # last *executed* event, for the leftover flush
-        window = countdown = stride
-        last = perf_counter()
-        try:
-            while True:
-                if pos < len(bucket):
-                    ev = bucket[pos]
-                else:
-                    self._pos = pos
-                    self._events_processed = base + processed
-                    ev = self._advance()
-                    if ev is None:
-                        # Drained: keep _advance's rewound cursor (the
-                        # finally below writes ``pos`` back).
-                        pos = 0
-                        break
-                    bucket = self._buckets[self._cur & _MASK]
-                    pos = 0
-                if until is not None and ev.time > until:
-                    break
-                pos += 1
-                self._count -= 1
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                ev.cancelled = True
-                self.now = ev.time
-                self._now_seq = ev.seq
-                self._pos = pos
-                ev.fn(*ev.args)
-                processed += 1
-                done_ev = ev
-                countdown -= 1
-                if countdown <= 0:
-                    now_wall = perf_counter()
-                    fn = ev.fn
-                    key = getattr(fn, "__func__", fn)
-                    slot = slot_of(key)
-                    if slot is None:
-                        slot = slot_for(key, fn)
-                    slot[0] += window
-                    slot[1] += now_wall - last
-                    last = now_wall
-                    rng = (rng * 1103515245 + 12345) & 0xFFFFFFFF
-                    window = countdown = stride + (rng >> 16) % stride
-                if hooks:
-                    for state in hooks:
-                        state[0] -= 1
-                        if state[0] <= 0:
-                            state[0] = state[1]
-                            self._events_processed = base + processed
-                            # A window that closed on this event has
-                            # just read the clock: open the bracket there,
-                            # so exact mode (every window closes) spends no
-                            # extra read and charges no tick to the hook.
-                            hook_started = last if countdown == window else perf_counter()
-                            state[2](self)
-                            last += perf_counter() - hook_started
-                if max_events is not None and processed >= max_events:
-                    break
-        finally:
-            self._pos = pos
-            self._events_processed = base + processed
-            leftover = window - countdown
-            if leftover > 0 and done_ev is not None:
-                fn = done_ev.fn
+        n = self._events_processed
+        due = _NO_LIMIT
+        opened = None  # the clock read the hook bracket opens at
+        window = self._window
+        if window is not None:
+            profiler, begin, end, last, rng = window
+            if n >= end:
+                opened = now = _time.perf_counter()
+                # Bound methods are fresh objects per schedule: the memo
+                # keys by the underlying function.
                 key = getattr(fn, "__func__", fn)
-                slot = slot_of(key)
+                slot = profiler._by_fn.get(key)
                 if slot is None:
-                    slot = slot_for(key, fn)
-                slot[0] += leftover
-                slot[1] += perf_counter() - last
-        return processed
+                    slot = profiler._slot_for(key, fn)
+                slot[0] += n - begin
+                slot[1] += now - last
+                rng = (rng * 1103515245 + 12345) & 0xFFFFFFFF
+                stride = profiler.sample_stride
+                begin, end, last = n, n + stride + (rng >> 16) % stride, now
+                # Stored before any hook runs: a hook that raises leaves
+                # the exit flush a window that starts here.
+                self._window = (profiler, begin, end, last, rng)
+            due = end - n
+        fired = False
+        for tick in self._ticks:
+            at = tick[0]
+            if at <= n:
+                if opened is None and window is not None:
+                    opened = _time.perf_counter()
+                fired = True
+                tick[0] = at = n + tick[1]
+                tick[2](self)
+            if at - n < due:
+                due = at - n
+        if fired and window is not None:
+            self._window = (profiler, begin, end, last + (_time.perf_counter() - opened), rng)
+        return due
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when idle."""

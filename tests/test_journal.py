@@ -298,12 +298,15 @@ class TestGracefulShutdown:
                 raise KeyboardInterrupt
 
         telemetry = RunTelemetry()
+        # The poll that brings the first ok settles at most both workers'
+        # cells, and at most two more are in flight for the shutdown drain
+        # to collect: five cells can never all finish, however fast a run is.
         requests = [RunRequest(key=("c", s), scenario=TINY.with_overrides(seed=s))
-                    for s in range(4)]
+                    for s in range(5)]
         results = execute_runs(requests, workers=2, telemetry=telemetry, progress=hook)
         assert state["raised"]
         assert telemetry.interrupted
-        assert 1 <= len(results) < 4
+        assert 1 <= len(results) < 5
         assert "INTERRUPTED" in telemetry.summary()
         # No orphaned workers: everything was terminated and joined.
         deadline = time.monotonic() + 5

@@ -420,16 +420,17 @@ def _dba_pair(total_pkts=100.0, **pool_kwargs):
 
 
 # Port queue kinds the idle-send bypass covers.  The DBA variants: the
-# default pool; no reserved allotment (admission by the alpha rule alone);
-# an alpha that refuses an empty queue once anything else holds pool bytes;
-# and a pool the reverse direction nearly fills, so idle sends drop.  The
-# ECN bursts (see ELISION_BURSTS) drive a busy port's inline enqueue past
-# its mark threshold and then to capacity.
+# default pool; a pool so small and an alpha so low that the default
+# reserved allotment of 2 packets per port, not the alpha rule, decides
+# admission; an alpha that refuses an empty queue once anything else holds
+# pool bytes; and a pool the reverse direction nearly fills, so idle sends
+# drop.  The ECN bursts (see ELISION_BURSTS) drive a busy port's inline
+# enqueue past its mark threshold and then to capacity.
 ELISION_QUEUES = {
     "droptail": lambda: (DropTailQueue(100), DropTailQueue(100)),
     "ecn": lambda: (EcnQueue(100, 1), EcnQueue(100, 1)),
     "dba": _dba_pair(),
-    "dba-unreserved": _dba_pair(reserved_pkts_per_port=0),
+    "dba-reserve-decides": _dba_pair(total_pkts=3, alpha=0.1),
     "dba-alpha-refuses": _dba_pair(total_pkts=10, alpha=0.1, reserved_pkts_per_port=0),
     "dba-nearly-full": _dba_pair(total_pkts=2.5),
     "ecn-burst": lambda: (EcnQueue(8, 5), EcnQueue(8, 5)),
@@ -538,6 +539,11 @@ class TestElisionEquivalence:
         if kind in ("dba-alpha-refuses", "dba-nearly-full"):
             # The case under test happened: idle sends were refused.
             assert counters[0][6] > 0
+        if kind == "dba-reserve-decides":
+            # Without the allotment the alpha rule alone refuses more.
+            twin = self._run_traffic(_dba_pair(total_pkts=3, alpha=0.1,
+                                               reserved_pkts_per_port=0)())
+            assert sum(c[6] for c in twin[1]) > sum(c[6] for c in counters)
         if kind in ("ecn", "dba"):
             assert any(ce for _t, _size, ce in arrivals[1])
         if burst is not None:
@@ -548,6 +554,12 @@ class TestElisionEquivalence:
             assert [status for _i, status, _t, _w in finished].count("dropped:overflow") > 0
             retuned = kind == "ecn-burst-retuned"
             assert queue_counters["mark_threshold_pkts"] == (2 if retuned else 5)
+
+    def test_dba_cases_are_distinct(self):
+        # Two DBA cases with one digest would check one behaviour twice.
+        digests = [golden.expected("link", kind)["digest"]
+                   for kind in ELISION_QUEUES if kind.startswith("dba")]
+        assert len(set(digests)) == len(digests) > 1
 
     def test_busy_property_settles_elided_tx_done(self):
         # External readers polling `busy` between events must observe the

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.experiments.runner import RunOptions, canonical_payload, run_scenario
-from repro.experiments.scenarios import SCALED_DEFAULTS
+from repro.experiments.scenarios import SCALED_DEFAULTS, flap_storm
 from repro.obs.counters import CounterRegistry
 from repro.obs.heartbeat import ExecutorHeartbeat, HeartbeatWriter
 from repro.obs.profiler import format_profile, merge_profiles
@@ -21,6 +21,7 @@ from repro.obs.trace import (
     validate_record,
 )
 from repro.sim.engine import Scheduler
+from tests import golden
 
 TINY = SCALED_DEFAULTS.with_overrides(
     name="obs-tiny", duration_s=0.02, drain_s=0.3, qps=100.0,
@@ -370,6 +371,44 @@ class TestProfilerAttribution:
         assert profile["total_events"] == 4
         assert profile["categories"]["transport.timer"]["events"] == 3
         assert profile["categories"]["workload.arm"]["events"] == 1
+
+
+class TestProfilePins:
+    """Per-category event counts of whole profiled runs.  The window
+    lengths come from a fixed LCG and each window is charged to the event
+    that closes it, so the counts are deterministic, and they move
+    whenever the window attribution does."""
+
+    CONTROLLED = flap_storm("dibs", seed=0, **golden.STORM_CTL)
+    PINS = {
+        ("tiny", 16): {"link.deliver": 5362, "link.tx": 5944},
+        ("tiny", 1): {"link.deliver": 5650, "link.tx": 5650, "workload.arm": 6},
+        # Watchdog and controller hooks installed; the controller's fires
+        # every 2,000 events.
+        ("controlled", 16): {"link.deliver": 7189, "link.tx": 8786, "workload.arm": 42},
+        ("controlled", 1): {"faults": 6, "link.deliver": 7788, "link.tx": 8193,
+                            "transport.timer": 4, "workload.arm": 26},
+    }
+
+    @pytest.mark.parametrize("case", list(PINS), ids=lambda case: f"{case[0]}-stride{case[1]}")
+    def test_category_events_are_pinned(self, case, monkeypatch):
+        import repro.obs.profiler as profiler_mod
+
+        name, stride = case
+
+        class Profiler(profiler_mod.SchedulerProfiler):
+            def __init__(self):
+                super().__init__(sample_stride=stride)
+
+        # run_scenario builds its profiler with the default stride.
+        monkeypatch.setattr(profiler_mod, "SchedulerProfiler", Profiler)
+        scenario = TINY if name == "tiny" else self.CONTROLLED
+        result = run_scenario(scenario, RunOptions(profile=True))
+        events = {c: d["events"] for c, d in result.profile["categories"].items()}
+        assert events == self.PINS[case]
+        assert result.profile["total_events"] == result.events
+        if name == "controlled":  # profiling moved nothing
+            assert golden.measured(result) == golden.expected("runs", "storm-ctl/dibs/s0")
 
 
 # ----------------------------------------------------------------------

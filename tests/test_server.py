@@ -375,18 +375,21 @@ class TestChaos:
             dupes = [sched.submit("dup", 0, TINY.with_overrides(seed=s))
                      for s in range(5)]
             assert all(d.status in ("deduped", "cached") for d in dupes)
-            # Kill random in-flight workers while the burst runs.
+            # Kill random in-flight workers while the burst runs.  The
+            # first poll that sees a running worker always kills, and polls
+            # are short until then: a fast simulator can finish the whole
+            # burst within a few 0.1 s polls, before the seeded gate opens.
             kills = 0
             deadline = time.monotonic() + 120
             while not sched.idle() and time.monotonic() < deadline:
                 pids = sched.running_pids()
-                if pids and kills < 8 and rng.random() < 0.4:
+                if pids and kills < 8 and (not kills or rng.random() < 0.4):
                     try:
                         os.kill(rng.choice(pids), signal.SIGKILL)
                         kills += 1
                     except (ProcessLookupError, PermissionError):
                         pass
-                time.sleep(0.1)
+                time.sleep(0.1 if kills else 0.005)
             assert sched.idle(), "burst did not finish under chaos"
             assert kills > 0, "chaos loop never killed anything"
             # Every job terminal and successful: kills surfaced as crashes

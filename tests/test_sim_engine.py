@@ -692,6 +692,62 @@ class TestExactProfile:
         assert [d["events"] for d in categories.values()] == [dispatched]
 
 
+class TestHookCadence:
+    """Several hooks share the run loop's one countdown with each other
+    and with the profiler's window: each fires every ``interval`` events
+    counted from the start of each run, hooks due on the same event fire
+    in install order, and a hook added mid-run starts at the next run."""
+
+    # (events_processed at the start, at the end) of each run the test
+    # drives: run(until), three step()s, run(max_events=20), run(until),
+    # run().  The hook added mid-run is installed during the fifth.
+    SEGMENTS = [(0, 25), (25, 26), (26, 27), (27, 28), (28, 48), (48, 71), (71, 121)]
+    HOOKS = (("a", 3), ("b", 7), ("c", 10), ("d", 4))
+
+    @classmethod
+    def _expected(cls):
+        fired = []
+        for start, end in cls.SEGMENTS:
+            for count in range(start + 1, end + 1):
+                for name, every in cls.HOOKS:
+                    if (count - start) % every == 0 and (name != "d" or start >= 48):
+                        fired.append((name, count))
+        return fired
+
+    @pytest.mark.parametrize("stride", [None, 16, 1], ids=["plain", "sampled", "exact"])
+    def test_hooks_fire_on_their_cadence(self, stride):
+        from repro.obs.profiler import SchedulerProfiler
+
+        sched = Scheduler()
+        if stride is not None:
+            profiler = SchedulerProfiler(sample_stride=stride).install(sched)
+        fired = []
+
+        def hook(name):
+            return lambda s: fired.append((name, s.events_processed))
+
+        for name, every in self.HOOKS[:3]:
+            sched.add_hook(hook(name), every)
+        for i in range(1, 121):
+            sched.schedule_at(i * 1e-3, lambda: None)
+        # Event 31 installs hook d, during run(max_events=20).
+        sched.schedule_at(0.0305, lambda: sched.add_hook(hook("d"), 4))
+        sched.run(until=0.0255)
+        for _ in range(3):
+            sched.step()
+        sched.run(max_events=20)
+        sched.run(until=0.07)
+        sched.run()
+        assert sched.events_processed == 121
+        assert fired == self._expected()
+        # Spot checks: a and b both due at 21 fire in install order, and
+        # d's first call is at the next run's fourth event.
+        assert fired[fired.index(("a", 21)) + 1] == ("b", 21)
+        assert [count for name, count in fired if name == "d"][0] == 48 + 4
+        if stride is not None:
+            assert profiler.total_events == 121
+
+
 class TestReservedSequences:
     """reserve_seq / schedule_reserved: the elision primitive must keep
     the (time, seq) total order exactly as if the event was never elided."""
