@@ -12,15 +12,16 @@ from deltas of ``bytes_sent``.
 
 tx-done elision
 ---------------
-Transmitting a packet used to cost two scheduler events: a ``_tx_done`` at
-serialization end (frees the transmitter, starts the next packet) and a
-``_deliver`` at serialization end plus propagation (hands the packet to the
-peer).  When the output queue is empty at transmit start, the ``_tx_done``
-is a provable no-op — there is nothing to transmit next, and nothing can
-appear in the queue without passing through :meth:`Port.send` on this same
-port.  Those events are *elided*: the port reserves the event's sequence
-number (:meth:`Scheduler.reserve_seq`) so every later event keeps the exact
-``(time, seq)`` position it would have had, and either
+A transmission costs up to two scheduler events: a tx-done at
+serialization end (``send()`` with no packet: it frees the transmitter
+and starts the next packet) and a ``_deliver`` at serialization end plus
+propagation.  When the output queue is empty at transmit start, the
+tx-done is a provable no-op — there is nothing to transmit next, and
+nothing can appear in the queue without passing through :meth:`Port.send`
+on this same port.  Those events are *elided*: the port reserves the
+event's sequence number (:meth:`Scheduler.reserve_seq`) so every later
+event keeps the exact ``(time, seq)`` position it would have had, and
+either
 
 * **settles** the reservation lazily once the scheduler's dispatch position
   ``(now, now_seq)`` has passed the reserved point — applying the event's
@@ -40,7 +41,7 @@ on a fixed and on a jittered link alike.
 
 Either way the observable simulation — every queue occupancy, ECN mark,
 delivery time and event count — is bit-identical to a transmit path that
-dispatches every ``_tx_done`` for real and passes every packet through
+dispatches every tx-done for real and passes every packet through
 its queue's methods.  The golden corpus (``tests/golden``) holds results
 recorded while both paths agreed, and ``bench_engine_speed.py`` compares
 against that path at the commit that still had it.  The ``busy``
@@ -185,9 +186,9 @@ class Port:
         self._fast_q = qtype in (DropTailQueue, EcnQueue, DynamicBufferQueue)
         self._pool = queue.pool if qtype is DynamicBufferQueue else None
         # Exact droptail/ECN queues (``_plain_q``; ``_ecn_q`` for ECN) are
-        # plain deques with a capacity: send() enqueues into a busy one,
-        # _tx_next dequeues from it, and the switch tests its fullness,
-        # all without a queue method call.
+        # plain deques with a capacity: send() enqueues into a busy one and
+        # dequeues from it, and the switch tests its fullness, all without
+        # a queue method call.
         self._plain_q = qtype is DropTailQueue or qtype is EcnQueue
         self._ecn_q = qtype is EcnQueue
 
@@ -197,10 +198,6 @@ class Port:
         self.peer_port_index = peer.index
         self.peer_is_host = peer.node.is_host
         self._peer_receive = peer.node.receive
-
-    def tx_time(self, pkt: Packet) -> float:
-        """Serialisation delay of ``pkt`` on this port."""
-        return pkt.size * self._s_per_byte
 
     # ------------------------------------------------------------------
     def set_jitter(self, jitter_s: float, rng) -> None:
@@ -262,18 +259,16 @@ class Port:
     # tx-done elision plumbing (see module docstring)
     # ------------------------------------------------------------------
     def _settle_tx(self, materialize: bool = False) -> None:
-        """Apply an elided tx-done whose turn in the ``(time, seq)`` total
-        order has passed.  Its only effect is freeing the transmitter: the
-        output queue is necessarily empty while a reservation is live
-        (any enqueue goes through :meth:`send`, which settles or
-        materializes first), so a dispatched tx-done would have found
-        nothing to transmit.  With ``materialize`` (the no-op proof is about
-        to break: a pause, a fault transition, the run's end), a tx-done
-        whose turn has not passed goes back on the calendar instead, at
-        its reserved ``(time, seq)``."""
+        """Apply the live elided tx-done (callers test ``_txdone_seq >= 0``)
+        if its turn in the ``(time, seq)`` total order has passed.  Its only
+        effect is freeing the transmitter: the output queue is necessarily
+        empty while a reservation is live (any enqueue goes through
+        :meth:`send`, which settles or materializes first), so a dispatched
+        tx-done would have found nothing to transmit.  With ``materialize``
+        (the no-op proof is about to break: a pause, a fault transition, the
+        run's end), a tx-done whose turn has not passed goes back on the
+        calendar instead, at its reserved ``(time, seq)``."""
         seq = self._txdone_seq
-        if seq < 0:
-            return
         sched = self.scheduler
         te = self._tx_end
         now = sched.now
@@ -286,150 +281,203 @@ class Port:
                 # Keep profiles summing to the logical event count: the
                 # elided dispatch contributes its event, and (truthfully)
                 # zero wall time, to the link.tx category.
-                profiler.record(self._tx_next, 0.0)
+                profiler.record(self.send, 0.0)
         elif materialize:
             self._txdone_seq = -1
-            sched.schedule_reserved(te, seq, self._tx_next)
+            sched.schedule_reserved(te, seq, self.send)
 
     # ------------------------------------------------------------------
-    def send(self, pkt: Packet) -> bool:
+    def send(self, pkt: Optional[Packet] = None) -> bool:
         """Enqueue ``pkt`` for transmission.  Returns ``False`` on tail drop
-        (or, for a down port, a recorded ``link_down`` drop)."""
-        if not self.up:
-            self.drops_link_down += 1
-            if pkt.span is not None:
-                pkt.span.rec.end(
-                    pkt.span, "dropped:link_down", self.scheduler.now,
-                    where=self.node.name,
-                )
-            return False
-        seqr = self._txdone_seq
-        if seqr >= 0:
-            # Inline settle (see _settle_tx): an idle port with a passed
-            # elided tx-done still reads ``_busy`` until settled — do it
-            # before the fast-path test so the idle case is recognized.
-            sched = self.scheduler
-            te = self._tx_end
-            now = sched.now
-            if now > te or (now == te and sched._now_seq > seqr):
-                self._txdone_seq = -1
-                self._busy = False
-                sched._events_elided += 1
-                if sched.profiler is not None:
-                    sched.profiler.record(self._tx_next, 0.0)
-        queue = self.queue
-        size = pkt.size
-        fast = (not self._busy and not self.paused and self._fast_q
-                and not queue._q and self.on_queue_change is None)
-        if fast and (pool := self._pool) is not None:
-            # DBA port: the idle send may bypass the queue only if the pool
-            # admits the packet at occupancy 0 (== pool.admits(0, size, 0));
-            # a refused packet takes the queue path, which drops and counts
-            # it.
-            free = pool.total_bytes - pool.used_bytes
-            fast = free >= size and (pool.reserved_pkts_per_port > 0 or size <= pool.alpha * free)
-        if fast:
-            # Fast path (the common case under light-to-moderate load):
-            # idle transmitter, empty droptail/ECN/DBA queue, no occupancy
-            # observer.  The enqueue-then-dequeue round trip would be a
-            # no-op — the packet is admitted (below capacity, or by the
-            # pool test above, whose take-then-release nets to zero), and
-            # at occupancy 1 nothing marks (the ECN threshold is >= 1 by
-            # construction) — so the packet goes straight to the
-            # transmitter.  ``enqueues`` is still counted: observably the
-            # packet passed through the queue.
-            queue.enqueues += 1
-            self._busy = True
-            tx = size * self._s_per_byte
-            self.bytes_sent += size
-            self.pkts_sent += 1
-            self.busy_seconds += tx
-            sched = self.scheduler
-            self._tx_end = sched.now + tx
-            if pkt.span is not None:
-                hop = pkt.span.hops[-1]
-                hop["port"] = self.index
-                hop["t_q"] = sched.now
-                hop["t_tx"] = sched.now
-                hop["q_s"] = 0.0
-                hop["tx_s"] = tx
-                hop["prop_s"] = self.delay_s
-            # The delivery's arrival: fixed, or the jittered draw (see
-            # set_jitter), FIFO-clamped.
-            rng = self._jitter_rng
-            if rng is None:
-                arrival = sched.now + (tx + self.delay_s)
+        (or, for a down port, a recorded ``link_down`` drop).
+
+        Called with no packet, this is the tx-done (the callback of every
+        tx-done event) and the restart of :meth:`resume` and
+        :meth:`set_up`: the transmitter is free, so it starts the next
+        queued packet, if any, and returns whether it did.  A transmission
+        starts in one place, the end of this method."""
+        if pkt is not None:
+            if not self.up:
+                self.drops_link_down += 1
+                if pkt.span is not None:
+                    pkt.span.rec.end(
+                        pkt.span, "dropped:link_down", self.scheduler.now,
+                        where=self.node.name,
+                    )
+                return False
+            seqr = self._txdone_seq
+            if seqr >= 0:
+                # Inline settle (see _settle_tx): an idle port with a passed
+                # elided tx-done still reads ``_busy`` until settled — do it
+                # before the fast-path test so the idle case is recognized.
+                sched = self.scheduler
+                te = self._tx_end
+                now = sched.now
+                if now > te or (now == te and sched._now_seq > seqr):
+                    self._txdone_seq = -1
+                    self._busy = False
+                    sched._events_elided += 1
+                    if sched.profiler is not None:
+                        sched.profiler.record(self.send, 0.0)
+            queue = self.queue
+            size = pkt.size
+            fast = (not self._busy and not self.paused and self._fast_q
+                    and not queue._q and self.on_queue_change is None)
+            if fast and (pool := self._pool) is not None:
+                # DBA port: the idle send may bypass the queue only if the
+                # pool admits the packet at occupancy 0 (==
+                # pool.admits(0, size, 0)); a refused packet takes the queue
+                # path, which drops and counts it.
+                free = pool.total_bytes - pool.used_bytes
+                fast = free >= size and (pool.reserved_pkts_per_port > 0 or size <= pool.alpha * free)
+            if fast:
+                # Fast path (the common case under light-to-moderate load):
+                # idle transmitter, empty droptail/ECN/DBA queue, no
+                # occupancy observer.  The enqueue-then-dequeue round trip
+                # would be a no-op — the packet is admitted (below
+                # capacity, or by the pool test above, whose
+                # take-then-release nets to zero), and at occupancy 1
+                # nothing marks (the ECN threshold is >= 1 by construction)
+                # — so the packet goes straight to the transmitter.
+                # ``enqueues`` is still counted: observably the packet
+                # passed through the queue.
+                queue.enqueues += 1
             else:
-                arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
-                if arrival < self._last_arrival:
-                    arrival = self._last_arrival
-                self._last_arrival = arrival
-            # The tx-done is always elided here: inlined
-            # Scheduler.reserve_seq (hot path), then the delivery under the
-            # next, fresh, sequence number.
+                if self._plain_q:
+                    # Inlined DropTailQueue/EcnQueue.enqueue (hot: once per
+                    # packet that meets a busy droptail/ECN port), mirroring
+                    # the inlined dequeue below.  Occupancy is read once for
+                    # the drop and the mark; the mark compares the occupancy
+                    # including this packet with the live threshold (the
+                    # runtime controller retunes it).
+                    q = queue._q
+                    n = len(q)
+                    admitted = n < queue.capacity_pkts
+                    if admitted:
+                        if self._ecn_q and pkt.ecn_capable and n + 1 > queue.mark_threshold_pkts:
+                            pkt.ecn_ce = True
+                            queue.marks += 1
+                            if pkt.span is not None:
+                                pkt.span.hops[-1]["ecn"] = True
+                        q.append(pkt)
+                        queue.byte_count += size
+                        queue.enqueues += 1
+                    else:
+                        queue.drops += 1
+                else:
+                    admitted = queue.enqueue(pkt)
+                if not admitted:
+                    # Tail drop.  Idempotent finish: the switch's _drop also
+                    # observes this and fires first for switch-initiated
+                    # drops.
+                    if pkt.span is not None:
+                        pkt.span.rec.end(
+                            pkt.span, "dropped:overflow", self.scheduler.now,
+                            where=self.node.name,
+                        )
+                    return False
+                if pkt.span is not None:
+                    hop = pkt.span.hops[-1]
+                    hop["port"] = self.index
+                    hop["t_q"] = self.scheduler.now
+                if self.on_queue_change is not None:
+                    self.on_queue_change(self)
+                seqr = self._txdone_seq
+                if seqr >= 0:
+                    # The queue is no longer empty and the elided tx-done's
+                    # turn has not passed (it would have settled above): it
+                    # is no longer a no-op — put it back on the calendar
+                    # (inlined _settle_tx(materialize=True), hot under
+                    # sustained load).
+                    self._txdone_seq = -1
+                    self.scheduler.schedule_reserved(self._tx_end, seqr, self.send)
+                if self._busy or self.paused:
+                    return True
+                pkt = None  # idle: transmit the queue's head
+        if pkt is None:
+            # The transmitter is free: take the queue's head, unless the
+            # port is paused or down.
+            queue = self.queue
+            if self.up and not self.paused:
+                if not self._plain_q:
+                    pkt = queue.dequeue()
+                elif q := queue._q:
+                    # Inlined DropTailQueue.dequeue (hot: once per
+                    # transmitted packet) for droptail and ECN ports.  A DBA
+                    # port (``_pool`` set) keeps the method call even though
+                    # it shares the idle bypass: its dequeue releases the
+                    # packet's pool bytes and raises on a negative pool
+                    # balance.
+                    pkt = q.popleft()
+                    queue.byte_count -= pkt.size
+            if pkt is None:
+                self._busy = False
+                return False
+            if self.on_queue_change is not None:
+                self.on_queue_change(self)
+            size = pkt.size
+        # Transmit start.
+        self._busy = True
+        tx = size * self._s_per_byte
+        self.bytes_sent += size
+        self.pkts_sent += 1
+        self.busy_seconds += tx
+        sched = self.scheduler
+        self._tx_end = sched.now + tx
+        if pkt.span is not None:
+            hop = pkt.span.hops[-1]
+            now_t = sched.now
+            if "t_q" not in hop:  # the idle bypass: queued as it is sent
+                hop["port"] = self.index
+                hop["t_q"] = now_t
+            hop["t_tx"] = now_t
+            hop["q_s"] = now_t - hop["t_q"]
+            hop["tx_s"] = tx
+            hop["prop_s"] = self.delay_s
+        # The delivery's arrival: fixed, or the jittered draw (see
+        # set_jitter), FIFO-clamped.
+        rng = self._jitter_rng
+        if rng is None:
+            arrival = sched.now + (tx + self.delay_s)
+        else:
+            arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+            self._last_arrival = arrival
+        if not queue._q:
+            # Nothing left to transmit when serialization ends: elide the
+            # tx-done (reserve its sequence number so the total order is
+            # unchanged) instead of dispatching a no-op event.  Inlined
+            # Scheduler.reserve_seq (hot path), then the delivery under
+            # the next, fresh, sequence number.
             seq = sched._seq
             sched._seq = seq + 2
             self._txdone_seq = seq
             pkt.flight_event = sched.schedule_reserved(arrival, seq + 1, self._deliver, pkt)
-            # Link onto the in-flight FIFO (pkt.flight_next is None: a
-            # packet off the wire never keeps a link).
-            if self._flight_count:
-                self._flight_tail.flight_next = pkt
-            else:
-                self._flight_head = pkt
-            self._flight_tail = pkt
-            self._flight_count += 1
-            return True
-        if self._plain_q:
-            # Inlined DropTailQueue/EcnQueue.enqueue (hot: once per packet
-            # that meets a busy droptail/ECN port), mirroring the inlined
-            # dequeue in _tx_next.  Occupancy is read once for the drop and
-            # the mark; the mark compares the occupancy including this
-            # packet with the live threshold (the runtime controller
-            # retunes it).
-            q = queue._q
-            n = len(q)
-            if n < queue.capacity_pkts:
-                if self._ecn_q and pkt.ecn_capable and n + 1 > queue.mark_threshold_pkts:
-                    pkt.ecn_ce = True
-                    queue.marks += 1
-                    if pkt.span is not None:
-                        pkt.span.hops[-1]["ecn"] = True
-                q.append(pkt)
-                queue.byte_count += size
-                queue.enqueues += 1
-                admitted = True
-            else:
-                queue.drops += 1
-                admitted = False
         else:
-            admitted = queue.enqueue(pkt)
-        if not admitted:
-            # Tail drop.  Idempotent finish: the switch's _drop also
-            # observes this and fires first for switch-initiated drops.
-            if pkt.span is not None:
-                pkt.span.rec.end(
-                    pkt.span, "dropped:overflow", self.scheduler.now,
-                    where=self.node.name,
-                )
-            return False
-        if pkt.span is not None:
-            hop = pkt.span.hops[-1]
-            hop["port"] = self.index
-            hop["t_q"] = self.scheduler.now
-        if self.on_queue_change is not None:
-            self.on_queue_change(self)
-        seqr = self._txdone_seq
-        if seqr >= 0:
-            # The queue is no longer empty and the elided tx-done's turn
-            # has not passed (it would have settled above): it is no
-            # longer a no-op — put it back on the calendar (inlined
-            # _settle_tx(materialize=True), hot under sustained load).
-            self._txdone_seq = -1
-            self.scheduler.schedule_reserved(self._tx_end, seqr, self._tx_next)
-        if not self._busy and not self.paused:
-            self._tx_next()
+            # The tx-done goes on the calendar with the delivery, in one
+            # call.  Its callback is send(): the transmitter frees up when
+            # the last bit leaves and immediately starts the next packet;
+            # propagation of the in-flight packet continues independently.
+            pkt.flight_event = sched.schedule_tx(
+                tx, self.send, arrival, self._deliver, pkt)
+        # Link onto the in-flight FIFO (pkt.flight_next is None: a packet
+        # off the wire never keeps a link).
+        if self._flight_count:
+            self._flight_tail.flight_next = pkt
+        else:
+            self._flight_head = pkt
+        self._flight_tail = pkt
+        self._flight_count += 1
         return True
+
+    def _restart(self) -> None:
+        """Restart the transmitter once a pause or an outage ends: settle or
+        materialize an elided tx-done, then start the queue's head if idle."""
+        if self._txdone_seq >= 0:
+            self._settle_tx(materialize=True)
+        if not self._busy and not self.paused:
+            self.send()
 
     def pause(self, duration_s: Optional[float] = None) -> None:
         """Stop transmitting after the current packet (PFC PAUSE).
@@ -454,81 +502,7 @@ class Port:
         if not self.paused:
             return
         self.paused = False
-        if self._txdone_seq >= 0:
-            self._settle_tx(materialize=True)
-        if not self._busy:
-            self._tx_next()
-
-    def _tx_next(self) -> None:
-        if self.paused or not self.up:
-            self._busy = False
-            return
-        queue = self.queue
-        if self._plain_q:
-            # Inlined DropTailQueue.dequeue (hot: once per transmitted
-            # packet) for droptail and ECN ports.  A DBA port (``_pool``
-            # set) keeps the method call even though it shares send()'s
-            # idle bypass: its dequeue releases the packet's pool bytes and
-            # raises on a negative pool balance.
-            q = queue._q
-            if not q:
-                self._busy = False
-                return
-            pkt = q.popleft()
-            queue.byte_count -= pkt.size
-        elif (pkt := queue.dequeue()) is None:
-            self._busy = False
-            return
-        if self.on_queue_change is not None:
-            self.on_queue_change(self)
-        self._busy = True
-        size = pkt.size
-        tx = size * self._s_per_byte
-        self.bytes_sent += size
-        self.pkts_sent += 1
-        self.busy_seconds += tx
-        sched = self.scheduler
-        self._tx_end = sched.now + tx
-        if pkt.span is not None:
-            hop = pkt.span.hops[-1]
-            now_t = sched.now
-            hop["t_tx"] = now_t
-            hop["q_s"] = now_t - hop.get("t_q", now_t)
-            hop["tx_s"] = tx
-            hop["prop_s"] = self.delay_s
-        # The delivery's arrival: same computation as send()'s fast path.
-        rng = self._jitter_rng
-        if rng is None:
-            arrival = sched.now + (tx + self.delay_s)
-        else:
-            arrival = self._tx_end + self.delay_s + self.jitter_s * rng.random()
-            if arrival < self._last_arrival:
-                arrival = self._last_arrival
-            self._last_arrival = arrival
-        if not queue._q:
-            # Nothing left to transmit when serialization ends: elide the
-            # tx-done (reserve its sequence number so the total order is
-            # unchanged) instead of dispatching a no-op event.  Inlined
-            # Scheduler.reserve_seq (hot path), then the delivery under
-            # the next, fresh, sequence number.
-            seq = sched._seq
-            sched._seq = seq + 2
-            self._txdone_seq = seq
-            pkt.flight_event = sched.schedule_reserved(arrival, seq + 1, self._deliver, pkt)
-        else:
-            # The tx-done goes on the calendar with the delivery, in one
-            # call.  Its callback IS _tx_next: the transmitter frees up
-            # when the last bit leaves and immediately starts the next
-            # packet; propagation of the in-flight packet continues
-            # independently.
-            pkt.flight_event = sched.schedule_tx(
-                tx, self._tx_next, arrival, self._deliver, pkt)
-        if self._flight_count:
-            self._flight_tail.flight_next = pkt
-        else:
-            self._flight_head = pkt
-        self._flight_tail = pkt
-        self._flight_count += 1
+        self._restart()
 
     def _deliver(self, pkt: Packet) -> None:
         receive = self._peer_receive
@@ -590,13 +564,11 @@ class Port:
             # The newest in-flight packet is still serializing: back out
             # the part of its transmit-start credit that never made it
             # onto the wire.  (Counted in whole bytes; the sub-byte
-            # truncation is below measurement granularity.)
-            tail_pkt = self._flight_tail
+            # truncation is below measurement granularity.  The remainder
+            # is at most the packet's own serialization, so the undo never
+            # exceeds its size.)
             remainder_s = self._tx_end - now
-            undo = int(remainder_s * self.rate_bps / 8.0)
-            if undo > tail_pkt.size:
-                undo = tail_pkt.size
-            self.bytes_sent -= undo
+            self.bytes_sent -= int(remainder_s * self.rate_bps / 8.0)
             self.busy_seconds -= remainder_s
         killed = self._flight_count
         pkt = self._flight_head
@@ -623,14 +595,7 @@ class Port:
         if self.up:
             return
         self.up = True
-        if self._txdone_seq >= 0:
-            self._settle_tx(materialize=True)
-        if not self._busy and not self.paused:
-            self._tx_next()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        peer = self.peer_node.name if self.peer_node else "?"
-        return f"<Port {self.node.name}[{self.index}] -> {peer} qlen={len(self.queue)}>"
+        self._restart()
 
 
 def connect(port_a: Port, port_b: Port) -> None:

@@ -272,7 +272,9 @@ class Switch(Node):
                     desired = self.ports[next_hops[self._spray_counter % n]]
 
         if self._plain_detour:
-            # Inlined default trigger (== desired.queue.is_full()).
+            # Inlined default trigger (== desired.queue.is_full()).  The
+            # call instead costs py_calls_per_event 6.0167 -> 6.6867 on
+            # incast_k8_dibs and 5.9958 -> 7.2191 on incast_k8_dba.
             q = desired.queue
             pool = desired._pool
             if pool is not None:
@@ -320,7 +322,8 @@ class Switch(Node):
         One comprehension, so a detour pays one call for the scan.  A
         droptail/ECN queue's fullness is tested inline (== ``is_full()``,
         an empty queue skipping the ``len``); pooled and other queues
-        take the call.
+        take the call.  ``is_full()`` for every port costs
+        py_calls_per_event 6.0167 -> 6.4372 on incast_k8_dibs.
         """
         skip = -1 if self.dibs.allow_detour_to_ingress else in_port
         return [
@@ -350,7 +353,9 @@ class Switch(Node):
             # — k = n.bit_length() bits per draw, redrawn until below n —
             # so these are the very same getrandbits calls and the
             # dibs.detour stream advances identically (pinned by
-            # tests/test_detour_policies.py's RNG-identity tests).
+            # tests/test_detour_policies.py's RNG-identity tests).  The
+            # policy call costs py_calls_per_event 6.0167 -> 6.2596 on
+            # incast_k8_dibs.
             n = len(candidates)
             if n:
                 k = n.bit_length()

@@ -206,7 +206,7 @@ class Event:
 
     Instances are returned by :meth:`Scheduler.schedule` /
     :meth:`Scheduler.schedule_at` and can be cancelled via
-    :meth:`Scheduler.cancel` (or :meth:`Event.cancel`).
+    :meth:`Event.cancel`.
 
     The ``cancelled`` flag doubles as a *settled* marker: the run loop sets
     it when the event fires, so cancelling an event that already executed
@@ -304,10 +304,7 @@ class Scheduler:
         # Recyclable events parked after they settled, newest first,
         # linked through Event.free_next (see schedule_once).
         self._free: Optional[Event] = None
-        self._reset_calendar()
-
-    def _reset_calendar(self) -> None:
-        """Empty calendar state (see the module docstring's layout)."""
+        # The calendar (see the module docstring's layout).
         self._buckets: list[list[Event]] = [[] for _ in range(_NBUCKETS)]
         self._cur: int = 0          # absolute index of the bucket being consumed
         self._pos: int = 0          # consumption cursor within that bucket
@@ -322,8 +319,8 @@ class Scheduler:
         # Cursor value of the next width check, and the event count and
         # clock at the last estimate.
         self._rev_next: int = _NBUCKETS
-        self._rev_base: int = self._events_processed
-        self._rev_t: float = self.now
+        self._rev_base: int = 0
+        self._rev_t: float = 0.0
         # min(_odue, _rev_next): entering a bucket below it is the fast path.
         self._slow_at: int = _NBUCKETS
         # Live entries anywhere in the calendar (ring past the cursor plus
@@ -403,7 +400,7 @@ class Scheduler:
         """Claim the next sequence number *without* inserting an event.
 
         This is the elision primitive: a caller that knows an event would
-        be a no-op (see ``Port._tx_next``) reserves its place in the
+        be a no-op (see ``Port.send``) reserves its place in the
         ``(time, seq)`` total order so every later event keeps the exact
         sequence number it would have had had the event been inserted, then
         either settles the reservation once its turn has passed or
@@ -475,55 +472,30 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 2
         cur = self._cur
-        # The tx-done ...
-        time = now + tx
-        ev = self._free
-        if ev is not None:
-            self._free = ev.free_next  # parked events are recyclable already
-            ev.time = time
-            ev.seq = seq
-            ev.fn = tx_fn
-            ev.args = ()
-            ev.cancelled = False
-        else:
-            ev = Event(time, seq, tx_fn, (), self)
-            ev.recyclable = True
-        idx = int((time - self._wstart) * self._inv_width)
-        if 0 < idx - cur < _NBUCKETS:
-            self._buckets[idx & _MASK].append(ev)
-        elif idx <= cur:
-            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
-        else:
-            self._park_far(idx, time, seq, ev)
-        # ... then the delivery at ``at``, under the next sequence number.
+        # The tx-done, then the delivery under the next sequence number.
         # Both seqs are fresh, so the time-keyed bisects place them as
         # schedule_reserved's full-key ones would.
-        seq += 1
-        ev = self._free
-        if ev is not None:
-            self._free = ev.free_next
-            ev.time = at
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(at, seq, fn, args, self)
-            ev.recyclable = True
-        idx = int((at - self._wstart) * self._inv_width)
-        if 0 < idx - cur < _NBUCKETS:
-            self._buckets[idx & _MASK].append(ev)
-        elif idx <= cur:
-            insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
-        else:
-            self._park_far(idx, at, seq, ev)
+        for time, call, call_args in ((now + tx, tx_fn, ()), (at, fn, args)):
+            ev = self._free
+            if ev is not None:
+                self._free = ev.free_next  # parked events are recyclable already
+                ev.time = time
+                ev.seq = seq
+                ev.fn = call
+                ev.args = call_args
+                ev.cancelled = False
+            else:
+                ev = Event(time, seq, call, call_args, self)
+                ev.recyclable = True
+            idx = int((time - self._wstart) * self._inv_width)
+            if 0 < idx - cur < _NBUCKETS:
+                self._buckets[idx & _MASK].append(ev)
+            elif idx <= cur:
+                insort(self._buckets[cur & _MASK], ev, key=_TIME, lo=self._pos)
+            else:
+                self._park_far(idx, time, seq, ev)
+            seq += 1
         return ev
-
-    @staticmethod
-    def cancel(event: Optional[Event]) -> None:
-        """Cancel a previously scheduled event (no-op on ``None``)."""
-        if event is not None:
-            event.cancel()
 
     # ------------------------------------------------------------------
     # run-loop hooks
@@ -557,36 +529,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # calendar maintenance
     # ------------------------------------------------------------------
-    def _advance(self) -> Optional[Event]:
-        """Move past the exhausted current bucket and return the head
-        event of the next non-empty one (``None`` when the calendar is
-        drained).  Leaves ``_cur``/``_pos`` pointing at the returned
-        event.  Only :meth:`peek_time` calls it, between runs; the run
-        loop carries its own copy of this advance, inlined."""
-        buckets = self._buckets
-        cur = self._cur
-        buckets[cur & _MASK].clear()
-        if self._count == self._ocount:
-            # Ring is empty: everything live sits in the overflow band.
-            if not self._ocount:
-                self._pos = 0
-                return None
-            cur = self._jump()
-        else:
-            stop = cur + _NBUCKETS
-            cur += 1
-            while not buckets[cur & _MASK]:
-                cur += 1
-                if cur >= stop:
-                    self._scan_overrun()
-            if cur >= self._slow_at:
-                cur = self._enter_slow(cur)
-            self._cur = cur
-        bucket = buckets[cur & _MASK]
-        bucket.sort(key=_ORDER)
-        self._pos = 0
-        return bucket[0]
-
     def _scan_overrun(self) -> None:
         raise SimulationError(
             f"calendar bucket scan passed a full revolution from bucket {self._cur} "
@@ -798,8 +740,8 @@ class Scheduler:
                     if processed >= limit:
                         break
                 else:
-                    # The bucket is exhausted.  Advance to the next
-                    # non-empty one here (the _advance logic inlined).
+                    # The bucket is exhausted: advance to the next
+                    # non-empty one (the calendar's only bucket walk).
                     bucket.clear()
                     if self._count == self._ocount:
                         # Ring is empty: everything live sits in the
@@ -916,29 +858,6 @@ class Scheduler:
         """Process a single event.  Returns ``False`` when idle."""
         return self.run(max_events=1) > 0
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or ``None`` if idle."""
-        while True:
-            bucket = self._buckets[self._cur & _MASK]
-            pos = self._pos
-            if pos < len(bucket):
-                ev = bucket[pos]
-            else:
-                ev = self._advance()
-                if ev is None:
-                    return None
-                pos = 0
-            if not ev.cancelled:
-                return ev.time
-            # Consume cancelled events in passing.
-            self._pos = pos + 1
-            self._count -= 1
-            self._cancelled_pending -= 1
-            if ev.recyclable:
-                ev.args = ()
-                ev.free_next = self._free
-                self._free = ev
-
     @property
     def max_pending_events(self) -> Optional[int]:
         """Event-queue pressure bound; ``None`` means unbounded.
@@ -971,24 +890,6 @@ class Scheduler:
         events whose dispatch was elided as a provable no-op (the count an
         engine dispatching every event would report)."""
         return self._events_processed + self._events_elided
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        # Settle discarded events so a stale handle cancelled after the
-        # reset cannot skew the fresh _cancelled_pending count.
-        for bucket in self._buckets:
-            for ev in bucket:
-                ev.cancelled = True
-        for _t, _s, ev in self._overflow:
-            ev.cancelled = True
-        self._free = None
-        self.now = 0.0
-        self._seq = 0
-        self._now_seq = -1
-        self._events_processed = 0
-        self._events_elided = 0
-        self._cancelled_pending = 0
-        self._reset_calendar()
 
 
 # What Scheduler.schedule_tx compares the class's insert method against.

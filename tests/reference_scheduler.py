@@ -9,7 +9,7 @@ one dispatches, in the same order, for any sequence of operations.
 
 It speaks the part of the scheduler API the differential tests drive
 (schedule, schedule_at, schedule_once, reserve_seq, schedule_reserved,
-schedule_tx, cancel, run, step, peek_time, pending, events_processed)
+schedule_tx, run, step, pending, events_processed)
 plus the attributes a :class:`repro.net.link.Port` reads and writes
 (``_seq``, ``_now_seq``, ``_events_elided``, ``profiler``), so a port
 can transmit on it.  Inputs are assumed valid: the calendar's checks of
@@ -70,11 +70,6 @@ class ReferenceScheduler:
         self.schedule_reserved(self.now + tx, self.reserve_seq(), tx_fn)
         return self.schedule_reserved(at, self.reserve_seq(), fn, *args)
 
-    @staticmethod
-    def cancel(event):
-        if event is not None:
-            event.cancel()
-
     # -- execution -------------------------------------------------------
     def run(self, until=None, max_events=None):
         queue = self._queue
@@ -102,12 +97,6 @@ class ReferenceScheduler:
 
     def step(self):
         return self.run(max_events=1) > 0
-
-    def peek_time(self):
-        for time, _seq, ev in self._queue:
-            if not ev.cancelled:
-                return time
-        return None
 
     @property
     def pending(self):

@@ -16,7 +16,9 @@ from repro.net.link import Port, connect
 from repro.net.network import Network, SwitchQueueConfig
 from repro.net.node import Node
 from repro.net.packet import MTU_BYTES, Packet
-from repro.net.queues import DropTailQueue, DynamicBufferQueue, EcnQueue, SharedBufferPool
+from repro.net.queues import (
+    BShareQueue, DropTailQueue, DynamicBufferQueue, EcnQueue, SharedBufferPool,
+)
 from repro.net.switch import Switch
 from repro.obs.spans import PacketSpan
 from repro.sim.engine import ResourceError, Scheduler, SimulationError, schedule_tx_calls
@@ -220,7 +222,7 @@ class TestPauseExpiry:
         pa.send(pkt())  # starts transmitting immediately (12 us)
         pa.send(pkt())  # queued behind it
         pa.pause()
-        pa.resume()  # port is mid-transmission: must NOT re-enter _tx_next
+        pa.resume()  # port is mid-transmission: must NOT start a second transmit
         sched.run()
         times = [t for t, _p, _i in b.arrivals]
         assert times == [pytest.approx(12e-6), pytest.approx(24e-6)]
@@ -344,7 +346,7 @@ class TestFaultState:
 
 class TestFlapStateMachine:
     """Port up/paused/busy transitions under fault flaps: no stuck-idle
-    port, no double _tx_next, regardless of how the flap interleaves with
+    port, no double transmit start, regardless of how the flap interleaves with
     an in-progress serialization."""
 
     def test_set_up_before_tx_done_fires_drains_exactly_once(self):
@@ -380,8 +382,8 @@ class TestFlapStateMachine:
 
     def test_pause_expiry_racing_explicit_resume(self):
         # pause(duration) schedules an expiry; an explicit resume() before
-        # it fires must cancel it — the stale expiry must not re-enter
-        # _tx_next behind the already-resumed transmitter.
+        # it fires must cancel it — the stale expiry must not restart
+        # the transmitter behind the already-resumed one.
         sched, a, b, pa, pb = make_pair(delay_s=0.0)
         pa.pause(50e-6)
         pa.send(pkt())
@@ -807,11 +809,12 @@ class TestJitterPressure:
 
 
 class TestInsertSites:
-    """The transmit sites put their events on the calendar three ways: an
-    idle send's or elided ``_tx_next``'s delivery (``schedule_reserved``
-    under a fresh seq), a busy send's materialized tx-done
-    (``schedule_reserved``) and a busy ``_tx_next``'s tx-done plus
-    delivery in one ``schedule_tx`` call, on a fixed or a jittered link.  The
+    """The transmit sites put their events on the calendar three ways: the
+    delivery of a transmission whose tx-done is elided
+    (``schedule_reserved`` under a fresh seq), a busy send's materialized
+    tx-done (``schedule_reserved``) and, behind a backlog, the tx-done plus
+    delivery in one ``schedule_tx`` call, on a fixed or a jittered link.
+    A tx-done is ``Port.send`` called with no packet.  The
     calendar must dispatch the same events at the same ``(time, seq)`` as
     the naive reference scheduler, and fail at each site with a message
     naming it."""
@@ -822,7 +825,8 @@ class TestInsertSites:
         callback of every event the calendar inserts into the bucket
         being consumed (``insort``) or into the overflow heap, and where
         each calendar ``schedule_tx`` delivery lands (``tx_places``:
-        ``"cursor"``, ``"ring"`` or ``"far"``)."""
+        ``"cursor"``, ``"ring"`` or ``"far"``).  Names are qualnames, with
+        a ``Port.send`` that carries no packet named ``"tx-done"``."""
         import repro.sim.engine as engine
 
         trace, places, tx_places = [], [], []
@@ -834,20 +838,24 @@ class TestInsertSites:
             return schedule_tx(sched, tx, tx_fn, at, fn, *args)
 
         monkeypatch.setattr(Scheduler, "schedule_tx", schedule_tx_spy)
-        for name in ("send", "_tx_next", "_deliver"):
-            def recorder(port, *args, _fn=getattr(Port, name), _name=name):
-                trace.append((port.scheduler.now, port.scheduler._now_seq, _name))
+
+        def site(name, args):
+            return "tx-done" if name == "Port.send" and not args else name
+
+        for name in ("send", "_deliver"):
+            def recorder(port, *args, _fn=getattr(Port, name), _name=f"Port.{name}"):
+                trace.append((port.scheduler.now, port.scheduler._now_seq, site(_name, args)))
                 return _fn(port, *args)
             recorder.__qualname__ = f"Port.{name}"
             monkeypatch.setattr(Port, name, recorder)
         insort, park_far = engine.insort, Scheduler._park_far
 
         def insort_spy(bucket, ev, **kwargs):
-            places.append(("cursor", ev.fn.__qualname__))
+            places.append(("cursor", site(ev.fn.__qualname__, ev.args)))
             return insort(bucket, ev, **kwargs)
 
         def park_far_spy(sched, idx, time, seq, ev):
-            places.append(("far", ev.fn.__qualname__))
+            places.append(("far", site(ev.fn.__qualname__, ev.args)))
             return park_far(sched, idx, time, seq, ev)
 
         monkeypatch.setattr(engine, "insort", insort_spy)
@@ -906,16 +914,16 @@ class TestInsertSites:
         events = calendar[0]
         assert len(calendar[1]) == len(self.CASES[case][3])  # all delivered
         if case == "busy":
-            assert any(name == "_tx_next" for _t, _s, name in events)
+            assert any(name == "tx-done" for _t, _s, name in events)
         if case == "cursor":
             # schedule_tx's two inserts and the materialized tx-done all
             # land in the bucket being consumed ...
             assert ("cursor", "Port._deliver") in cal_places
-            assert cal_places.count(("cursor", "Port._tx_next")) >= 2
+            assert cal_places.count(("cursor", "tx-done")) >= 2
             # ... and the materialized tx-done (reserved seq) ran before
             # the delivery sharing its time.
-            tx_done = next(e for e in events if e[2] == "_tx_next")
-            first = next(e for e in events if e[2] == "_deliver")
+            tx_done = next(e for e in events if e[2] == "tx-done")
+            first = next(e for e in events if e[2] == "Port._deliver")
             assert tx_done[0] == first[0] and tx_done[1] < first[1]
         if case == "overflow":
             assert ("far", "Port._deliver") in cal_places
@@ -995,9 +1003,9 @@ class TestInsertSites:
         monkeypatch.setattr(Scheduler, "schedule_reserved", reserved_wrapper)
         assert run() == direct
         deliver = ("reserved", "Port._deliver")
-        tx_done = ("reserved", "Port._tx_next")
+        tx_done = ("reserved", "Port.send")
         # The idle send's delivery; the second send's materialized tx-done;
-        # the first busy _tx_next's pair, the second's; and the last
+        # the first busy tx-done's pair, the second's; and the last
         # packet's delivery with its tx-done elided.
         assert seen == [deliver, tx_done, tx_done, deliver, tx_done, deliver, deliver]
 
@@ -1019,8 +1027,8 @@ class TestInsertSites:
         sched.run()
         assert len(b.arrivals) == 4
         # As in the test above: every port callback, idle and busy.
-        assert seen == ["Port._deliver", "Port._tx_next", "Port._tx_next", "Port._deliver",
-                        "Port._tx_next", "Port._deliver", "Port._deliver"]
+        assert seen == ["Port._deliver", "Port.send", "Port.send", "Port._deliver",
+                        "Port.send", "Port._deliver", "Port._deliver"]
 
     @staticmethod
     def _pressure(sched, site):
@@ -1055,8 +1063,8 @@ class TestInsertSites:
 
     @pytest.mark.parametrize("site, fn", [
         ("send-delivery", "Port._deliver"),
-        ("materialize", "Port._tx_next"),
-        ("tx-done", "Port._tx_next"),
+        ("materialize", "Port.send"),
+        ("tx-done", "Port.send"),
         ("tx-delivery", "Port._deliver"),
     ])
     def test_pending_cap_at_each_insert_site(self, site, fn):
@@ -1077,7 +1085,7 @@ class TestInsertSites:
     def test_infinite_serialization_rejected_alike(self):
         assert self._infinite_tx(Scheduler()) == [
             "non-finite time: inf (scheduling Port._deliver)",
-            "non-finite time: inf (scheduling Port._tx_next)",
+            "non-finite time: inf (scheduling Port.send)",
         ]
 
     def test_steady_state_deliveries_reuse_parked_events(self, monkeypatch):
@@ -1114,3 +1122,179 @@ class TestInsertSites:
             assert p.flight_event is head
             sched.run()
         assert len(b.arrivals) == 24
+
+
+class _TracedPort(Port):
+    """A port that logs every send (with the state it found), tx-done and
+    delivery as ``(now, now_seq, what)``."""
+
+    def __init__(self, log, *args):
+        super().__init__(*args)
+        self.log = log
+
+    def send(self, pkt=None):
+        sched = self.scheduler
+        if pkt is None:
+            self.log.append((sched.now, sched._now_seq, "tx-done", self.index))
+            return super().send()
+        # Read the settled state first: ``busy`` settles a passed tx-done,
+        # as the send itself would.
+        found = (self.busy, self.paused, self.up, len(self.queue))
+        sent = super().send(pkt)
+        self.log.append((sched.now, sched._now_seq, "send", self.index, found, sent))
+        return sent
+
+    def _deliver(self, pkt):
+        self.log.append((self.scheduler.now, self.scheduler._now_seq, "deliver", self.index))
+        super()._deliver(pkt)
+
+
+def _port_queues(kind, sched):
+    """Both directions' queues.  ``dba`` is a pool that refuses a
+    1500-byte packet at occupancy 0 (no reserved allotment, and the alpha
+    rule allows 1,125 bytes of 4,500 free) but admits 40 and 500 bytes;
+    ``bshare`` queues never take the idle bypass."""
+    if kind == "droptail":
+        return DropTailQueue(4), DropTailQueue(4)
+    if kind == "ecn":
+        return EcnQueue(4, 2), EcnQueue(4, 2)
+    pool = SharedBufferPool(4500, alpha=0.25, reserved_pkts_per_port=0)
+    if kind == "dba":
+        return DynamicBufferQueue(pool, 2), DynamicBufferQueue(pool, 2)
+    return (BShareQueue(pool, sched, target_delay_s=5e-6, mark_threshold_pkts=2),
+            BShareQueue(pool, sched, target_delay_s=5e-6, mark_threshold_pkts=2))
+
+
+# When the next operation runs, relative to the one before: at the same
+# time, exactly at port A's serialization end (ties with its tx-done or
+# elided reservation), or after a delay.
+_WHEN = st.one_of(st.sampled_from(["now", "tx_end"]),
+                  st.sampled_from([0.32e-6, 4e-6, 12e-6, 30e-6]))
+_PORT_OP = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, 1), st.sampled_from([40, 500, 1500]),
+              st.integers(1, 5)),
+    st.tuples(st.just("pause"), st.sampled_from([None, 3e-6, 20e-6])),
+    st.tuples(st.just("resume")),
+    st.tuples(st.just("down")),
+    st.tuples(st.just("up")),
+    st.tuples(st.just("jitter"), st.sampled_from([0.0, 2e-6, 25e-6])),
+)
+_PORT_PROGRAM = st.tuples(
+    st.sampled_from(["droptail", "ecn", "dba", "bshare"]),
+    st.sampled_from([0.0, 5e-6]),
+    st.lists(st.tuples(_WHEN, _PORT_OP), min_size=1, max_size=25),
+)
+
+
+def _run_port_program(sched, program):
+    """Play ``program`` on one port pair as a chain of events, then drain,
+    and return everything the run observed."""
+    kind, delay, ops = program
+    log = []
+    a = SinkNode(0, "a", sched)
+    b = SinkNode(1, "b", sched)
+    qa, qb = _port_queues(kind, sched)
+    pa = _TracedPort(log, a, qa, 1e9, delay)
+    pb = _TracedPort(log, b, qb, 1e9, delay)
+    connect(pa, pb)
+    rng = random.Random(11)
+    made = iter(range(1, 10_000))
+
+    def step(i):
+        _when, op = ops[i]
+        name = op[0]
+        if name == "send":
+            port = (pa, pb)[op[1]]
+            for _ in range(op[3]):
+                port.send(Packet(flow_id=next(made), src=0, dst=1, payload=op[2] - 40,
+                                 ecn_capable=True))
+        elif name == "pause":
+            pa.pause(op[1])
+        elif name == "resume":
+            pa.resume()
+        elif name == "down":
+            pa.set_down()
+        elif name == "up":
+            pa.set_up()
+        else:
+            pa.set_jitter(op[1], rng)
+        if i + 1 < len(ops):
+            when = ops[i + 1][0]
+            at = (sched.now if when == "now" else max(sched.now, pa._tx_end)
+                  if when == "tx_end" else sched.now + when)
+            sched.schedule_at(at, step, i + 1)
+
+    sched.schedule_at(0.0, step, 0)
+    sched.run()
+    # Lift a pause or an outage the program left, so every parked packet
+    # drains, and settle the last elided tx-dones.
+    pa.resume()
+    pa.set_up()
+    sched.run()
+    assert not pa.busy and not pb.busy
+    arrivals = [[(t, p.flow_id, p.size, p.ecn_ce) for t, p, _i in node.arrivals]
+                for node in (a, b)]
+    counters = [(port.pkts_sent, port.bytes_sent, port.bytes_killed, port.drops_link_down,
+                 port.queue.enqueues, port.queue.drops, getattr(port.queue, "marks", 0),
+                 len(port.queue))
+                for port in (pa, pb)]
+    return log, arrivals, counters, sched.events_processed, sched._seq, sched.now
+
+
+class TestPortDifferential:
+    """One port pair on the calendar ≡ the same pair on the naive
+    reference scheduler, over random mixes of idle-bypass sends, sends
+    into a busy queue, queues without the bypass (BShare), DBA refusals
+    at occupancy 0, pauses with and without expiry, resumes, flaps and
+    jitter changes, each timed at the same instant, at port A's
+    serialization end, or after a delay: the same dispatch order (every
+    send, tx-done and delivery at the same ``(now, now_seq)``), delivery
+    times, drops, counters and ``events_processed``."""
+
+    # Hand-written programs that reach each path the strategy mixes.
+    COVER = {
+        "bypass-then-busy": ("droptail", 5e-6, [
+            ("now", ("send", 0, 1500, 1)), (4e-6, ("send", 0, 1500, 3)),
+            ("tx_end", ("send", 0, 40, 2)), (30e-6, ("send", 0, 500, 1))]),
+        "dba-refuses-idle": ("dba", 0.0, [
+            ("now", ("send", 0, 1500, 1)), (4e-6, ("send", 0, 500, 2)),
+            (30e-6, ("send", 1, 40, 1))]),
+        "bshare-pause-flap": ("bshare", 5e-6, [
+            ("now", ("send", 0, 500, 3)), ("tx_end", ("pause", 20e-6)),
+            ("now", ("send", 0, 40, 2)), (4e-6, ("down",)), ("now", ("resume",)),
+            (12e-6, ("up",)), ("tx_end", ("send", 0, 1500, 1))]),
+        "ecn-jitter": ("ecn", 5e-6, [
+            ("now", ("jitter", 25e-6)), ("now", ("send", 0, 1500, 5)),
+            ("tx_end", ("jitter", 2e-6)), ("now", ("pause", None)),
+            (12e-6, ("resume",)), (0.32e-6, ("send", 0, 40, 4))]),
+    }
+
+    @pytest.mark.parametrize("case", list(COVER))
+    def test_cover_programs_reach_their_paths(self, case):
+        program = self.COVER[case]
+        observed = _run_port_program(Scheduler(), program)
+        assert observed == _run_port_program(ReferenceScheduler(), program)
+        log, arrivals, counters = observed[:3]
+        sends = [entry for entry in log if entry[2] == "send"]
+        idle = [sent for *_e, (busy, paused, up, qlen), sent in sends
+                if not busy and not paused and up and qlen == 0]
+        if case == "bypass-then-busy":
+            assert idle and all(idle)  # idle sends went straight out
+            assert any(found[0] for *_e, found, _s in sends)  # and some met a busy port
+            assert any(entry[2] == "tx-done" for entry in log)
+        if case == "dba-refuses-idle":
+            assert idle[0] is False  # refused at occupancy 0
+            assert counters[0][5] == 1 and len(arrivals[1]) == 2
+        if case == "bshare-pause-flap":
+            assert counters[0][2] > 0  # the flap killed a packet in flight
+            assert any(found[1] for *_e, found, _s in sends)  # sent while paused
+        if case == "ecn-jitter":
+            assert any(ce for _t, _f, _size, ce in arrivals[1])
+            times = [t for t, *_rest in arrivals[1]]
+            assert times == sorted(times)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_PORT_PROGRAM)
+    def test_calendar_matches_reference(self, program):
+        assert (_run_port_program(Scheduler(), program)
+                == _run_port_program(ReferenceScheduler(), program))

@@ -173,24 +173,6 @@ class TestCancellation:
         sched.run()
         assert fired == []
 
-    def test_cancel_via_scheduler_helper(self):
-        sched = Scheduler()
-        fired = []
-        ev = sched.schedule(1.0, fired.append, "x")
-        Scheduler.cancel(ev)
-        sched.run()
-        assert fired == []
-
-    def test_cancel_none_is_noop(self):
-        Scheduler.cancel(None)  # must not raise
-
-    def test_cancelled_events_skipped_by_peek(self):
-        sched = Scheduler()
-        ev = sched.schedule(1.0, lambda: None)
-        sched.schedule(2.0, lambda: None)
-        ev.cancel()
-        assert sched.peek_time() == 2.0
-
     def test_pending_excludes_cancelled(self):
         sched = Scheduler()
         ev = sched.schedule(1.0, lambda: None)
@@ -207,40 +189,6 @@ class TestCancellation:
         ev.cancel()
         sched.run()
         assert fired == ["keep"]
-
-
-class TestReset:
-    def test_reset_clears_state(self):
-        sched = Scheduler()
-        sched.schedule(1.0, lambda: None)
-        sched.run()
-        sched.reset()
-        assert sched.now == 0.0
-        assert sched.pending == 0
-        assert sched.peek_time() is None
-
-    def test_reset_allows_rescheduling_from_zero(self):
-        sched = Scheduler()
-        sched.schedule(5.0, lambda: None)
-        sched.run()
-        sched.reset()
-        fired = []
-        sched.schedule(0.5, fired.append, 1)
-        sched.run()
-        assert fired == [1]
-        assert sched.now == 0.5
-
-    def test_reset_clears_overflow_band(self):
-        sched = Scheduler()
-        # Far beyond the initial window: parks in the overflow heap.
-        sched.schedule(_NBUCKETS * _INITIAL_WIDTH * 50, lambda: None)
-        sched.reset()
-        assert sched.pending == 0
-        assert sched.peek_time() is None
-        fired = []
-        sched.schedule(0.1, fired.append, 1)
-        sched.run()
-        assert fired == [1]
 
 
 class TestCalendarGeometry:
@@ -594,15 +542,6 @@ class TestRecycleSlot:
         sched.run()
         assert fired == ["first", "second"]
 
-    def test_reset_empties_the_slot(self):
-        sched = Scheduler()
-        sched.schedule_once(1e-6, lambda: None)
-        sched.schedule_once(2e-6, lambda: None)
-        sched.run()
-        assert len(_parked(sched)) == 2
-        sched.reset()
-        assert _parked(sched) == []
-
     @pytest.mark.parametrize("drive", [_plain, _stepped], ids=["plain", "step"])
     def test_parked_events_are_reused_lifo(self, drive):
         sched = Scheduler()
@@ -921,7 +860,6 @@ _OPS = st.lists(st.one_of(
     st.tuples(st.just("run_until"), _DELAYS),
     st.tuples(st.just("run_max"), st.integers(1, 30)),
     st.tuples(st.just("step")),
-    st.tuples(st.just("peek")),
 ), max_size=60)
 
 
@@ -984,10 +922,8 @@ class _Driver:
             self.results.append(sched.run(until=sched.now + op[1]))
         elif name == "run_max":
             self.results.append(sched.run(max_events=op[1]))
-        elif name == "step":
-            self.results.append(sched.step())
         else:
-            self.results.append(sched.peek_time())
+            self.results.append(sched.step())
 
     def state(self):
         sched = self.sched
