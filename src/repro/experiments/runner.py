@@ -110,10 +110,9 @@ class ExperimentResult:
     events: int = 0
     wall_seconds: float = 0.0
     # Wall time spent inside the event loop alone (``network.run``),
-    # excluding network construction and metrics extraction.  This is the
-    # denominator for events-per-second comparisons: construction is a
-    # fixed cost identical across engine implementations, so folding it
-    # in dilutes exactly the property an engine benchmark measures.
+    # excluding network construction and metrics extraction.  Nothing in
+    # the package reads it; it stays because every journal entry and
+    # ``result.json`` carries it.
     run_loop_seconds: float = 0.0
     # Fault-injection accounting (all zero/empty for fault-free runs).
     faults_applied: dict[str, int] = field(default_factory=dict)

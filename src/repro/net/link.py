@@ -43,8 +43,7 @@ Either way the observable simulation — every queue occupancy, ECN mark,
 delivery time and event count — is bit-identical to a transmit path that
 dispatches every tx-done for real and passes every packet through
 its queue's methods.  The golden corpus (``tests/golden``) holds results
-recorded while both paths agreed, and ``bench_engine_speed.py`` compares
-against that path at the commit that still had it.  The ``busy``
+recorded while both paths agreed.  The ``busy``
 attribute is a property so an external reader always observes the
 settled state.
 """

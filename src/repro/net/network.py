@@ -100,17 +100,10 @@ class SwitchQueueConfig:
     pfabric_queue_pkts: int = 24
     dba_total_bytes: int = 1_700_000
     dba_alpha: float = 1.0
-    dba_ecn: bool = True
-    # BShare (discipline "bshare"): target per-packet sojourn delay and
-    # the EWMA gain of the delay estimator; the pool size and ECN flag are
-    # shared with the DBA fields above.
+    # BShare (discipline "bshare"): target per-packet sojourn delay; the
+    # pool size is shared with the DBA fields above.
     bshare_target_delay_s: float = 500e-6
-    bshare_delay_gain: float = 0.125
-    # FairQ (discipline "fairq"): epoch length, in full-MTU serialization
-    # times, of the active-flow estimate behind the signalled share.
-    fairq_epoch_pkts: int = 64
     infinite_with_ecn: bool = True
-    host_nic_queue_pkts: int = INFINITE_CAPACITY
     # Ethernet flow control (§6 comparison): hop-by-hop PAUSE when a queue
     # crosses xoff_fraction of capacity, RESUME below xon_fraction.
     pfc: bool = False
@@ -255,25 +248,19 @@ class Network:
             return DropTailQueue(INFINITE_CAPACITY)
         if cfg.discipline == "pfabric":
             return PFabricQueue(cfg.pfabric_queue_pkts)
-        threshold = cfg.ecn_threshold_pkts if cfg.dba_ecn else None
+        # The shared-memory disciplines always mark at the ECN threshold.
         if cfg.discipline == "dba":
-            return DynamicBufferQueue(self._shared_pool(switch_name), mark_threshold_pkts=threshold)
+            return DynamicBufferQueue(self._shared_pool(switch_name),
+                                      mark_threshold_pkts=cfg.ecn_threshold_pkts)
         if cfg.discipline == "bshare":
             return BShareQueue(
                 self._shared_pool(switch_name),
                 self.scheduler,
                 cfg.bshare_target_delay_s,
-                mark_threshold_pkts=threshold,
-                delay_gain=cfg.bshare_delay_gain,
+                mark_threshold_pkts=cfg.ecn_threshold_pkts,
             )
         if cfg.discipline == "fairq":
-            return FairQQueue(
-                cfg.buffer_pkts,
-                cfg.ecn_threshold_pkts,
-                rate_bps,
-                self.scheduler,
-                epoch_pkts=cfg.fairq_epoch_pkts,
-            )
+            return FairQQueue(cfg.buffer_pkts, cfg.ecn_threshold_pkts, rate_bps, self.scheduler)
         raise AssertionError(f"unhandled discipline {cfg.discipline}")
 
     def _build_links(self) -> None:
@@ -282,7 +269,7 @@ class Network:
             for end in (link.node_a, link.node_b):
                 node = self._nodes[end]
                 if isinstance(node, Host):
-                    queue = DropTailQueue(self.switch_queues.host_nic_queue_pkts)
+                    queue = DropTailQueue(INFINITE_CAPACITY)
                 else:
                     queue = self._make_switch_queue(end, link.rate_bps)
                 port = Port(node, queue, link.rate_bps, link.delay_s)

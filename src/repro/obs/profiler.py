@@ -20,13 +20,15 @@ event that closed it.  Totals stay exact (windows partition the event
 stream, and a trailing partial window is flushed when the loop exits);
 the per-category split is statistical, converging like any sampling
 profiler.  This matters because simulator events run in the low
-microseconds: a per-event ``perf_counter`` read alone (~70ns) would blow
-the 5% budget, while the sampled loop's per-event cost is a local
-countdown decrement.  ``sample_stride=1`` is exact mode in the same
-loop: every window holds one event, so the clock is read once per event
-and each event is charged from the previous read — for when per-event
-precision is worth the extra overhead (``bench_obs_overhead.py``'s
-"profiled exact" arm measures it).
+microseconds: a per-event ``perf_counter`` read alone (~70ns) would
+cost more than the event, while the sampled loop's per-event cost is a
+local countdown decrement.  ``tools/check_call_budget.py`` gates what
+the default stride adds to a run as a ratio of exact call counts.
+``sample_stride=1`` is exact mode in the same loop: every window holds
+one event, so the clock is read once per event and each event is
+charged from the previous read — for when per-event precision is worth
+the extra overhead (on the call gate's cell, 1.69x the plain run's
+calls against 1.17x at the default stride).
 
 Elided tx-done events (see :mod:`repro.net.link`) never reach a run loop;
 the port settles them by calling :meth:`SchedulerProfiler.record` with a

@@ -222,9 +222,13 @@ class TestDeterminismUnderInstrumentation:
             heartbeat_path=str(tmp_path / "hb.jsonl"),
             trace_file=str(tmp_path / "run.trace.jsonl"),
             trace_occupancy_interval_s=0.002,
+            span_sample_rate=0.25,
+            flight_recorder_dir=str(tmp_path / "flight"),
         )
         plain = run_scenario(TINY)
-        traced = run_scenario(TINY, instrumented)
+        traced = run_scenario(TINY.with_overrides(timeseries_interval_s=0.002), instrumented)
+        assert traced.timeseries and traced.span_records
+        traced.timeseries = None  # the recorded series is the one thing this run adds
         assert canonical_payload(plain) == canonical_payload(traced)
         assert traced.profile is not None
         assert (tmp_path / "hb.jsonl").exists()

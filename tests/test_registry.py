@@ -34,15 +34,8 @@ class TestRegistryConsistency:
         on_disk = {
             p.stem
             for p in benchmarks_dir().glob("bench_*.py")
-            # Substrate-health benches (engine speed gates,
-            # observability overhead gates, job-server service levels)
-            # are not paper artifacts.
-            if p.stem
-            not in {
-                "bench_engine_speed",
-                "bench_obs_overhead",
-                "bench_server",
-            }
+            # The job-server service-level bench is not a paper artifact.
+            if p.stem != "bench_server"
         }
         assert on_disk == registered, (
             f"unregistered: {sorted(on_disk - registered)}; "

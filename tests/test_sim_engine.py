@@ -263,6 +263,38 @@ class TestCalendarGeometry:
         sched.run()
         assert order == ["first", "same-time", "same-bucket", "later"]
 
+    @pytest.mark.parametrize("path", ["schedule_at", "schedule_reserved", "schedule_tx"])
+    def test_current_bucket_insert_lands_at_or_after_the_cursor(self, path):
+        # The entries before the cursor are consumed, and recycled ones
+        # carry the later times of their next incarnation: an insert into
+        # the current bucket that bisected them could land before the
+        # cursor, where the run loop never reaches it.
+        sched = Scheduler()
+        order = []
+        step = _INITIAL_WIDTH / 16  # every event below shares bucket 0
+
+        def insert():
+            order.append("insert")
+            for _ in range(4):  # recycle the four consumed events far ahead
+                sched.schedule_once(1.0, order.append, "far")
+            at = sched.now + step / 2
+            if path == "schedule_at":
+                sched.schedule_at(at, order.append, "new")
+            elif path == "schedule_reserved":
+                sched.schedule_reserved(at, sched.reserve_seq(), order.append, "new")
+            else:
+                sched.schedule_tx(step / 4, lambda: order.append("tx"), at, order.append, "new")
+
+        for i in range(4):
+            sched.schedule_once(i * step, order.append, i)
+        sched.schedule_once(4 * step, insert)
+        for i in (5, 6):
+            sched.schedule_once(i * step, order.append, i)
+        sched.run()
+        tx = ["tx"] if path == "schedule_tx" else []
+        assert order == [0, 1, 2, 3, "insert", *tx, "new", 5, 6] + ["far"] * 4
+        assert sched.pending == 0
+
     def test_cancel_future_event_from_callback(self):
         sched = Scheduler()
         fired = []
